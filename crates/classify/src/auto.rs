@@ -1,8 +1,5 @@
 //! Automatic classification of errata.
 
-use std::fmt;
-use std::str::FromStr;
-
 use rememberr_extract::scan_msr_refs;
 use rememberr_model::{Annotation, Category, Erratum};
 use rememberr_textkit::PreparedText;
@@ -29,7 +26,7 @@ pub enum Decision {
 /// Both matchers produce byte-identical classifications (annotations,
 /// snippets, decision statistics); they differ only in how much positional
 /// pattern-evaluation work they pay for. Mirrors the dedup pipeline's
-/// `CandidateGen` oracle split (`--dedup-candidates`).
+/// `CandidateGen` oracle split.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum MatcherKind {
     /// One indexed pass over the whole library via the shared
@@ -39,31 +36,8 @@ pub enum MatcherKind {
     #[default]
     Indexed,
     /// The original pattern-by-pattern positional scan, kept as the
-    /// correctness oracle (`--classify-matcher exhaustive`).
+    /// correctness oracle the equivalence suites compare against.
     Exhaustive,
-}
-
-impl FromStr for MatcherKind {
-    type Err = String;
-
-    fn from_str(text: &str) -> Result<Self, Self::Err> {
-        match text {
-            "indexed" => Ok(MatcherKind::Indexed),
-            "exhaustive" => Ok(MatcherKind::Exhaustive),
-            other => Err(format!(
-                "invalid rule matcher {other:?} (expected \"indexed\" or \"exhaustive\")"
-            )),
-        }
-    }
-}
-
-impl fmt::Display for MatcherKind {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(match self {
-            MatcherKind::Indexed => "indexed",
-            MatcherKind::Exhaustive => "exhaustive",
-        })
-    }
 }
 
 /// Counter name for a strong-rule hit, split by category kind so the
@@ -301,16 +275,10 @@ mod tests {
     }
 
     #[test]
-    fn matcher_kind_parses_and_displays() {
-        assert_eq!("indexed".parse::<MatcherKind>(), Ok(MatcherKind::Indexed));
-        assert_eq!(
-            "exhaustive".parse::<MatcherKind>(),
-            Ok(MatcherKind::Exhaustive)
-        );
-        assert!("fast".parse::<MatcherKind>().is_err());
+    fn matcher_kind_defaults_to_indexed() {
+        // Every production caller takes the default; only tests and the
+        // Criterion group select the exhaustive oracle.
         assert_eq!(MatcherKind::default(), MatcherKind::Indexed);
-        assert_eq!(MatcherKind::Indexed.to_string(), "indexed");
-        assert_eq!(MatcherKind::Exhaustive.to_string(), "exhaustive");
     }
 
     #[test]

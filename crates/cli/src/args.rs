@@ -56,7 +56,7 @@ impl std::error::Error for ArgsError {}
 const MULTI_OPTIONS: &[&str] = &["trigger", "context", "effect"];
 
 /// Option names that are boolean flags (no value).
-const FLAG_OPTIONS: &[&str] = &["unique", "annotated", "no-humans", "help", "trace", "bench"];
+const FLAG_OPTIONS: &[&str] = &["unique", "annotated", "no-humans", "help", "trace"];
 
 /// Single-valued option names understood by at least one command.
 /// Anything else is rejected up front, so a typo fails with usage text
@@ -79,7 +79,6 @@ const VALUE_OPTIONS: &[&str] = &[
     "before",
     "min-triggers",
     "limit",
-    "query-engine",
     "steps",
     "triggers",
     "effects",
@@ -87,15 +86,6 @@ const VALUE_OPTIONS: &[&str] = &[
     "metrics-out",
     "trace-out",
     "jobs",
-    "dedup-candidates",
-    "classify-matcher",
-    "bench-dedup",
-    "bench-classify",
-    "bench-pipeline",
-    "bench-query",
-    "bench-persist",
-    "bench-out",
-    "bench-serve",
     "snapshot-format",
     "addr",
     "workers",
@@ -248,36 +238,6 @@ mod tests {
     }
 
     #[test]
-    fn dedup_candidates_option_parses() {
-        let parsed = parse([
-            "extract",
-            "--docs",
-            "d",
-            "--out",
-            "o",
-            "--dedup-candidates",
-            "exhaustive",
-        ])
-        .unwrap();
-        assert_eq!(parsed.get("dedup-candidates"), Some("exhaustive"));
-    }
-
-    #[test]
-    fn classify_matcher_option_parses() {
-        let parsed = parse([
-            "classify",
-            "--db",
-            "d",
-            "--out",
-            "o",
-            "--classify-matcher",
-            "exhaustive",
-        ])
-        .unwrap();
-        assert_eq!(parsed.get("classify-matcher"), Some("exhaustive"));
-    }
-
-    #[test]
     fn observability_flags_parse() {
         let parsed = parse([
             "extract",
@@ -298,22 +258,10 @@ mod tests {
     }
 
     #[test]
-    fn profile_and_bench_options_parse() {
+    fn profile_options_parse() {
         let parsed = parse(["profile", "--scale", "0.25", "--jobs", "2"]).unwrap();
         assert_eq!(parsed.command, "profile");
         assert_eq!(parsed.get_parsed("scale", 1.0).unwrap(), 0.25);
-        let parsed = parse([
-            "report",
-            "--bench",
-            "--bench-dedup",
-            "BENCH_dedup.json",
-            "--bench-classify",
-            "BENCH_classify.json",
-        ])
-        .unwrap();
-        assert!(parsed.has_flag("bench"));
-        assert_eq!(parsed.get("bench-dedup"), Some("BENCH_dedup.json"));
-        assert_eq!(parsed.get("bench-classify"), Some("BENCH_classify.json"));
     }
 
     #[test]
@@ -371,8 +319,6 @@ mod tests {
             "--before",
             "2019-06-01",
             "--annotated",
-            "--query-engine",
-            "scan",
         ])
         .unwrap();
         assert_eq!(parsed.get("design"), Some("Core 6"));
@@ -383,7 +329,6 @@ mod tests {
         assert_eq!(parsed.get("after"), Some("2016-01-01"));
         assert_eq!(parsed.get("before"), Some("2019-06-01"));
         assert!(parsed.has_flag("annotated"));
-        assert_eq!(parsed.get("query-engine"), Some("scan"));
     }
 
     #[test]

@@ -7,13 +7,10 @@
 use std::fs;
 use std::path::{Path, PathBuf};
 
-use rememberr::{
-    load, save_as, CandidateGen, Database, DedupStrategy, Query, QueryEngine, SnapshotFormat,
-};
+use rememberr::{load, save_as, Database, DedupStrategy, Query, SnapshotFormat};
 use rememberr_analysis::{assist_highlights_analyzed, export_csvs, plan_campaign, FullReport};
 use rememberr_classify::{
-    classify_database_analyzed, classify_database_with, FourEyesConfig, HumanOracle, MatcherKind,
-    Rules,
+    classify_database, classify_database_analyzed, FourEyesConfig, HumanOracle, Rules,
 };
 use rememberr_docgen::{CorpusSpec, GroundTruth, SyntheticCorpus};
 use rememberr_extract::{extract_corpus, extract_document};
@@ -71,7 +68,6 @@ pub fn cmd_extract(args: &ParsedArgs) -> CmdResult {
         .get("out")
         .ok_or("extract needs --out DB.jsonl")?
         .into();
-    let candidates: CandidateGen = args.get_parsed("dedup-candidates", CandidateGen::default())?;
     let format: SnapshotFormat = args.get_parsed("snapshot-format", SnapshotFormat::default())?;
 
     // Read the page streams sequentially (I/O), then fan the CPU-heavy
@@ -101,7 +97,7 @@ pub fn cmd_extract(args: &ParsedArgs) -> CmdResult {
         documents.push(extracted.document);
     }
 
-    let db = Database::from_documents_opts(&documents, DedupStrategy::default(), candidates);
+    let db = Database::from_documents(&documents);
     write_db(&db, &out, format)?;
     Ok(format!(
         "extracted {} documents -> {} entries, {} unique bugs, {} defects; saved {}",
@@ -114,9 +110,8 @@ pub fn cmd_extract(args: &ParsedArgs) -> CmdResult {
 }
 
 /// `rememberr classify --db DB.jsonl --out DB2.jsonl [--truth truth.json]
-/// [--no-humans] [--classify-matcher indexed|exhaustive]`
+/// [--no-humans]`
 pub fn cmd_classify(args: &ParsedArgs) -> CmdResult {
-    let matcher: MatcherKind = args.get_parsed("classify-matcher", MatcherKind::default())?;
     let format: SnapshotFormat = args.get_parsed("snapshot-format", SnapshotFormat::default())?;
     let mut db = read_db(args)?;
     let out: PathBuf = args
@@ -135,12 +130,11 @@ pub fn cmd_classify(args: &ParsedArgs) -> CmdResult {
         Some(t) => HumanOracle::Simulated(t),
         None => HumanOracle::None,
     };
-    let run = classify_database_with(
+    let run = classify_database(
         &mut db,
         &Rules::standard(),
         oracle,
         &FourEyesConfig::default(),
-        matcher,
     );
     write_db(&db, &out, format)?;
     Ok(format!(
@@ -153,13 +147,8 @@ pub fn cmd_classify(args: &ParsedArgs) -> CmdResult {
     ))
 }
 
-/// `rememberr report --db DB.jsonl [--csv-dir DIR]`, or
-/// `rememberr report --bench [--bench-dedup FILE] [--bench-classify FILE]
-/// [--bench-pipeline FILE] [--bench-query FILE]`
+/// `rememberr report --db DB.jsonl [--csv-dir DIR]`
 pub fn cmd_report(args: &ParsedArgs) -> CmdResult {
-    if args.has_flag("bench") {
-        return cmd_report_bench(args);
-    }
     let db = read_db(args)?;
     let report = FullReport::build(&db, None, None);
     if let Some(dir) = args.get("csv-dir") {
@@ -177,9 +166,8 @@ pub fn cmd_report(args: &ParsedArgs) -> CmdResult {
 /// [--trigger CODE]... [--trigger-class CODE] [--context CODE]...
 /// [--effect CODE]... [--msr NAME] [--workaround CAT] [--fix STATUS]
 /// [--after YYYY-MM-DD] [--before YYYY-MM-DD] [--min-triggers N]
-/// [--unique] [--annotated] [--query-engine indexed|scan]`
+/// [--unique] [--annotated] [--limit N]`
 pub fn cmd_query(args: &ParsedArgs) -> CmdResult {
-    let engine: QueryEngine = args.get_parsed("query-engine", QueryEngine::default())?;
     let db = read_db(args)?;
     let mut query = Query::new();
     if let Some(vendor) = args.get("vendor") {
@@ -244,7 +232,7 @@ pub fn cmd_query(args: &ParsedArgs) -> CmdResult {
         query = query.annotated_only();
     }
 
-    let hits = query.run_with(&db, engine);
+    let hits = query.run_indexed(db.query_index(), &db);
     let mut out = format!("{} matching errata\n", hits.len());
     for entry in hits.iter().take(args.get_parsed("limit", 20usize)?) {
         out.push_str(&format!(
@@ -351,442 +339,7 @@ pub fn cmd_serve(args: &ParsedArgs) -> CmdResult {
     ))
 }
 
-/// One registered benchmark baseline: where it lives, what schema it must
-/// carry, and how it is rendered and gated. New baselines are added here —
-/// `cmd_report_bench` iterates the registry, and any `BENCH_*.json` in the
-/// working directory that is *not* registered is reported as a failure
-/// rather than silently skipped.
-struct BenchSpec {
-    /// CLI override option (`--bench-dedup FILE`).
-    option: &'static str,
-    /// Committed file name, also the registry key for the directory scan.
-    default_path: &'static str,
-    /// Exact `"schema"` string the file must carry.
-    schema: &'static str,
-    /// Human title for the report heading.
-    title: &'static str,
-    /// How the file is rendered and gated.
-    kind: BenchKind,
-}
-
-/// The two baseline shapes the report understands.
-enum BenchKind {
-    /// A fast-vs-slow effort trajectory over corpus scales
-    /// (the `{"scales": [...]}` shape every pipeline benchmark uses).
-    Trajectory {
-        /// Scale-entry field naming the corpus size.
-        size_field: &'static str,
-        /// Per-side field holding the deterministic effort metric.
-        effort_field: &'static str,
-        /// `(fast, slow)` side names inside each scale entry.
-        sides: (&'static str, &'static str),
-        /// Pass/fail rule.
-        gate: BenchGate,
-    },
-    /// The serve daemon load benchmark (single document, not a trajectory).
-    Serve,
-}
-
-/// Every baseline `report --bench` knows about, in render order.
-const BENCH_REGISTRY: &[BenchSpec] = &[
-    BenchSpec {
-        option: "bench-dedup",
-        default_path: "BENCH_dedup.json",
-        schema: "rememberr-bench-dedup/v1",
-        title: "dedup candidate generation",
-        kind: BenchKind::Trajectory {
-            size_field: "entries",
-            effort_field: "comparisons_made",
-            sides: ("indexed", "exhaustive"),
-            // Pinned gate: lossless pruning — the indexed path never does
-            // more full edit-distance comparisons than the exhaustive
-            // oracle.
-            gate: BenchGate::FastAtMostSlow,
-        },
-    },
-    BenchSpec {
-        option: "bench-classify",
-        default_path: "BENCH_classify.json",
-        schema: "rememberr-bench-classify/v1",
-        title: "classification rule matching",
-        kind: BenchKind::Trajectory {
-            size_field: "unique_errata",
-            effort_field: "pattern_evals",
-            sides: ("indexed", "exhaustive"),
-            // Pinned gate: the indexed matcher keeps its >=10x eval
-            // reduction.
-            gate: BenchGate::ReductionAtLeast(10.0),
-        },
-    },
-    BenchSpec {
-        option: "bench-pipeline",
-        default_path: "BENCH_pipeline.json",
-        schema: "rememberr-bench-pipeline/v1",
-        title: "single-pass corpus analysis",
-        kind: BenchKind::Trajectory {
-            size_field: "entries",
-            effort_field: "tokenize_calls",
-            sides: ("one_pass", "per_stage"),
-            // Pinned gate: sharing the analysis arena keeps the
-            // end-to-end pipeline at least as fast as per-stage
-            // re-tokenization at the full paper scale (smaller scales are
-            // noise-dominated).
-            gate: BenchGate::WallAtMostAtScale(1.0),
-        },
-    },
-    BenchSpec {
-        option: "bench-query",
-        default_path: "BENCH_query.json",
-        schema: "rememberr-bench-query/v1",
-        title: "indexed query serving",
-        kind: BenchKind::Trajectory {
-            size_field: "entries",
-            effort_field: "entries_scanned",
-            sides: ("indexed", "scan"),
-            // Pinned gate: posting-list intersection visits at most a
-            // tenth of the entries the scan engine does on the selective
-            // facet battery.
-            gate: BenchGate::ReductionAtLeast(10.0),
-        },
-    },
-    BenchSpec {
-        option: "bench-persist",
-        default_path: "BENCH_persist.json",
-        schema: "rememberr-bench-persist/v1",
-        title: "binary columnar snapshots",
-        kind: BenchKind::Trajectory {
-            size_field: "entries",
-            effort_field: "bytes",
-            sides: ("binary", "jsonl"),
-            // Pinned gate: the binary snapshot is smaller than JSONL at
-            // every scale and loads at least 3x faster at the full paper
-            // scale (smaller scales are noise-dominated).
-            gate: BenchGate::SmallerAndFasterAtScale {
-                speedup: 3.0,
-                scale: 1.0,
-            },
-        },
-    },
-    BenchSpec {
-        option: "bench-serve",
-        default_path: "BENCH_serve.json",
-        schema: "rememberr-bench-serve/v1",
-        title: "concurrent query serving",
-        kind: BenchKind::Serve,
-    },
-];
-
-/// `rememberr report --bench`: renders every registered benchmark baseline
-/// (see [`BENCH_REGISTRY`]) with pass/fail against the pinned gates.
-/// Doubles as a schema check: a baseline that fails to parse or lacks a
-/// gate field is a failure, as is any unreadable registered file or any
-/// unregistered `BENCH_*.json` lying in the working directory — nothing is
-/// silently skipped. With `--bench-out FILE`, the rendered report is also
-/// written to `FILE` (even when a gate fails, so CI can archive the
-/// failing report).
-fn cmd_report_bench(args: &ParsedArgs) -> CmdResult {
-    let mut out = String::new();
-    let mut all_pass = true;
-    for (i, spec) in BENCH_REGISTRY.iter().enumerate() {
-        if i > 0 {
-            out.push('\n');
-        }
-        let path = args.get(spec.option).unwrap_or(spec.default_path);
-        let rendered = match &spec.kind {
-            BenchKind::Trajectory {
-                size_field,
-                effort_field,
-                sides,
-                gate,
-            } => render_bench_file(
-                &mut out,
-                path,
-                spec.schema,
-                spec.title,
-                size_field,
-                effort_field,
-                *sides,
-                *gate,
-            ),
-            BenchKind::Serve => render_serve_bench(&mut out, path, spec.schema, spec.title),
-        };
-        // An unreadable or malformed file is a named failure in the
-        // report, not an abort: the remaining baselines still render so
-        // CI artifacts show the full picture.
-        all_pass &= rendered.unwrap_or_else(|message| {
-            out.push_str(&format!("bench baseline {path}: FAIL — {message}\n"));
-            false
-        });
-    }
-    out.push('\n');
-    all_pass &= render_unregistered_baselines(&mut out)?;
-    out.push_str(if all_pass {
-        "\nall pinned gates PASS\n"
-    } else {
-        "\nPINNED GATE FAILURE (see above)\n"
-    });
-    if let Some(path) = args.get("bench-out") {
-        fs::write(path, &out).map_err(|e| format!("cannot write bench report to {path}: {e}"))?;
-    }
-    if all_pass {
-        Ok(out)
-    } else {
-        Err(out)
-    }
-}
-
-/// Scans the working directory for `BENCH_*.json` files that no registry
-/// entry claims and lists each one as an explicit failure. A baseline that
-/// exists but is not wired into [`BENCH_REGISTRY`] would otherwise be a
-/// gate that silently never runs.
-fn render_unregistered_baselines(out: &mut String) -> Result<bool, String> {
-    let mut strays: Vec<String> = Vec::new();
-    let entries = fs::read_dir(".").map_err(|e| format!("cannot scan working directory: {e}"))?;
-    for entry in entries {
-        let entry = entry.map_err(|e| format!("cannot scan working directory: {e}"))?;
-        let name = entry.file_name();
-        let Some(name) = name.to_str() else { continue };
-        if name.starts_with("BENCH_")
-            && name.ends_with(".json")
-            && !BENCH_REGISTRY.iter().any(|s| s.default_path == name)
-        {
-            strays.push(name.to_string());
-        }
-    }
-    strays.sort();
-    if strays.is_empty() {
-        return Ok(true);
-    }
-    for name in &strays {
-        out.push_str(&format!(
-            "unregistered baseline {name}: FAIL — present in the working \
-             directory but not in the bench registry (its gate never runs)\n"
-        ));
-    }
-    Ok(false)
-}
-
-/// Renders the serve load benchmark (`rememberr-bench-serve/v1`): one
-/// paper-scale document rather than a scale trajectory. Gates are the
-/// deterministic claims the committed baseline makes: zero divergences
-/// between the served indexed engine and the scan oracle, at least one
-/// shed under deliberate saturation, a measured p99 under the request
-/// deadline, and throughput at or above the 5,000 req/s floor.
-fn render_serve_bench(
-    out: &mut String,
-    path: &str,
-    want_schema: &str,
-    title: &str,
-) -> Result<bool, String> {
-    let text = fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
-    let doc: serde::Value =
-        serde_json::from_str(&text).map_err(|e| format!("{path}: not valid JSON: {e}"))?;
-    let schema = doc
-        .get("schema")
-        .and_then(serde::Value::as_str)
-        .ok_or_else(|| format!("{path}: missing \"schema\" field"))?;
-    if schema != want_schema {
-        return Err(format!(
-            "{path}: schema {schema:?}, expected {want_schema:?}"
-        ));
-    }
-    let get_u64 = |field: &str| -> Result<u64, String> {
-        let value = doc
-            .get(field)
-            .ok_or_else(|| format!("{path}: missing {field:?}"))?;
-        serde::Deserialize::from_value(value).map_err(|e| format!("{path}: {field}: {e}"))
-    };
-    let get_f64 = |field: &str| -> Result<f64, String> {
-        let value = doc
-            .get(field)
-            .ok_or_else(|| format!("{path}: missing {field:?}"))?;
-        serde::Deserialize::from_value(value).map_err(|e| format!("{path}: {field}: {e}"))
-    };
-    let entries = get_u64("entries")?;
-    let workers = get_u64("workers")?;
-    let requests = get_u64("requests")?;
-    let throughput = get_f64("throughput_rps")?;
-    let p50_us = get_f64("p50_us")?;
-    let p99_us = get_f64("p99_us")?;
-    let timeout_ms = get_u64("request_timeout_ms")?;
-    let divergences = get_u64("divergences")?;
-    let oracle_requests = get_u64("oracle_requests")?;
-    let shed = get_u64("shed")?;
-
-    out.push_str(&format!("bench trajectory: {title} ({path})\n"));
-    out.push_str(&format!(
-        "  {entries} entries, {workers} workers: {requests} requests at \
-         {throughput:.0} req/s | p50 {p50_us:.0} us, p99 {p99_us:.0} us \
-         (deadline {timeout_ms} ms)\n",
-    ));
-    out.push_str(&format!(
-        "  oracle: {divergences} divergences over {oracle_requests} \
-         indexed-vs-scan request pairs | saturation: {shed} shed\n",
-    ));
-    let mut all_pass = true;
-    let mut gate = |label: String, pass: bool| {
-        all_pass &= pass;
-        out.push_str(&format!(
-            "  gate: {label} — {}\n",
-            if pass { "PASS" } else { "FAIL" }
-        ));
-    };
-    gate(
-        "served bodies byte-identical to the scan oracle".to_string(),
-        divergences == 0 && oracle_requests > 0,
-    );
-    gate(
-        "saturation sheds with 503 (shed >= 1)".to_string(),
-        shed >= 1,
-    );
-    gate(
-        format!("p99 under the {timeout_ms} ms request deadline"),
-        p99_us < timeout_ms as f64 * 1_000.0,
-    );
-    gate(
-        format!("throughput >= 5000 req/s (measured {throughput:.0})"),
-        throughput >= 5_000.0,
-    );
-    Ok(all_pass)
-}
-
-/// The pass/fail rule a benchmark baseline is held to.
-#[derive(Clone, Copy)]
-enum BenchGate {
-    /// The fast side's effort must not exceed the slow (oracle) side's.
-    FastAtMostSlow,
-    /// Slow/fast effort ratio must be at least this.
-    ReductionAtLeast(f64),
-    /// The fast side's wall clock must not exceed the slow side's at the
-    /// given scale (other scales are informational).
-    WallAtMostAtScale(f64),
-    /// The fast side's effort (bytes) must be below the slow side's at
-    /// every scale, and its wall clock at least `speedup` times faster at
-    /// the given scale (other scales' wall clocks are informational).
-    SmallerAndFasterAtScale { speedup: f64, scale: f64 },
-}
-
-/// Renders one `BENCH_*.json` trajectory; returns whether every scale
-/// passed its gate. `sides` names the two measured variants as
-/// `(fast, slow)` — the JSON objects each scale entry holds. Errors
-/// describe schema violations.
-#[allow(clippy::too_many_arguments)]
-fn render_bench_file(
-    out: &mut String,
-    path: &str,
-    want_schema: &str,
-    title: &str,
-    size_field: &str,
-    effort_field: &str,
-    sides: (&str, &str),
-    gate: BenchGate,
-) -> Result<bool, String> {
-    let (fast_side, slow_side) = sides;
-    let text = fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
-    let doc: serde::Value =
-        serde_json::from_str(&text).map_err(|e| format!("{path}: not valid JSON: {e}"))?;
-    let schema = doc
-        .get("schema")
-        .and_then(serde::Value::as_str)
-        .ok_or_else(|| format!("{path}: missing \"schema\" field"))?;
-    if schema != want_schema {
-        return Err(format!(
-            "{path}: schema {schema:?}, expected {want_schema:?}"
-        ));
-    }
-    let scales = doc
-        .get("scales")
-        .and_then(serde::Value::as_array)
-        .ok_or_else(|| format!("{path}: missing \"scales\" array"))?;
-    if scales.is_empty() {
-        return Err(format!("{path}: \"scales\" is empty"));
-    }
-
-    let field_u64 = |scale: &serde::Value, side: &str, field: &str| -> Result<u64, String> {
-        let value = scale
-            .get(side)
-            .and_then(|v| v.get(field))
-            .ok_or_else(|| format!("{path}: missing {side}.{field}"))?;
-        serde::Deserialize::from_value(value).map_err(|e| format!("{path}: {side}.{field}: {e}"))
-    };
-    let field_f64 = |scale: &serde::Value, side: &str, field: &str| -> Result<f64, String> {
-        let value = scale
-            .get(side)
-            .and_then(|v| v.get(field))
-            .ok_or_else(|| format!("{path}: missing {side}.{field}"))?;
-        serde::Deserialize::from_value(value).map_err(|e| format!("{path}: {side}.{field}: {e}"))
-    };
-
-    out.push_str(&format!("bench trajectory: {title} ({path})\n"));
-    let mut all_pass = true;
-    for entry in scales {
-        let scale: f64 = serde::Deserialize::from_value(
-            entry
-                .get("scale")
-                .ok_or_else(|| format!("{path}: scale entry missing \"scale\""))?,
-        )
-        .map_err(|e| format!("{path}: scale: {e}"))?;
-        let size: u64 = serde::Deserialize::from_value(
-            entry
-                .get(size_field)
-                .ok_or_else(|| format!("{path}: scale {scale}: missing {size_field:?}"))?,
-        )
-        .map_err(|e| format!("{path}: {size_field}: {e}"))?;
-        let fast = field_u64(entry, fast_side, effort_field)?;
-        let slow = field_u64(entry, slow_side, effort_field)?;
-        let fast_ms = field_f64(entry, fast_side, "wall_clock_ms")?;
-        let slow_ms = field_f64(entry, slow_side, "wall_clock_ms")?;
-        let reduction = if fast == 0 {
-            f64::INFINITY
-        } else {
-            slow as f64 / fast as f64
-        };
-        let pass = match gate {
-            BenchGate::FastAtMostSlow => fast <= slow,
-            BenchGate::ReductionAtLeast(bar) => reduction >= bar,
-            BenchGate::WallAtMostAtScale(gated) => {
-                (scale - gated).abs() > f64::EPSILON || fast_ms <= slow_ms
-            }
-            BenchGate::SmallerAndFasterAtScale {
-                speedup,
-                scale: gated,
-            } => {
-                fast < slow
-                    && ((scale - gated).abs() > f64::EPSILON || slow_ms >= speedup * fast_ms)
-            }
-        };
-        all_pass &= pass;
-        out.push_str(&format!(
-            "  scale {scale:>4}: {size:>5} {size_field} | {slow_side} {slow:>7} \
-             {effort_field} ({slow_ms:>6.1} ms) | {fast_side} {fast:>6} \
-             ({fast_ms:>6.1} ms) | {reduction:>5.1}x | {}\n",
-            if pass { "PASS" } else { "FAIL" }
-        ));
-    }
-    let gate_line = match gate {
-        BenchGate::FastAtMostSlow => {
-            format!("gate: {fast_side} {effort_field} never exceeds the {slow_side} oracle")
-        }
-        BenchGate::ReductionAtLeast(bar) => {
-            format!("gate: {effort_field} reduction >= {bar:.0}x at every scale")
-        }
-        BenchGate::WallAtMostAtScale(gated) => {
-            format!("gate: {fast_side} wall clock <= {slow_side} at scale {gated}")
-        }
-        BenchGate::SmallerAndFasterAtScale { speedup, scale } => format!(
-            "gate: {fast_side} {effort_field} < {slow_side} at every scale, \
-             load >= {speedup:.0}x faster at scale {scale}"
-        ),
-    };
-    out.push_str(&format!(
-        "  {gate_line} — {}\n",
-        if all_pass { "PASS" } else { "FAIL" }
-    ));
-    Ok(all_pass)
-}
-
-/// `rememberr profile [--scale F] [--seed N] [--jobs N]
-/// [--dedup-candidates ...] [--classify-matcher ...]`
+/// `rememberr profile [--scale F] [--seed N] [--jobs N]`
 ///
 /// Runs the full in-process pipeline (generate → extract → dedup →
 /// classify → analyze) with profiling on and prints a per-stage
@@ -794,8 +347,6 @@ fn render_bench_file(
 /// `--trace-out FILE` to also capture the Chrome trace of the same run.
 pub fn cmd_profile(args: &ParsedArgs) -> CmdResult {
     let scale: f64 = args.get_parsed("scale", 1.0)?;
-    let candidates: CandidateGen = args.get_parsed("dedup-candidates", CandidateGen::default())?;
-    let matcher: MatcherKind = args.get_parsed("classify-matcher", MatcherKind::default())?;
     let mut spec = if (scale - 1.0).abs() < f64::EPSILON {
         CorpusSpec::paper()
     } else {
@@ -817,13 +368,13 @@ pub fn cmd_profile(args: &ParsedArgs) -> CmdResult {
     // once (the `textkit.tokenize_calls` counter below shows it).
     let rules = Rules::standard();
     let (mut db, arena) =
-        Database::from_documents_analyzed(&documents, DedupStrategy::default(), candidates);
+        Database::from_documents_analyzed(&documents, DedupStrategy::default(), Default::default());
     let run = classify_database_analyzed(
         &mut db,
         &rules,
         HumanOracle::Simulated(&corpus.truth),
         &FourEyesConfig::default(),
-        matcher,
+        Default::default(),
         &arena,
     );
     let assist = assist_highlights_analyzed(&db, &rules, &arena);
@@ -989,22 +540,16 @@ pub fn usage() -> String {
 
 USAGE:
   rememberr generate --out DIR [--scale F] [--seed N]
-  rememberr extract  --docs DIR --out DB.jsonl [--dedup-candidates indexed|exhaustive]
-                     [--snapshot-format jsonl|binary]
+  rememberr extract  --docs DIR --out DB.jsonl [--snapshot-format jsonl|binary]
   rememberr classify --db DB.jsonl --out DB.jsonl [--truth truth.json] [--no-humans]
-                     [--classify-matcher indexed|exhaustive]
                      [--snapshot-format jsonl|binary]
   rememberr report   --db DB.jsonl [--csv-dir DIR]
-  rememberr report   --bench [--bench-dedup FILE] [--bench-classify FILE]
-                     [--bench-pipeline FILE] [--bench-query FILE]
-                     [--bench-persist FILE] [--bench-serve FILE]
-                     [--bench-out FILE]
   rememberr query    --db DB.jsonl [--vendor intel|amd] [--design NAME]
                      [--trigger CODE]... [--trigger-class CODE]
                      [--context CODE]... [--effect CODE]... [--msr NAME]
                      [--workaround CAT] [--fix STATUS] [--after YYYY-MM-DD]
                      [--before YYYY-MM-DD] [--min-triggers N] [--unique]
-                     [--annotated] [--limit N] [--query-engine indexed|scan]
+                     [--annotated] [--limit N]
   rememberr campaign --db DB.jsonl [--steps N] [--triggers N] [--effects N]
   rememberr export   --db DB.jsonl --out records.txt
   rememberr serve    --db DB.jsonl [--addr HOST:PORT] [--workers N]
@@ -1050,54 +595,16 @@ SERVE:
   for a worker; beyond that the daemon sheds with 503 Retry-After. Each
   request gets --request-timeout-ms (default 2000) from accept; overruns
   return 504. Identical requests yield byte-identical bodies at any
-  worker count; ?engine=scan serves from the full-scan oracle.
+  worker count.
 
-BENCH REPORT:
-  rememberr report --bench reads every committed benchmark baseline in
-  its registry (BENCH_dedup.json, BENCH_classify.json,
-  BENCH_pipeline.json, BENCH_query.json, BENCH_persist.json,
-  BENCH_serve.json) and renders the perf trajectory with PASS/FAIL
-  against the pinned gates; exits nonzero on a schema violation, a gate
-  failure, an unreadable registered baseline, or a BENCH_*.json in the
-  working directory that no registry entry claims (nothing is silently
-  skipped). --bench-out FILE also writes the rendered report to FILE
-  (even on gate failure, for CI artifacts). The pipeline series compares
-  the single-pass shared-arena run (one_pass: each erratum tokenized
-  exactly once, see the textkit.tokenize_calls counter) against per-stage
-  re-tokenization; the query series compares posting-list intersection
-  (indexed) against the full-scan oracle on a battery of selective facet
-  queries; the serve baseline pins zero indexed-vs-scan divergences over
-  HTTP, shedding under saturation, p99 under the deadline, and the
-  5,000 req/s floor.
-
-QUERY:
-  --query-engine indexed|scan
-                       query serving engine (default: indexed). \"indexed\"
-                       intersects per-facet posting lists driven by the
-                       most selective one; \"scan\" is the full-scan
-                       correctness oracle. Results are identical either
-                       way.
+BENCHMARK:
+  The end-to-end benchmark (ingest, serve, serve under reload) is the
+  separate perfbench package; see perfbench/README.md.
 
 PARALLELISM (any command):
   --jobs N             worker threads for parallel stages (default: all
                        cores; 1 = sequential). Output is identical at any
                        worker count.
-
-DEDUP (extract):
-  --dedup-candidates indexed|exhaustive
-                       cascade candidate generator (default: indexed).
-                       \"indexed\" prunes pairs with an inverted token
-                       index and similarity fast paths; \"exhaustive\" is
-                       the all-pairs correctness oracle. The resulting
-                       database is byte-identical either way.
-
-CLASSIFY:
-  --classify-matcher indexed|exhaustive
-                       rule-library matcher (default: indexed). \"indexed\"
-                       matches the whole library in one pass over an
-                       anchor-token posting index; \"exhaustive\" is the
-                       per-pattern correctness oracle. The classified
-                       database is byte-identical either way.
 "
     .to_string()
 }
@@ -1278,27 +785,6 @@ mod tests {
     }
 
     #[test]
-    fn classify_rejects_bad_matcher() {
-        let err = cmd_classify(
-            &parse([
-                "classify",
-                "--db",
-                "x",
-                "--out",
-                "y",
-                "--classify-matcher",
-                "fast",
-            ])
-            .unwrap(),
-        )
-        .unwrap_err();
-        assert!(
-            err.contains("invalid value for --classify-matcher"),
-            "{err}"
-        );
-    }
-
-    #[test]
     fn query_rejects_bad_codes() {
         // Build a tiny db first.
         let dir = tmp("q-corpus");
@@ -1338,8 +824,7 @@ mod tests {
         .unwrap_err();
         assert!(err.contains("unknown trigger"));
 
-        // The new facet flags parse and the two engines print identical
-        // results.
+        // Every facet flag parses and the query runs.
         let db = db_path.to_str().unwrap();
         for argv in [
             vec!["query", "--db", db, "--workaround", "bios", "--unique"],
@@ -1358,11 +843,8 @@ mod tests {
             vec!["query", "--db", db, "--trigger-class", "Trg_EXT"],
             vec!["query", "--db", db, "--annotated"],
         ] {
-            let indexed = cmd_query(&parse(argv.clone()).unwrap()).unwrap();
-            let mut scan_argv = argv.clone();
-            scan_argv.extend(["--query-engine", "scan"]);
-            let scan = cmd_query(&parse(scan_argv).unwrap()).unwrap();
-            assert_eq!(indexed, scan, "{argv:?}");
+            let out = cmd_query(&parse(argv.clone()).unwrap()).unwrap();
+            assert!(out.contains("matching errata"), "{argv:?}: {out}");
         }
         let bad =
             cmd_query(&parse(["query", "--db", db, "--workaround", "magic"]).unwrap()).unwrap_err();
@@ -1376,16 +858,6 @@ mod tests {
 
         let _ = fs::remove_dir_all(&dir);
         let _ = fs::remove_file(&db_path);
-    }
-
-    #[test]
-    fn query_rejects_bad_engine_before_reading_the_db() {
-        // Strict validation like --jobs/--classify-matcher: the engine
-        // value fails even though the database path does not exist.
-        let err =
-            cmd_query(&parse(["query", "--db", "/nonexistent", "--query-engine", "fast"]).unwrap())
-                .unwrap_err();
-        assert!(err.contains("invalid value for --query-engine"), "{err}");
     }
 
     #[test]
@@ -1422,56 +894,5 @@ mod tests {
         // With valid options the snapshot load is what fails.
         let err = cmd_serve(&parse(["serve", "--db", "/nonexistent"]).unwrap()).unwrap_err();
         assert!(err.contains("/nonexistent"), "{err}");
-    }
-
-    #[test]
-    fn serve_bench_renderer_gates_the_committed_claims() {
-        let doc = |divergences: u64, throughput: f64, p99_us: f64, shed_field: &str| {
-            format!(
-                r#"{{"schema": "rememberr-bench-serve/v1",
-                     "entries": 2563, "workers": 4, "requests": 20000,
-                     "throughput_rps": {throughput}, "p50_us": 350.0,
-                     "p99_us": {p99_us}, "request_timeout_ms": 2000,
-                     "divergences": {divergences}, "oracle_requests": 600,
-                     {shed_field} "requests_after": 1}}"#
-            )
-        };
-        let path = tmp("bench-serve-good.json");
-        fs::write(&path, doc(0, 8000.0, 1800.0, r#""shed": 3,"#)).unwrap();
-        let mut out = String::new();
-        assert!(render_serve_bench(
-            &mut out,
-            path.to_str().unwrap(),
-            "rememberr-bench-serve/v1",
-            "concurrent query serving"
-        )
-        .unwrap());
-        assert!(out.contains("8000 req/s"), "{out}");
-        assert!(!out.contains("FAIL"), "{out}");
-
-        // One divergence, sub-floor throughput, and p99 over the deadline
-        // each flip their gate to FAIL without erroring the render.
-        fs::write(&path, doc(1, 900.0, 2_500_000.0, r#""shed": 3,"#)).unwrap();
-        let mut out = String::new();
-        assert!(!render_serve_bench(
-            &mut out,
-            path.to_str().unwrap(),
-            "rememberr-bench-serve/v1",
-            "concurrent query serving"
-        )
-        .unwrap());
-        assert_eq!(out.matches("FAIL").count(), 3, "{out}");
-
-        // A missing field is a schema violation, not a silent pass.
-        fs::write(&path, doc(0, 8000.0, 1800.0, "")).unwrap();
-        let err = render_serve_bench(
-            &mut out,
-            path.to_str().unwrap(),
-            "rememberr-bench-serve/v1",
-            "concurrent query serving",
-        )
-        .unwrap_err();
-        assert!(err.contains("shed"), "{err}");
-        let _ = fs::remove_file(&path);
     }
 }

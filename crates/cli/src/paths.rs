@@ -5,9 +5,9 @@ use std::path::Path;
 /// Checks that `path` is plausibly writable *before* the run: not an
 /// existing directory, and inside a parent directory that exists. Catching
 /// this up front means a multi-minute pipeline run cannot end by throwing
-/// away its output on a typo'd path. Every file-writing option
-/// (`--metrics-out`, `--trace-out`, `--bench-out`) shares this check, so
-/// they all fail with the same message shape.
+/// away its output on a typo'd path. Both file-writing options
+/// (`--metrics-out`, `--trace-out`) share this check, so they fail with
+/// the same message shape.
 pub fn validate_out_path(option: &str, path: &str) -> Result<(), String> {
     let p = Path::new(path);
     if p.is_dir() {
@@ -37,7 +37,7 @@ mod tests {
         assert!(err.contains("is a directory"), "{err}");
 
         let missing = dir.join("no-such-subdir").join("out.json");
-        let err = validate_out_path("bench-out", missing.to_str().unwrap()).unwrap_err();
+        let err = validate_out_path("metrics-out", missing.to_str().unwrap()).unwrap_err();
         assert!(err.contains("does not exist"), "{err}");
 
         let ok = dir.join("out.json");

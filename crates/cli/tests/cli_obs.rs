@@ -1,7 +1,6 @@
 //! End-to-end tests of the installed binary: argument rejection, the
 //! generate/extract round trip, and the observability surface
-//! (`--metrics-out`, `--trace`, `--trace-out`, `stats`, `profile`,
-//! `report --bench`).
+//! (`--metrics-out`, `--trace`, `--trace-out`, `stats`, `profile`).
 
 use std::fs;
 use std::path::PathBuf;
@@ -320,7 +319,7 @@ fn bad_output_paths_fail_before_any_work() {
     let dir = tmp("validate-dir");
     fs::create_dir_all(&dir).unwrap();
     let never = tmp("never-created");
-    for flag in ["--metrics-out", "--trace-out", "--bench-out"] {
+    for flag in ["--metrics-out", "--trace-out"] {
         let out = run(&[
             "generate",
             "--out",
@@ -393,85 +392,7 @@ fn profile_prints_stage_table_and_worker_utilization() {
 }
 
 #[test]
-fn report_bench_passes_on_committed_baselines_and_rejects_garbage() {
-    // The committed baselines at the repo root must parse, carry the
-    // pinned gate fields, and pass their gates.
-    let root = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../..");
-    let dedup = root.join("BENCH_dedup.json");
-    let classify = root.join("BENCH_classify.json");
-    let pipeline = root.join("BENCH_pipeline.json");
-    let query = root.join("BENCH_query.json");
-    let persist = root.join("BENCH_persist.json");
-    let serve = root.join("BENCH_serve.json");
-    let report_path = tmp("bench-report.txt");
-    let out = run(&[
-        "report",
-        "--bench",
-        "--bench-dedup",
-        dedup.to_str().unwrap(),
-        "--bench-classify",
-        classify.to_str().unwrap(),
-        "--bench-pipeline",
-        pipeline.to_str().unwrap(),
-        "--bench-query",
-        query.to_str().unwrap(),
-        "--bench-persist",
-        persist.to_str().unwrap(),
-        "--bench-serve",
-        serve.to_str().unwrap(),
-        "--bench-out",
-        report_path.to_str().unwrap(),
-    ]);
-    assert!(out.status.success(), "{}", stderr(&out));
-    let text = stdout(&out);
-    assert!(text.contains("bench trajectory: dedup candidate generation"));
-    assert!(text.contains("bench trajectory: classification rule matching"));
-    assert!(text.contains("bench trajectory: single-pass corpus analysis"));
-    assert!(text.contains("bench trajectory: indexed query serving"));
-    assert!(text.contains("bench trajectory: binary columnar snapshots"));
-    assert!(text.contains("bench trajectory: concurrent query serving"));
-    assert!(text.contains("tokenize_calls"), "{text}");
-    assert!(text.contains("entries_scanned"), "{text}");
-    assert!(text.contains("bytes"), "{text}");
-    assert!(text.contains("divergences"), "{text}");
-    assert!(text.contains("all pinned gates PASS"), "{text}");
-    assert!(!text.contains("FAIL"), "{text}");
-    // --bench-out wrote the same rendered report (stdout printing adds a
-    // trailing newline on top of it).
-    let written = fs::read_to_string(&report_path).unwrap();
-    assert_eq!(format!("{written}\n"), text);
-    let _ = fs::remove_file(&report_path);
-
-    // A baseline with the wrong schema tag is a hard error (this is the
-    // CI schema check).
-    let bogus = tmp("bogus-bench.json");
-    fs::write(&bogus, "{\"schema\": \"rememberr-bench-dedup/v999\"}").unwrap();
-    let out = run(&[
-        "report",
-        "--bench",
-        "--bench-dedup",
-        bogus.to_str().unwrap(),
-        "--bench-classify",
-        classify.to_str().unwrap(),
-    ]);
-    assert!(!out.status.success());
-    assert!(stderr(&out).contains("schema"), "{}", stderr(&out));
-
-    // And so is a file that is not JSON at all.
-    fs::write(&bogus, "not json").unwrap();
-    let out = run(&[
-        "report",
-        "--bench",
-        "--bench-dedup",
-        bogus.to_str().unwrap(),
-    ]);
-    assert!(!out.status.success());
-    assert!(stderr(&out).contains("not valid JSON"), "{}", stderr(&out));
-    let _ = fs::remove_file(&bogus);
-}
-
-#[test]
-fn classify_matchers_and_jobs_are_byte_identical() {
+fn classify_jobs_are_byte_identical() {
     let dir = tmp("cm-corpus");
     let db = tmp("cm-db.jsonl");
     let out = run(&[
@@ -493,55 +414,40 @@ fn classify_matchers_and_jobs_are_byte_identical() {
     ]);
     assert!(out.status.success(), "{}", stderr(&out));
 
-    // Classified database bytes must be identical across both matchers and
-    // every worker count; counter sections must be identical across worker
-    // counts for a fixed matcher (the matchers themselves report different
-    // pattern_evals — that is the point).
+    // Classified database bytes and counter sections must be identical at
+    // every worker count.
     let truth = dir.join("truth.json");
-    let mut db_baseline: Option<Vec<u8>> = None;
-    for matcher in ["indexed", "exhaustive"] {
-        let mut counter_baseline: Option<String> = None;
-        for jobs in ["1", "8"] {
-            let db2 = tmp(&format!("cm-{matcher}-{jobs}-db.jsonl"));
-            let metrics = tmp(&format!("cm-{matcher}-{jobs}-metrics.json"));
-            let out = run(&[
-                "classify",
-                "--db",
-                db.to_str().unwrap(),
-                "--out",
-                db2.to_str().unwrap(),
-                "--truth",
-                truth.to_str().unwrap(),
-                "--classify-matcher",
-                matcher,
-                "--jobs",
-                jobs,
-                "--metrics-out",
-                metrics.to_str().unwrap(),
-            ]);
-            assert!(out.status.success(), "{matcher}/{jobs}: {}", stderr(&out));
-            let bytes = fs::read(&db2).unwrap();
-            match &db_baseline {
-                None => db_baseline = Some(bytes),
-                Some(want) => {
-                    assert_eq!(&bytes, want, "database differs at {matcher} --jobs {jobs}")
-                }
+    let mut first: Option<(Vec<u8>, String)> = None;
+    for jobs in ["1", "8"] {
+        let db2 = tmp(&format!("cm-{jobs}-db.jsonl"));
+        let metrics = tmp(&format!("cm-{jobs}-metrics.json"));
+        let out = run(&[
+            "classify",
+            "--db",
+            db.to_str().unwrap(),
+            "--out",
+            db2.to_str().unwrap(),
+            "--truth",
+            truth.to_str().unwrap(),
+            "--jobs",
+            jobs,
+            "--metrics-out",
+            metrics.to_str().unwrap(),
+        ]);
+        assert!(out.status.success(), "--jobs {jobs}: {}", stderr(&out));
+        let bytes = fs::read(&db2).unwrap();
+        let snap: rememberr_obs::Snapshot =
+            serde_json::from_str(&fs::read_to_string(&metrics).unwrap()).unwrap();
+        let counters = snap.counters_json();
+        match &first {
+            None => first = Some((bytes, counters)),
+            Some((want_bytes, want_counters)) => {
+                assert_eq!(&bytes, want_bytes, "database differs at --jobs {jobs}");
+                assert_eq!(&counters, want_counters, "counters differ at --jobs {jobs}");
             }
-            let snap: rememberr_obs::Snapshot =
-                serde_json::from_str(&fs::read_to_string(&metrics).unwrap()).unwrap();
-            let counters = snap.counters_json();
-            match &counter_baseline {
-                None => counter_baseline = Some(counters),
-                Some(want) => {
-                    assert_eq!(
-                        &counters, want,
-                        "counters differ at {matcher} --jobs {jobs}"
-                    )
-                }
-            }
-            let _ = fs::remove_file(&db2);
-            let _ = fs::remove_file(&metrics);
         }
+        let _ = fs::remove_file(&db2);
+        let _ = fs::remove_file(&metrics);
     }
     let _ = fs::remove_dir_all(&dir);
     let _ = fs::remove_file(&db);

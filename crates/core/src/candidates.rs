@@ -13,7 +13,8 @@
 //!   distinct-root pairs directly (scoring still uses the signature fast
 //!   paths).
 //! * [`CandidateGen::Exhaustive`] — the original all-pairs enumerator,
-//!   kept as the correctness oracle (`--dedup-candidates exhaustive`).
+//!   kept as the correctness oracle the equivalence suites compare
+//!   against.
 //!
 //! Pruning is lossless (the index generates a superset of every pair that
 //! can pass) and cascade merges are order-independent under union-find, so
@@ -28,8 +29,6 @@
 //! so the scoring loop in `dedup` is identical either way.
 
 use std::collections::BTreeSet;
-use std::fmt;
-use std::str::FromStr;
 
 use rememberr_textkit::{candidate_pairs, AnalyzedCorpus, Interner, Signature, TitleKey};
 
@@ -53,29 +52,6 @@ pub enum CandidateGen {
 /// tiny groups enumerate distinct-root pairs like the oracle does and rely
 /// on the signature fast paths at scoring time.
 pub(crate) const INDEX_GROUP_CUTOVER: usize = 8;
-
-impl FromStr for CandidateGen {
-    type Err = String;
-
-    fn from_str(text: &str) -> Result<Self, Self::Err> {
-        match text {
-            "indexed" => Ok(CandidateGen::Indexed),
-            "exhaustive" => Ok(CandidateGen::Exhaustive),
-            other => Err(format!(
-                "invalid candidate generator {other:?} (expected \"indexed\" or \"exhaustive\")"
-            )),
-        }
-    }
-}
-
-impl fmt::Display for CandidateGen {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(match self {
-            CandidateGen::Indexed => "indexed",
-            CandidateGen::Exhaustive => "exhaustive",
-        })
-    }
-}
 
 /// Where a plan's scoring signatures live: built by the plan itself
 /// (legacy per-stage path) or borrowed from the corpus-wide analysis arena
@@ -267,15 +243,10 @@ mod tests {
     }
 
     #[test]
-    fn candidate_gen_parses_and_displays() {
-        assert_eq!("indexed".parse::<CandidateGen>(), Ok(CandidateGen::Indexed));
-        assert_eq!(
-            "exhaustive".parse::<CandidateGen>(),
-            Ok(CandidateGen::Exhaustive)
-        );
-        assert!("fast".parse::<CandidateGen>().is_err());
+    fn candidate_gen_defaults_to_indexed() {
+        // Every production caller takes the default; only tests and the
+        // Criterion group select the exhaustive oracle.
         assert_eq!(CandidateGen::default(), CandidateGen::Indexed);
-        assert_eq!(CandidateGen::Indexed.to_string(), "indexed");
     }
 
     #[test]

@@ -23,11 +23,10 @@
 //!   and falls back to [`crate::Query::matches`] only for residual
 //!   predicates the index cannot decide (`min_triggers`).
 //!
-//! The scan stays available as the correctness oracle behind
-//! [`QueryEngine::Scan`] (`--query-engine scan` on the CLI), mirroring the
-//! `--dedup-candidates` / `--classify-matcher` precedent: the engine is a
-//! throughput knob, never a semantics knob. Results come back in exactly
-//! the order [`crate::Query::run`] produces (entry order, or
+//! The scan ([`crate::Query::run`]) stays in the library as the
+//! correctness oracle the equivalence suites check the planner against:
+//! the index is a throughput knob, never a semantics knob. Results come
+//! back in exactly the order the scan produces (entry order, or
 //! representative key order under `unique_only`).
 //!
 //! Observability: building emits the `query.build_index` span; execution
@@ -38,7 +37,6 @@
 
 use std::collections::HashMap;
 use std::fmt;
-use std::str::FromStr;
 use std::sync::OnceLock;
 
 use rememberr_model::{
@@ -49,45 +47,6 @@ use rememberr_model::{
 use crate::db::Database;
 use crate::entry::DbEntry;
 use crate::query::Query;
-
-/// Which implementation serves a query.
-///
-/// Both engines return identical results (the equivalence suite asserts
-/// byte-identical id sequences); the scan is kept as the correctness
-/// oracle for the indexed planner.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub enum QueryEngine {
-    /// Posting-list intersection driven by the most selective facet
-    /// (default).
-    #[default]
-    Indexed,
-    /// The original full scan through [`crate::Query::matches`] — the
-    /// correctness oracle the indexed planner is checked against.
-    Scan,
-}
-
-impl FromStr for QueryEngine {
-    type Err = String;
-
-    fn from_str(text: &str) -> Result<Self, Self::Err> {
-        match text {
-            "indexed" => Ok(QueryEngine::Indexed),
-            "scan" => Ok(QueryEngine::Scan),
-            other => Err(format!(
-                "invalid query engine {other:?} (expected \"indexed\" or \"scan\")"
-            )),
-        }
-    }
-}
-
-impl fmt::Display for QueryEngine {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(match self {
-            QueryEngine::Indexed => "indexed",
-            QueryEngine::Scan => "scan",
-        })
-    }
-}
 
 /// One family of posting lists over a universe of entry positions.
 ///
@@ -555,15 +514,6 @@ fn gallop_intersect(a: &[u32], b: &[u32]) -> Vec<u32> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn query_engine_parses_and_displays() {
-        assert_eq!("indexed".parse::<QueryEngine>(), Ok(QueryEngine::Indexed));
-        assert_eq!("scan".parse::<QueryEngine>(), Ok(QueryEngine::Scan));
-        assert!("fast".parse::<QueryEngine>().is_err());
-        assert_eq!(QueryEngine::default(), QueryEngine::Indexed);
-        assert_eq!(QueryEngine::Scan.to_string(), "scan");
-    }
 
     #[test]
     fn gallop_matches_naive_intersection() {

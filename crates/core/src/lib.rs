@@ -11,8 +11,8 @@
 //!   histories, Section IV-B1);
 //! * **annotations** (triggers/contexts/effects, attached per cluster);
 //! * **queries** ([`Query`]) over entries or unique bugs, served by
-//!   posting-list intersection ([`QueryIndex`]) with the full scan kept as
-//!   the correctness oracle ([`QueryEngine`]);
+//!   posting-list intersection ([`QueryIndex`]) with the full scan
+//!   ([`Query::run`]) kept as the correctness oracle the tests use;
 //! * **persistence** ([`save`]/[`load`], JSON Lines);
 //! * **evaluation** against the synthetic corpus's ground truth
 //!   ([`evaluate_dedup`], [`evaluate_classification`]) — something the
@@ -55,7 +55,7 @@ pub use entry::DbEntry;
 pub use evaluate::{
     evaluate_classification, evaluate_dedup, ClassificationEvaluation, DedupEvaluation, Prf,
 };
-pub use index::{QueryEngine, QueryIndex};
+pub use index::QueryIndex;
 pub use persist::{load, save, save_as, PersistError, SnapshotFormat, FORMAT, VERSION};
 pub use persist_bin::{BIN_FORMAT, BIN_VERSION};
 pub use query::Query;

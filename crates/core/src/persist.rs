@@ -27,6 +27,10 @@ pub const FORMAT: &str = "rememberr-jsonl";
 /// Format version written in the JSONL header record.
 pub const VERSION: u32 = 1;
 
+/// Most entry slots a JSONL load reserves up front from the header's
+/// count; larger databases grow past it as records arrive.
+const JSONL_PREALLOC_ENTRIES: usize = 1 << 16;
+
 /// The two snapshot flavors [`save_as`] can write.
 ///
 /// [`load`] never takes one: it sniffs the binary magic and dispatches.
@@ -275,7 +279,9 @@ fn load_jsonl<R: Read>(reader: R) -> Result<Database, PersistError> {
     if header.version != VERSION {
         return Err(PersistError::UnsupportedVersion(header.version));
     }
-    let mut entries = Vec::with_capacity(header.entries);
+    // The header's count is unchecked until the records are read, so it
+    // pre-sizes the vector only up to a bound.
+    let mut entries = Vec::with_capacity(header.entries.min(JSONL_PREALLOC_ENTRIES));
     loop {
         line.clear();
         let read = reader.read_line(&mut line)?;
@@ -409,6 +415,22 @@ mod tests {
             load(text.as_bytes()),
             Err(PersistError::Truncated { expected, found })
                 if expected == db.len() && found == db.len() + 1
+        ));
+    }
+
+    #[test]
+    fn rejects_forged_header_count_without_preallocating_it() {
+        let db = sample_db();
+        let mut buf = Vec::new();
+        save(&db, &mut buf).unwrap();
+        let text = String::from_utf8(buf).unwrap();
+        let announced = format!("\"entries\":{}", db.len());
+        assert!(text.contains(&announced), "{text}");
+        let forged = text.replacen(&announced, &format!("\"entries\":{}", 1u64 << 40), 1);
+        assert!(matches!(
+            load(forged.as_bytes()),
+            Err(PersistError::Truncated { expected, found })
+                if expected == 1 << 40 && found == db.len()
         ));
     }
 

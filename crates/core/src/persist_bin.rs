@@ -274,6 +274,19 @@ fn corrupt(detail: impl Into<String>) -> PersistError {
     PersistError::Corrupt(detail.into())
 }
 
+/// Fewest bytes one entry occupies in the entries section: its erratum
+/// number and five string-table ids are fixed-width `u32` columns.
+const MIN_ENTRY_BYTES: usize = 24;
+
+/// Capacity to reserve for `count` items read from the file when each
+/// item occupies at least `min_bytes` of the `remaining` input. The
+/// checksums do not stop a deliberately forged count, so the count alone
+/// must never size an allocation; a valid count is never above this cap,
+/// so real snapshots allocate exactly what they did before.
+fn capacity(count: usize, remaining: usize, min_bytes: usize) -> usize {
+    count.min(remaining / min_bytes)
+}
+
 /// Reads a database from binary snapshot bytes (including magic).
 ///
 /// # Errors
@@ -339,7 +352,7 @@ pub(crate) fn load_binary(bytes: &[u8]) -> Result<Database, PersistError> {
 
     let mut sr = WireReader::new(strings_payload);
     let string_count = sr.take_u32("string count")? as usize;
-    let mut strings = Vec::with_capacity(string_count);
+    let mut strings = Vec::with_capacity(capacity(string_count, sr.remaining(), 4));
     for _ in 0..string_count {
         let len = sr.take_u32("string length")? as usize;
         let raw = sr.take_bytes(len, "string bytes")?;
@@ -352,7 +365,7 @@ pub(crate) fn load_binary(bytes: &[u8]) -> Result<Database, PersistError> {
 
     let mut er = WireReader::new(entries_payload);
     let chunk_count = er.take_u32("chunk count")? as usize;
-    let mut chunk_slices = Vec::with_capacity(chunk_count);
+    let mut chunk_slices = Vec::with_capacity(capacity(chunk_count, er.remaining(), 8));
     for _ in 0..chunk_count {
         let len = er.take_u64("chunk length")? as usize;
         chunk_slices.push(er.take_bytes(len, "entry chunk")?);
@@ -364,7 +377,8 @@ pub(crate) fn load_binary(bytes: &[u8]) -> Result<Database, PersistError> {
     // Decode chunks in parallel; concatenation in input order keeps the
     // database identical at every worker count.
     let decoded = rememberr_par::par_map(&chunk_slices, |chunk| decode_chunk(chunk, &strings));
-    let mut entries = Vec::with_capacity(expected);
+    let mut entries =
+        Vec::with_capacity(capacity(expected, entries_payload.len(), MIN_ENTRY_BYTES));
     for chunk in decoded {
         entries.extend(chunk?);
     }
@@ -476,7 +490,7 @@ fn decode_annotation(r: &mut WireReader<'_>, strings: &[String]) -> Result<Annot
     let mut lists = [Vec::new(), Vec::new(), Vec::new()];
     for list in &mut lists {
         let len = r.take_u32("concrete description count")? as usize;
-        list.reserve(len);
+        list.reserve(capacity(len, r.remaining(), 4));
         for _ in 0..len {
             let id = r.take_u32("concrete description id")?;
             let text = strings
@@ -491,7 +505,7 @@ fn decode_annotation(r: &mut WireReader<'_>, strings: &[String]) -> Result<Annot
     }
     let [concrete_triggers, concrete_contexts, concrete_effects] = lists;
     let msr_count = r.take_u32("msr count")? as usize;
-    let mut msrs = Vec::with_capacity(msr_count);
+    let mut msrs = Vec::with_capacity(capacity(msr_count, r.remaining(), 1));
     for _ in 0..msr_count {
         msrs.push(r.take::<MsrRef>()?);
     }
@@ -511,7 +525,7 @@ fn take_column<T: rememberr_model::WireDecode>(
     r: &mut WireReader<'_>,
     count: usize,
 ) -> Result<Vec<T>, WireError> {
-    let mut column = Vec::with_capacity(count);
+    let mut column = Vec::with_capacity(capacity(count, r.remaining(), 1));
     for _ in 0..count {
         column.push(r.take::<T>()?);
     }
@@ -523,7 +537,7 @@ fn take_u32_column(
     count: usize,
     what: &'static str,
 ) -> Result<Vec<u32>, WireError> {
-    let mut column = Vec::with_capacity(count);
+    let mut column = Vec::with_capacity(capacity(count, r.remaining(), 4));
     for _ in 0..count {
         column.push(r.take_u32(what)?);
     }

@@ -30,17 +30,18 @@ use rememberr_model::{
 
 use crate::db::Database;
 use crate::entry::DbEntry;
-use crate::index::{QueryEngine, QueryIndex};
+use crate::index::QueryIndex;
 
 /// A composable filter over database entries.
 ///
 /// All added conditions must hold (conjunction). An unset condition matches
 /// everything.
 ///
-/// Two engines serve a query: [`Query::run`] scans every entry (the
-/// correctness oracle) and [`Query::run_indexed`] intersects the posting
-/// lists of a [`QueryIndex`]; both return the same entries in the same
-/// order. [`Query::run_with`] picks by [`QueryEngine`].
+/// Two engines serve a query: [`Query::run_indexed`] intersects the
+/// posting lists of a [`QueryIndex`] and is what the CLI and the server
+/// call; [`Query::run`] scans every entry and is the correctness oracle
+/// the tests check it against. Both return the same entries in the same
+/// order.
 #[derive(Debug, Clone, Default)]
 pub struct Query {
     pub(crate) vendor: Option<Vendor>,
@@ -289,23 +290,6 @@ impl Query {
     pub fn count_indexed(&self, index: &QueryIndex, db: &Database) -> usize {
         crate::index::execute_count(self, index, db)
     }
-
-    /// Runs the query with the selected engine; [`QueryEngine::Indexed`]
-    /// uses (and lazily builds) the database's cached index.
-    pub fn run_with<'db>(&self, db: &'db Database, engine: QueryEngine) -> Vec<&'db DbEntry> {
-        match engine {
-            QueryEngine::Indexed => self.run_indexed(db.query_index(), db),
-            QueryEngine::Scan => self.run(db),
-        }
-    }
-
-    /// Number of matches with the selected engine.
-    pub fn count_with(&self, db: &Database, engine: QueryEngine) -> usize {
-        match engine {
-            QueryEngine::Indexed => self.count_indexed(db.query_index(), db),
-            QueryEngine::Scan => self.count(db),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -473,8 +457,6 @@ mod tests {
             assert_eq!(indexed, scan, "{q:?}");
             assert_eq!(q.count_indexed(&index, &db), scan.len(), "{q:?}");
             assert_eq!(q.count(&db), scan.len(), "{q:?}");
-            assert_eq!(q.count_with(&db, QueryEngine::Indexed), scan.len());
-            assert_eq!(q.count_with(&db, QueryEngine::Scan), scan.len());
         }
     }
 

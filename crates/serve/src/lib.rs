@@ -39,8 +39,9 @@
 //!   is charged) turns stale work into `504` instead of serving it.
 //! * **Deterministic bodies.** Responses carry no timestamps and no
 //!   worker identity: an identical request against the same snapshot
-//!   generation yields a byte-identical body at any worker count, with
-//!   `?engine=scan` as the correctness oracle for the indexed engine.
+//!   generation yields a byte-identical body at any worker count, and the
+//!   same body the router's renderer produces over the in-process scan
+//!   oracle.
 //! * **Non-blocking hot swap.** `POST /reload` builds the new generation
 //!   off the serving path and publishes it by swapping an `Arc`;
 //!   in-flight requests finish on the generation they started with.

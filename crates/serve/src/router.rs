@@ -7,13 +7,13 @@
 //! query cannot drift apart. Rendering is a pure function of the request
 //! and the snapshot — no timestamps, no worker identity — which is what
 //! makes `identical request → byte-identical body` hold at any worker
-//! count and lets the scan engine (`?engine=scan`) act as a correctness
-//! oracle for the default indexed engine.
+//! count and lets the tests compare every served body with the same
+//! renderer over the in-process scan oracle (`Query::run`).
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Duration;
 
-use rememberr::{DbEntry, Query, QueryEngine};
+use rememberr::{DbEntry, Query};
 use rememberr_model::{
     parse_fix, parse_vendor, parse_workaround, Context, Date, Design, Effect, MsrName, Trigger,
     TriggerClass,
@@ -38,7 +38,6 @@ const QUERY_PARAMS: &[&str] = &[
     "min-triggers",
     "unique",
     "annotated",
-    "engine",
     "limit",
 ];
 
@@ -159,18 +158,6 @@ fn bool_param(req: &Request, name: &str) -> Result<bool, String> {
     }
 }
 
-/// The engine a request selects: indexed unless `?engine=scan`.
-///
-/// # Errors
-///
-/// Returns the 400 body text for unknown engine names.
-pub fn parse_engine(req: &Request) -> Result<QueryEngine, String> {
-    match req.param("engine") {
-        None => Ok(QueryEngine::default()),
-        Some(text) => text.parse(),
-    }
-}
-
 /// The `/query` body: hit count, then up to `limit` entry lines.
 ///
 /// Line format matches the CLI `query` command so the two surfaces stay
@@ -211,23 +198,25 @@ pub fn render_stats_body(snapshot: &LoadedSnapshot) -> String {
 pub fn respond(req: &Request, ctx: &RouteCtx<'_>) -> Response {
     match (req.method.as_str(), req.path.as_str()) {
         ("GET", "/healthz") => Response::text(200, "ok\n"),
-        ("GET", "/query") => match (parse_query(req), parse_engine(req), limit_param(req)) {
-            (Ok(query), Ok(engine), Ok(limit)) => {
+        ("GET", "/query") => match (parse_query(req), limit_param(req)) {
+            (Ok(query), Ok(limit)) => {
                 let snapshot = ctx.state.snapshot();
-                let hits = query.run_with(&snapshot.db, engine);
+                let db = &snapshot.db;
+                let hits = query.run_indexed(db.query_index(), db);
                 Response::text(200, render_query_body(&hits, limit))
             }
-            (Err(e), _, _) | (_, Err(e), _) | (_, _, Err(e)) => bad_request(e),
+            (Err(e), _) | (_, Err(e)) => bad_request(e),
         },
-        ("GET", "/count") => match (parse_query(req), parse_engine(req)) {
-            (Ok(query), Ok(engine)) => {
+        ("GET", "/count") => match parse_query(req) {
+            Ok(query) => {
                 let snapshot = ctx.state.snapshot();
+                let db = &snapshot.db;
                 Response::text(
                     200,
-                    render_count_body(query.count_with(&snapshot.db, engine)),
+                    render_count_body(query.count_indexed(db.query_index(), db)),
                 )
             }
-            (Err(e), _) | (_, Err(e)) => bad_request(e),
+            Err(e) => bad_request(e),
         },
         ("GET", "/stats") => Response::json(200, render_stats_body(&ctx.state.snapshot())),
         ("GET", "/metrics") => Response::json(200, rememberr_obs::snapshot().to_json() + "\n"),
@@ -319,19 +308,6 @@ mod tests {
         assert!(err.contains("unique"), "{err}");
         let err = parse_query(&request("/query?min-triggers=lots")).unwrap_err();
         assert!(err.contains("min-triggers"), "{err}");
-    }
-
-    #[test]
-    fn engine_defaults_to_indexed_and_accepts_scan() {
-        assert_eq!(
-            parse_engine(&request("/query")).unwrap(),
-            QueryEngine::Indexed
-        );
-        assert_eq!(
-            parse_engine(&request("/query?engine=scan")).unwrap(),
-            QueryEngine::Scan
-        );
-        assert!(parse_engine(&request("/query?engine=fast")).is_err());
     }
 
     #[test]

@@ -1,5 +1,6 @@
 //! End-to-end tests over real loopback sockets: byte-identity against the
-//! in-process engines, worker-count independence, admission control,
+//! router's renderers over the in-process scan oracle (`Query::run` /
+//! `Query::count`), worker-count independence, admission control,
 //! deadlines, hot reload, and graceful shutdown.
 //!
 //! Every test serializes on one gate: the obs registry is process-global
@@ -13,7 +14,7 @@ use std::sync::{Mutex, MutexGuard, OnceLock};
 use std::time::Duration;
 
 use proptest::test_runner::{ProptestConfig, TestRng, TestRunner};
-use rememberr::{Database, Query, QueryEngine};
+use rememberr::{Database, Query};
 use rememberr_classify::{classify_database, FourEyesConfig, HumanOracle, Rules};
 use rememberr_docgen::{CorpusSpec, SyntheticCorpus};
 use rememberr_model::{Context, Date, Effect, Trigger, Vendor, WorkaroundCategory};
@@ -117,7 +118,7 @@ fn battery() -> Vec<String> {
 }
 
 #[test]
-fn bodies_match_the_in_process_engines_and_scan_oracle() {
+fn bodies_match_the_in_process_scan_oracle() {
     let _gate = exclusive();
     let (path, db) = fixture();
     let server = Server::start(config(2), path.clone()).expect("server starts");
@@ -133,8 +134,8 @@ fn bodies_match_the_in_process_engines_and_scan_oracle() {
         "{stats}"
     );
 
-    // /query and /count agree byte-for-byte with the in-process engines,
-    // and the scan engine agrees with the indexed default.
+    // /query and /count agree byte-for-byte with the same renderers over
+    // the in-process scan oracle.
     let cases = [
         (
             "vendor=intel&unique=1",
@@ -152,27 +153,19 @@ fn bodies_match_the_in_process_engines_and_scan_oracle() {
         ),
     ];
     for (params, query) in cases {
-        let expected_query =
-            render_query_body(&query.run_with(db, QueryEngine::Indexed), DEFAULT_LIMIT);
-        let expected_count = render_count_body(query.count_with(db, QueryEngine::Indexed));
-        let (s, indexed) = get(addr, &format!("/query?{params}"));
+        let expected_query = render_query_body(&query.run(db), DEFAULT_LIMIT);
+        let expected_count = render_count_body(query.count(db));
+        let (s, served) = get(addr, &format!("/query?{params}"));
         assert_eq!(
-            (s, indexed.as_str()),
+            (s, served.as_str()),
             (200, expected_query.as_str()),
             "{params}"
         );
-        let (_, scanned) = get(addr, &format!("/query?{params}&engine=scan"));
-        assert_eq!(scanned, indexed, "scan oracle diverged for {params}");
         let (s, counted) = get(addr, &format!("/count?{params}"));
         assert_eq!(
             (s, counted.as_str()),
             (200, expected_count.as_str()),
             "{params}"
-        );
-        let (_, count_scan) = get(addr, &format!("/count?{params}&engine=scan"));
-        assert_eq!(
-            count_scan, counted,
-            "count scan oracle diverged for {params}"
         );
     }
 
@@ -209,22 +202,15 @@ fn proptest_query_mix_matches_oracle_over_http() {
         let sep = if params.is_empty() { "" } else { "?" };
         let target = format!("{endpoint}{sep}{params}");
         let expected = match endpoint {
-            "/query" => render_query_body(&query.run_with(db, QueryEngine::Indexed), DEFAULT_LIMIT),
-            _ => render_count_body(query.count_with(db, QueryEngine::Indexed)),
+            "/query" => render_query_body(&query.run(db), DEFAULT_LIMIT),
+            _ => render_count_body(query.count(db)),
         };
-        let (status, indexed) = get(addr, &target);
+        let (status, served) = get(addr, &target);
         assert_eq!(
-            (status, indexed.as_str()),
+            (status, served.as_str()),
             (200, expected.as_str()),
-            "served body diverged from in-process for {target}"
+            "served body diverged from the scan oracle for {target}"
         );
-        let scan_target = format!(
-            "{endpoint}?{params}{}engine=scan",
-            if params.is_empty() { "" } else { "&" }
-        );
-        let (status, scanned) = get(addr, &scan_target);
-        assert_eq!(status, 200, "{scan_target}");
-        assert_eq!(scanned, indexed, "scan oracle diverged for {target}");
     });
 
     server.stop_and_wait();

@@ -7,8 +7,13 @@
 //! This is the correctness contract of the indexed multi-pattern matcher:
 //! anchor-token pruning and single-pass snippet extraction are throughput
 //! knobs, never semantics knobs.
+//!
+//! Every test reads the process-global obs counters (and some set the
+//! global worker count), so all of them serialize on one gate; otherwise
+//! counters from one test leak into another's snapshot.
 
 use std::num::NonZeroUsize;
+use std::sync::{Mutex, MutexGuard};
 
 use rememberr::{save, Database, DedupStrategy};
 use rememberr_classify::{
@@ -17,6 +22,12 @@ use rememberr_classify::{
 use rememberr_docgen::{CorpusSpec, GroundTruth, SyntheticCorpus};
 use rememberr_extract::extract_corpus;
 use rememberr_model::ErrataDocument;
+
+static GATE: Mutex<()> = Mutex::new(());
+
+fn exclusive() -> MutexGuard<'static, ()> {
+    GATE.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
+}
 
 fn paper_corpus() -> (Vec<ErrataDocument>, GroundTruth) {
     let corpus = SyntheticCorpus::generate(&CorpusSpec::paper());
@@ -56,6 +67,7 @@ fn run(
 
 #[test]
 fn indexed_matches_exhaustive_bytewise_at_every_worker_count() {
+    let _gate = exclusive();
     let (documents, truth) = paper_corpus();
     let rules = Rules::standard();
     let (oracle_bytes, oracle_stats, _) =
@@ -71,16 +83,16 @@ fn indexed_matches_exhaustive_bytewise_at_every_worker_count() {
             let (bytes, stats, counters) = run(&documents, &truth, &rules, matcher, jobs);
             assert_eq!(
                 bytes, oracle_bytes,
-                "database JSON differs for {matcher} at jobs={jobs}"
+                "database JSON differs for {matcher:?} at jobs={jobs}"
             );
-            assert_eq!(stats, oracle_stats, "{matcher} at jobs={jobs}");
+            assert_eq!(stats, oracle_stats, "{matcher:?} at jobs={jobs}");
             // The whole counter section — including the new pattern_evals /
             // patterns_pruned effort counters — is jobs-invariant.
             match &per_matcher_counters[slot] {
                 None => per_matcher_counters[slot] = Some(counters),
                 Some(first) => assert_eq!(
                     &counters, first,
-                    "counters differ for {matcher} at jobs={jobs}"
+                    "counters differ for {matcher:?} at jobs={jobs}"
                 ),
             }
         }
@@ -89,6 +101,7 @@ fn indexed_matches_exhaustive_bytewise_at_every_worker_count() {
 
 #[test]
 fn indexed_matcher_does_ten_times_less_pattern_work() {
+    let _gate = exclusive();
     let (documents, truth) = paper_corpus();
     let rules = Rules::standard();
 
@@ -138,6 +151,7 @@ fn indexed_matcher_does_ten_times_less_pattern_work() {
 
 #[test]
 fn obs_counters_report_classify_effort() {
+    let _gate = exclusive();
     let (documents, truth) = paper_corpus();
     rememberr_obs::reset();
     rememberr_obs::enable();

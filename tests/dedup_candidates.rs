@@ -44,13 +44,13 @@ fn indexed_matches_exhaustive_bytewise_at_every_worker_count() {
             let (bytes, stats) = run(&documents, gen, jobs);
             assert_eq!(
                 bytes, oracle_bytes,
-                "database JSON differs for {gen} at jobs={jobs}"
+                "database JSON differs for {gen:?} at jobs={jobs}"
             );
             assert_eq!(
                 stats.cascade_merges, oracle_stats.cascade_merges,
-                "cascade_merges differ for {gen} at jobs={jobs}"
+                "cascade_merges differ for {gen:?} at jobs={jobs}"
             );
-            assert_eq!(stats, oracle_stats, "{gen} at jobs={jobs}");
+            assert_eq!(stats, oracle_stats, "{gen:?} at jobs={jobs}");
             if gen == CandidateGen::Indexed {
                 // Effort diagnostics are themselves jobs-invariant.
                 match &indexed_stats {

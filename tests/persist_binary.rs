@@ -143,6 +143,69 @@ fn corrupt_snapshots_are_rejected() {
             "truncation to {keep} bytes: got {err}"
         );
     }
+
+    // Forged counts behind valid checksums are typed errors, not
+    // allocations sized by the count: the header's entry count...
+    let forged = forge(&bytes, HEADER, 0, &(1u64 << 40).to_le_bytes());
+    assert!(matches!(
+        load(forged.as_slice()),
+        Err(PersistError::Truncated { expected, found })
+            if expected == 1 << 40 && found == db.len()
+    ));
+    // ...the string table's count, the chunk count, and the first chunk's
+    // entry count (after the chunk count and that chunk's length).
+    for (what, section, offset) in [
+        ("string count", STRINGS, 0),
+        ("chunk count", ENTRIES, 0),
+        ("chunk entry count", ENTRIES, 4 + 8),
+    ] {
+        let forged = forge(&bytes, section, offset, &u32::MAX.to_le_bytes());
+        let err = load(forged.as_slice()).unwrap_err();
+        assert!(
+            matches!(err, PersistError::Corrupt(_)),
+            "forged {what}: got {err}"
+        );
+    }
+}
+
+/// Section indices of the `rememberr-bin/v1` layout.
+const HEADER: usize = 0;
+const STRINGS: usize = 1;
+const ENTRIES: usize = 2;
+const CHECKSUMS: usize = 3;
+
+/// Byte range of each section payload, in layout order. Sections follow
+/// the 4-byte magic and the u32 version; each is a u64 length + payload.
+fn section_ranges(bytes: &[u8]) -> Vec<std::ops::Range<usize>> {
+    let mut ranges = Vec::new();
+    let mut at = 8;
+    while at < bytes.len() {
+        let len = u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap()) as usize;
+        ranges.push(at + 8..at + 8 + len);
+        at += 8 + len;
+    }
+    ranges
+}
+
+/// FNV-1a 64, the format's section checksum.
+fn fnv1a64(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |hash, &byte| {
+        (hash ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// `bytes` with `value` written at `offset` into section `section`, and
+/// that section's checksum re-stamped, so the checksums pass and only the
+/// forged field is wrong.
+fn forge(bytes: &[u8], section: usize, offset: usize, value: &[u8]) -> Vec<u8> {
+    let mut forged = bytes.to_vec();
+    let ranges = section_ranges(&forged);
+    let at = ranges[section].start + offset;
+    forged[at..at + value.len()].copy_from_slice(value);
+    let sum = fnv1a64(&forged[ranges[section].clone()]);
+    let slot = ranges[CHECKSUMS].start + 8 * section;
+    forged[slot..slot + 8].copy_from_slice(&sum.to_le_bytes());
+    forged
 }
 
 #[test]
