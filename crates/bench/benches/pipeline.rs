@@ -8,8 +8,8 @@ use std::hint::black_box;
 use std::num::NonZeroUsize;
 
 use rememberr::{
-    assign_keys, assign_keys_with, load, save, save_as, CandidateGen, Database, DbEntry,
-    DedupStrategy, Query, QueryIndex, SnapshotFormat,
+    assign_keys, load, save, save_as, Database, DbEntry, DedupStrategy, Query, QueryIndex,
+    SnapshotFormat,
 };
 use rememberr_bench::{annotated_paper_db, paper_corpus, paper_db, small_corpus};
 use rememberr_classify::{
@@ -73,35 +73,6 @@ fn bench_dedup(c: &mut Criterion) {
             criterion::BatchSize::LargeInput,
         )
     });
-    group.finish();
-}
-
-fn bench_dedup_candidates(c: &mut Criterion) {
-    // Indexed vs exhaustive cascade candidate generation, sweeping the
-    // corpus size. Both points of each pair produce identical clusters
-    // (the equivalence suite asserts it); the delta is pure candidate
-    // pruning plus similarity fast paths.
-    let mut group = c.benchmark_group("dedup_candidates");
-    group.sample_size(10);
-    for scale in [0.25f64, 0.5, 1.0] {
-        let corpus = SyntheticCorpus::generate(&CorpusSpec::scaled(scale));
-        let entries: Vec<DbEntry> = Database::from_documents(&corpus.structured)
-            .entries()
-            .to_vec();
-        let pct = (scale * 100.0) as u32;
-        for (name, gen) in [
-            ("indexed", CandidateGen::Indexed),
-            ("exhaustive", CandidateGen::Exhaustive),
-        ] {
-            group.bench_function(&format!("{name}_{pct}pct"), |b| {
-                b.iter_batched(
-                    || entries.clone(),
-                    |mut e| black_box(assign_keys_with(&mut e, DedupStrategy::default(), gen)),
-                    criterion::BatchSize::LargeInput,
-                )
-            });
-        }
-    }
     group.finish();
 }
 
@@ -328,7 +299,6 @@ criterion_group!(
     bench_generation,
     bench_extraction,
     bench_dedup,
-    bench_dedup_candidates,
     bench_classify_matcher,
     bench_classification,
     bench_persistence,

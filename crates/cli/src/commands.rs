@@ -33,15 +33,7 @@ pub const TRUTH_FILE: &str = "truth.json";
 /// document reference) plus `truth.json` into `DIR`.
 pub fn cmd_generate(args: &ParsedArgs) -> CmdResult {
     let out: PathBuf = args.get("out").ok_or("generate needs --out DIR")?.into();
-    let scale: f64 = args.get_parsed("scale", 1.0)?;
-    let mut spec = if (scale - 1.0).abs() < f64::EPSILON {
-        CorpusSpec::paper()
-    } else {
-        CorpusSpec::scaled(scale)
-    };
-    spec.seed = args.get_parsed("seed", spec.seed)?;
-
-    let corpus = SyntheticCorpus::generate(&spec);
+    let corpus = try_generate(&corpus_spec(args)?)?;
     fs::create_dir_all(&out).map_err(|e| format!("cannot create {}: {e}", out.display()))?;
     for rendered in &corpus.rendered {
         let path = out.join(format!("{}.txt", rendered.design.reference()));
@@ -56,6 +48,28 @@ pub fn cmd_generate(args: &ParsedArgs) -> CmdResult {
         corpus.total_errata(),
         out.display()
     ))
+}
+
+/// The corpus specification `--scale F` (in `(0, 1]`, default 1: the
+/// paper-calibrated corpus) and `--seed N` select.
+fn corpus_spec(args: &ParsedArgs) -> Result<CorpusSpec, String> {
+    let scale: f64 = args.get_parsed("scale", 1.0)?;
+    if !(scale > 0.0 && scale <= 1.0) {
+        return Err(format!("--scale must be in (0, 1], got {scale}"));
+    }
+    let mut spec = if (scale - 1.0).abs() < f64::EPSILON {
+        CorpusSpec::paper()
+    } else {
+        CorpusSpec::scaled(scale)
+    };
+    spec.seed = args.get_parsed("seed", spec.seed)?;
+    Ok(spec)
+}
+
+/// Generates the corpus for `spec`, reporting a spec the generator cannot
+/// build (for example a seed without unique titles) as an error.
+fn try_generate(spec: &CorpusSpec) -> Result<SyntheticCorpus, String> {
+    SyntheticCorpus::try_generate(spec).map_err(|e| format!("cannot generate the corpus: {e}"))
 }
 
 /// `rememberr extract --docs DIR --out DB.jsonl`
@@ -346,20 +360,15 @@ pub fn cmd_serve(args: &ParsedArgs) -> CmdResult {
 /// self/child-time table plus per-worker utilization. Combine with
 /// `--trace-out FILE` to also capture the Chrome trace of the same run.
 pub fn cmd_profile(args: &ParsedArgs) -> CmdResult {
+    let spec = corpus_spec(args)?;
     let scale: f64 = args.get_parsed("scale", 1.0)?;
-    let mut spec = if (scale - 1.0).abs() < f64::EPSILON {
-        CorpusSpec::paper()
-    } else {
-        CorpusSpec::scaled(scale)
-    };
-    spec.seed = args.get_parsed("seed", spec.seed)?;
 
     // The profile owns the run: start from a clean slate so earlier
     // activity (and the CLI root span) does not pollute the table.
     rememberr_obs::reset();
     rememberr_obs::enable();
 
-    let corpus = SyntheticCorpus::generate(&spec);
+    let corpus = try_generate(&spec)?;
     let (documents, defects) =
         extract_corpus(corpus.rendered.iter().map(|r| (r.design, r.text.as_str())))
             .map_err(|e| e.to_string())?;

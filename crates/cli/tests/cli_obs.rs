@@ -185,6 +185,33 @@ fn jobs_rejects_zero_and_non_numeric() {
 }
 
 #[test]
+fn unbuildable_corpora_fail_with_one_line_and_no_panic() {
+    let dir = tmp("unbuildable-corpus");
+    let dir = dir.to_str().unwrap();
+    for (args, expect) in [
+        (
+            vec!["generate", "--out", dir, "--seed", "3"],
+            "unique title",
+        ),
+        (vec!["profile", "--seed", "3"], "unique title"),
+        (vec!["generate", "--out", dir, "--scale", "0"], "--scale"),
+        (vec!["generate", "--out", dir, "--scale", "-1"], "--scale"),
+        (vec!["profile", "--scale", "1.5"], "--scale"),
+    ] {
+        let out = run(&args);
+        let err = stderr(&out);
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {err}");
+        assert!(!err.contains("panicked"), "{args:?}: {err}");
+        assert!(
+            err.starts_with("error: ") && err.contains(expect),
+            "{args:?}: {err}"
+        );
+        assert_eq!(err.lines().count(), 1, "{args:?}: {err}");
+    }
+    assert!(!std::path::Path::new(dir).exists(), "nothing was written");
+}
+
+#[test]
 fn jobs_runs_are_byte_identical() {
     let dir = tmp("jobs-corpus");
     let out = run(&[

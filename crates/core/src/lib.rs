@@ -35,7 +35,6 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-mod candidates;
 mod db;
 mod dedup;
 mod entry;
@@ -45,10 +44,9 @@ mod persist;
 mod persist_bin;
 mod query;
 
-pub use candidates::CandidateGen;
 pub use db::Database;
 pub use dedup::{
-    assign_keys, assign_keys_analyzed, assign_keys_with, DedupStats, DedupStrategy,
+    assign_keys, assign_keys_analyzed, assign_keys_with, CandidateGen, DedupStats, DedupStrategy,
     DEFAULT_SIMILARITY_THRESHOLD,
 };
 pub use entry::DbEntry;

@@ -340,7 +340,6 @@ pub(crate) fn load_binary(bytes: &[u8]) -> Result<Database, PersistError> {
         exact_title_merges: hr.take_u64("dedup exact title merges")? as usize,
         cascade_merges: hr.take_u64("dedup cascade merges")? as usize,
         comparisons_made: 0,
-        candidates_pruned: 0,
     };
     let chunk_size = hr.take_u32("chunk size")?;
     if chunk_size == 0 {

@@ -1,10 +1,11 @@
-//! Property-based equivalence of the cascade candidate generators.
+//! Property-based equivalence of the cascade pair decisions.
 //!
 //! Random Intel entries over a small shared vocabulary (so titles collide
 //! and overlap often) with a handful of shared description bodies: keying
-//! with the indexed generator must produce exactly the same clusters and
+//! with the bounded decision must produce exactly the same clusters and
 //! merge counts as the exhaustive oracle — the observable consequence of
-//! the candidate index never pruning a pair that could pass the threshold.
+//! the distance bounds never deciding a pair differently from full
+//! scoring.
 
 use proptest::prelude::*;
 use rememberr::{assign_keys_with, CandidateGen, DedupStrategy};
@@ -53,7 +54,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     #[test]
-    fn indexed_clustering_equals_exhaustive_oracle(
+    fn bounded_clustering_equals_exhaustive_oracle(
         specs in prop::collection::vec((title_strategy(), 0usize..BODIES.len()), 0..16),
     ) {
         let build = || -> Vec<rememberr::DbEntry> {
@@ -63,19 +64,19 @@ proptest! {
                 .map(|(i, (title, body))| entry(i as u32, title, BODIES[*body]))
                 .collect()
         };
-        let mut indexed = build();
+        let mut bounded = build();
         let mut exhaustive = build();
-        let si = assign_keys_with(&mut indexed, DedupStrategy::default(), CandidateGen::Indexed);
+        let sb = assign_keys_with(&mut bounded, DedupStrategy::default(), CandidateGen::Bounded);
         let se = assign_keys_with(
             &mut exhaustive,
             DedupStrategy::default(),
             CandidateGen::Exhaustive,
         );
-        let ki: Vec<_> = indexed.iter().map(|e| e.key).collect();
+        let kb: Vec<_> = bounded.iter().map(|e| e.key).collect();
         let ke: Vec<_> = exhaustive.iter().map(|e| e.key).collect();
-        prop_assert_eq!(ki, ke);
-        prop_assert_eq!(si.clusters, se.clusters);
-        prop_assert_eq!(si.cascade_merges, se.cascade_merges);
-        prop_assert!(si.comparisons_made <= se.comparisons_made);
+        prop_assert_eq!(kb, ke);
+        prop_assert_eq!(sb.clusters, se.clusters);
+        prop_assert_eq!(sb.cascade_merges, se.cascade_merges);
+        prop_assert!(sb.comparisons_made <= se.comparisons_made);
     }
 }

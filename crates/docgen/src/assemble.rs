@@ -14,7 +14,7 @@ use rememberr_model::{Date, Design, ErrataDocument, Erratum, ErratumId, Revision
 use crate::bugpool::{build_pool, BugSeed};
 use crate::rng::CorpusRng;
 use crate::sampler::{sample_profile, BugProfile};
-use crate::spec::CorpusSpec;
+use crate::spec::{CorpusSpec, SpecError};
 use crate::text::{alternative_workaround, render_bug_text, vendor_boilerplate};
 use crate::timeline::{raw_disclosure_dates, RevisionSchedule};
 use crate::truth::{DefectLedger, FieldDefect, GroundTruth, TrueBug, TrueOccurrence};
@@ -42,8 +42,17 @@ struct OccRec {
     number: u32,
 }
 
+/// Title styles tried per bug before a seed is declared unusable.
+const MAX_TITLE_STYLES: u32 = 512;
+
 /// Assembles the full corpus for a specification.
-pub fn assemble(spec: &CorpusSpec) -> AssembledCorpus {
+///
+/// # Errors
+///
+/// Returns [`SpecError::TitlesExhausted`] when some bug's title collides
+/// with another bug's in each of its 512 title styles; the seed decides
+/// which titles the pool draws.
+pub fn assemble(spec: &CorpusSpec) -> Result<AssembledCorpus, SpecError> {
     let mut rng = CorpusRng::seed_from_u64(spec.seed);
     let pool = build_pool(spec, &mut rng);
     let mut profiles: Vec<BugProfile> = pool
@@ -92,7 +101,7 @@ pub fn assemble(spec: &CorpusSpec) -> AssembledCorpus {
     // errata" (Section IV-A); distinct bugs therefore must not share a
     // normalized title. Styles reshuffle phrasing until every title is
     // unique.
-    let styles = uniquify_titles(spec, &pool, &profiles);
+    let styles = uniquify_titles(spec, &pool, &profiles)?;
 
     // ---- Render prose and build documents ---------------------------------
     let mut documents: Vec<ErrataDocument> = Design::ALL
@@ -235,39 +244,33 @@ pub fn assemble(spec: &CorpusSpec) -> AssembledCorpus {
 
     ledger.intra_doc_pairs = ledger_intra_doc_pairs(&bugs);
 
-    AssembledCorpus {
+    Ok(AssembledCorpus {
         documents,
         truth: GroundTruth {
             bugs,
             defects: ledger,
             amd_near_miss: near_miss_keys,
         },
-    }
+    })
 }
 
 /// Finds a style per bug such that all normalized titles are distinct.
-fn uniquify_titles(spec: &CorpusSpec, pool: &[BugSeed], profiles: &[BugProfile]) -> Vec<u32> {
+fn uniquify_titles(
+    spec: &CorpusSpec,
+    pool: &[BugSeed],
+    profiles: &[BugProfile],
+) -> Result<Vec<u32>, SpecError> {
     let mut used: std::collections::HashSet<String> = std::collections::HashSet::new();
     let mut styles = vec![0u32; pool.len()];
     for (i, bug) in pool.iter().enumerate() {
-        let mut style = 0u32;
-        loop {
+        let unique = (0..MAX_TITLE_STYLES).find(|&style| {
             let text = render_bug_text(spec, bug, &profiles[i], 0, style);
-            let key = rememberr_textkit::normalized_key(&text.title);
-            if used.insert(key) {
-                styles[i] = style;
-                break;
-            }
-            style += 1;
-            assert!(
-                style < 512,
-                "cannot find a unique title for bug {} ({:?})",
-                bug.key,
-                text.title
-            );
-        }
+            // `insert` claims the title only if no earlier bug holds it.
+            used.insert(rememberr_textkit::normalized_key(&text.title))
+        });
+        styles[i] = unique.ok_or(SpecError::TitlesExhausted(bug.key))?;
     }
-    styles
+    Ok(styles)
 }
 
 /// Makes two single-document AMD bugs textually identical except for their
@@ -671,12 +674,12 @@ mod tests {
     use super::*;
 
     fn small() -> AssembledCorpus {
-        assemble(&CorpusSpec::scaled(0.12))
+        assemble(&CorpusSpec::scaled(0.12)).unwrap()
     }
 
     #[test]
     fn paper_corpus_has_exact_totals() {
-        let corpus = assemble(&CorpusSpec::paper());
+        let corpus = assemble(&CorpusSpec::paper()).unwrap();
         let total: usize = corpus.documents.iter().map(|d| d.len()).sum();
         assert_eq!(total, 2_563);
         assert_eq!(corpus.truth.grand_total(), 2_563);
@@ -749,7 +752,7 @@ mod tests {
     #[test]
     fn defect_counts_match_spec() {
         let spec = CorpusSpec::paper();
-        let corpus = assemble(&spec);
+        let corpus = assemble(&spec).unwrap();
         let d = &corpus.truth.defects;
         assert_eq!(d.double_added.len(), spec.defects.double_added_errata);
         assert_eq!(d.unmentioned.len(), spec.defects.unmentioned_errata);
@@ -764,7 +767,7 @@ mod tests {
 
     #[test]
     fn double_added_numbers_appear_in_two_revisions() {
-        let corpus = assemble(&CorpusSpec::paper());
+        let corpus = assemble(&CorpusSpec::paper()).unwrap();
         for id in &corpus.truth.defects.double_added {
             let doc = &corpus.documents[id.design.index()];
             let mentions: usize = doc
@@ -778,7 +781,7 @@ mod tests {
 
     #[test]
     fn unmentioned_numbers_absent_from_revision_logs() {
-        let corpus = assemble(&CorpusSpec::paper());
+        let corpus = assemble(&CorpusSpec::paper()).unwrap();
         for id in &corpus.truth.defects.unmentioned {
             let doc = &corpus.documents[id.design.index()];
             assert!(doc.revisions.iter().all(|r| !r.added.contains(&id.number)));
@@ -788,7 +791,7 @@ mod tests {
 
     #[test]
     fn name_collision_is_in_core1_desktop() {
-        let corpus = assemble(&CorpusSpec::paper());
+        let corpus = assemble(&CorpusSpec::paper()).unwrap();
         let (design, number) = corpus.truth.defects.name_collisions[0];
         assert_eq!(design, Design::Intel1D);
         let doc = &corpus.documents[design.index()];
@@ -798,7 +801,7 @@ mod tests {
 
     #[test]
     fn wrong_msr_descriptions_are_inconsistent() {
-        let corpus = assemble(&CorpusSpec::paper());
+        let corpus = assemble(&CorpusSpec::paper()).unwrap();
         assert_eq!(corpus.truth.defects.wrong_msr.len(), 3);
         for id in &corpus.truth.defects.wrong_msr {
             let doc = &corpus.documents[id.design.index()];
@@ -816,7 +819,7 @@ mod tests {
     #[test]
     fn near_duplicates_have_variant_titles() {
         let spec = CorpusSpec::paper();
-        let corpus = assemble(&spec);
+        let corpus = assemble(&spec).unwrap();
         let with_variant = corpus
             .truth
             .bugs
@@ -868,15 +871,15 @@ mod tests {
     #[test]
     fn assembly_is_deterministic() {
         let spec = CorpusSpec::scaled(0.05);
-        let a = assemble(&spec);
-        let b = assemble(&spec);
+        let a = assemble(&spec).unwrap();
+        let b = assemble(&spec).unwrap();
         assert_eq!(a.documents, b.documents);
         assert_eq!(a.truth, b.truth);
     }
 
     #[test]
     fn amd_near_miss_pair_exists() {
-        let corpus = assemble(&CorpusSpec::paper());
+        let corpus = assemble(&CorpusSpec::paper()).unwrap();
         // Two AMD bugs in the same document with identical descriptions but
         // different workarounds.
         let amd_docs = corpus
@@ -909,7 +912,7 @@ mod title_tests {
     fn normalized_titles_are_unique_across_bugs() {
         // The Intel dedup rule "identical title => identical erratum" must
         // hold by construction on the full corpus.
-        let corpus = assemble(&CorpusSpec::paper());
+        let corpus = assemble(&CorpusSpec::paper()).unwrap();
         let near_miss = corpus.truth.amd_near_miss;
         let mut seen: std::collections::HashMap<String, u32> = Default::default();
         for doc in &corpus.documents {
@@ -957,7 +960,7 @@ mod title_tests {
 
     #[test]
     fn same_bug_same_canonical_title_everywhere() {
-        let corpus = assemble(&CorpusSpec::scaled(0.1));
+        let corpus = assemble(&CorpusSpec::scaled(0.1)).unwrap();
         for bug in &corpus.truth.bugs {
             let mut canonical: Option<String> = None;
             for occ in &bug.occurrences {

@@ -40,8 +40,9 @@ impl SyntheticCorpus {
     ///
     /// # Panics
     ///
-    /// Panics if the specification fails [`CorpusSpec::validate`]; use
-    /// [`SyntheticCorpus::try_generate`] to handle invalid specs gracefully.
+    /// Panics if the specification fails [`CorpusSpec::validate`] or its
+    /// seed cannot give every bug a unique title; use
+    /// [`SyntheticCorpus::try_generate`] to handle both gracefully.
     pub fn generate(spec: &CorpusSpec) -> Self {
         Self::try_generate(spec).expect("invalid corpus specification")
     }
@@ -51,13 +52,15 @@ impl SyntheticCorpus {
     ///
     /// # Errors
     ///
-    /// Returns the first violated spec invariant.
+    /// Returns the first violated spec invariant, or
+    /// [`SpecError::TitlesExhausted`](crate::SpecError::TitlesExhausted)
+    /// when the seed cannot give every bug a unique title.
     pub fn try_generate(spec: &CorpusSpec) -> Result<Self, crate::spec::SpecError> {
         let _span = rememberr_obs::span!("docgen.generate");
         spec.validate()?;
         let AssembledCorpus { documents, truth } = {
             let _span = rememberr_obs::span!("docgen.assemble");
-            assemble(spec)
+            assemble(spec)?
         };
         // Rendering is pure per document (all randomness happened during
         // assembly), so documents fan out across workers; par_map returns
@@ -100,6 +103,16 @@ mod tests {
         let mut spec = CorpusSpec::scaled(0.05);
         spec.intel_propagation = -0.5;
         assert!(SyntheticCorpus::try_generate(&spec).is_err());
+    }
+
+    #[test]
+    fn try_generate_reports_a_seed_without_unique_titles() {
+        let mut spec = CorpusSpec::paper();
+        spec.seed = 3;
+        assert!(matches!(
+            SyntheticCorpus::try_generate(&spec),
+            Err(crate::SpecError::TitlesExhausted(_))
+        ));
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! in Core 12), the per-category frequency profiles of Figures 10-19, and
 //! the six "errata in errata" defect classes with their exact counts.
 
-use rememberr_model::{Date, Design, Vendor};
+use rememberr_model::{Date, Design, UniqueKey, Vendor};
 use serde::{Deserialize, Serialize};
 
 /// Full corpus specification. Construct via [`CorpusSpec::default`] (paper
@@ -173,6 +173,9 @@ pub enum SpecError {
     BadTriggerWeights,
     /// Defect counts exceed what the corpus can host.
     DefectsExceedCorpus,
+    /// Under this seed, the bug's title collides with another bug's in
+    /// every title style; another seed draws a different bug pool.
+    TitlesExhausted(UniqueKey),
 }
 
 impl std::fmt::Display for SpecError {
@@ -195,6 +198,12 @@ impl std::fmt::Display for SpecError {
             }
             SpecError::DefectsExceedCorpus => {
                 write!(f, "defect counts exceed the corpus population")
+            }
+            SpecError::TitlesExhausted(bug) => {
+                write!(
+                    f,
+                    "cannot find a unique title for bug {bug} under this seed; try another seed"
+                )
             }
         }
     }

@@ -265,10 +265,10 @@ pub fn percent_decode(text: &str) -> Result<String, String> {
                 let hex = bytes
                     .get(i + 1..i + 3)
                     .ok_or_else(|| format!("truncated percent escape in {text:?}"))?;
-                let hex = std::str::from_utf8(hex).map_err(|_| "bad percent escape".to_string())?;
-                let byte = u8::from_str_radix(hex, 16)
-                    .map_err(|_| format!("bad percent escape %{hex} in {text:?}"))?;
-                out.push(byte);
+                let (Some(hi), Some(lo)) = (hex_digit(hex[0]), hex_digit(hex[1])) else {
+                    return Err(format!("bad percent escape in {text:?}"));
+                };
+                out.push(hi << 4 | lo);
                 i += 3;
             }
             b'+' => {
@@ -282,6 +282,12 @@ pub fn percent_decode(text: &str) -> Result<String, String> {
         }
     }
     String::from_utf8(out).map_err(|_| format!("{text:?} does not decode to UTF-8"))
+}
+
+/// The value of one ASCII hex digit. Unlike `u8::from_str_radix`, which
+/// accepts a leading `+`, this admits nothing but `0-9`, `a-f` and `A-F`.
+fn hex_digit(byte: u8) -> Option<u8> {
+    char::from(byte).to_digit(16).map(|d| d as u8)
 }
 
 /// One response, rendered deterministically (no `Date`, fixed header
@@ -388,6 +394,7 @@ impl Response {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn percent_decoding_handles_escapes_plus_and_errors() {
@@ -397,6 +404,8 @@ mod tests {
         assert!(percent_decode("%4").is_err());
         assert!(percent_decode("%zz").is_err());
         assert!(percent_decode("%ff").is_err(), "lone 0xff is not UTF-8");
+        assert!(percent_decode("%+A").is_err(), "a sign is not a hex digit");
+        assert!(percent_decode("%+5").is_err(), "a sign is not a hex digit");
     }
 
     #[test]
@@ -442,6 +451,67 @@ mod tests {
         assert!(parse_head("get /x HTTP/1.1\r\n\r\n").is_err());
         assert!(parse_head("GET relative HTTP/1.1\r\n\r\n").is_err());
         assert!(parse_head("GET /x?a=%zz HTTP/1.1\r\n\r\n").is_err());
+    }
+
+    /// Well-formed heads the mutation property starts from.
+    const VALID_HEADS: [&str; 4] = [
+        "GET /query?vendor=intel&unique=1&trigger=Trg_EXT_rst HTTP/1.1\r\nHost: x\r\nConnection: close\r\n\r\n",
+        "POST /reload HTTP/1.1\r\nContent-Length: 0\r\n\r\n",
+        "GET /count?from=2016-01-01&q=a%20b+c HTTP/1.0\r\n\r\n",
+        "GET /healthz HTTP/1.1\r\nConnection: keep-alive\r\n\r\n",
+    ];
+
+    /// Text that means something somewhere in a request head.
+    fn fragment() -> impl Strategy<Value = String> {
+        prop_oneof![
+            "[%+?&= :/]",
+            "%[0-9a-fA-F+]{0,2}",
+            Just("\r\n".to_string()),
+            Just("é".to_string()),
+            ".{0,4}",
+        ]
+    }
+
+    proptest! {
+        #[test]
+        fn parse_head_never_panics_on_arbitrary_text(
+            ascii in "[\\x00-\\x7f]{0,80}",
+            printable in ".{0,80}",
+        ) {
+            for head in [ascii, printable] {
+                if let Ok(req) = parse_head(&head) {
+                    prop_assert!(req.path.starts_with('/'), "{:?}", head);
+                }
+            }
+        }
+
+        #[test]
+        fn parse_head_never_panics_on_mutated_heads(
+            base in 0usize..VALID_HEADS.len(),
+            edits in prop::collection::vec((0usize..128, 0u8..3, fragment()), 1..6),
+        ) {
+            // Each edit inserts, replaces or deletes at a char position.
+            let mut head: Vec<char> = VALID_HEADS[base].chars().collect();
+            for (at, op, text) in edits {
+                let at = at % (head.len() + 1);
+                match op {
+                    0 => {
+                        head.splice(at..at, text.chars());
+                    }
+                    1 if at < head.len() => {
+                        head.splice(at..=at, text.chars());
+                    }
+                    _ if at < head.len() => {
+                        head.remove(at);
+                    }
+                    _ => {}
+                }
+            }
+            let head: String = head.into_iter().collect();
+            if let Ok(req) = parse_head(&head) {
+                prop_assert!(req.path.starts_with('/'), "{:?}", head);
+            }
+        }
     }
 
     #[test]

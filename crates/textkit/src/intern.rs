@@ -1,9 +1,9 @@
-//! Deterministic string interning for similarity signatures.
+//! Deterministic string interning for the rule matcher's token index.
 //!
-//! The dedup cascade compares normalized title tokens millions of times at
-//! scale; interning maps each distinct token string to a dense `u32` once,
-//! so every later comparison works on integer ids (sorted-slice merges)
-//! instead of re-hashing or re-comparing string bytes.
+//! [`crate::RuleMatcher`] posts every pattern under the interned id of its
+//! anchor token; interning maps each distinct token string to a dense `u32`
+//! once, so the index is keyed by small integers instead of re-hashed
+//! string bytes.
 //!
 //! Ids are assigned in first-intern order, so an interner fed the same
 //! token stream always produces the same ids — a precondition for the

@@ -3,9 +3,8 @@
 //! Classification runs a library of hundreds of phrase [`Pattern`]s over
 //! every erratum. Scanning each pattern positionally is all-pairs work:
 //! `patterns × errata` full scans, almost all of which fail on their first
-//! element. [`RuleMatcher`] removes that work the same way the sublinear
-//! dedup index removed pairwise title comparisons — with an inverted index
-//! over interned token ids:
+//! element. [`RuleMatcher`] removes that work with an inverted index over
+//! interned token ids:
 //!
 //! * At compile time every pattern nominates an **anchor**: one of its
 //!   `Word` elements, chosen by a rarity heuristic (prefer pure-literal

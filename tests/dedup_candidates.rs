@@ -1,12 +1,11 @@
-//! Candidate-generator equivalence: the indexed (default) and exhaustive
-//! cascade candidate generators produce byte-identical database JSON and
-//! identical `cascade_merges` on the full 28-document paper corpus, at
-//! every worker count — while the indexed path pays for at least 5× fewer
-//! full edit-distance evaluations.
+//! Cascade decision equivalence: the bounded (default) and exhaustive pair
+//! decisions produce byte-identical database JSON and identical
+//! `cascade_merges` on the full 28-document paper corpus, at every worker
+//! count — while the bounded decision pays for at least 5× fewer full
+//! edit-distance evaluations.
 //!
-//! This is the correctness contract of the sublinear dedup work: candidate
-//! pruning and similarity fast paths are throughput knobs, never semantics
-//! knobs.
+//! This is the correctness contract of the cascade's threshold check: the
+//! distance bounds are a throughput knob, never a semantics knob.
 
 use std::num::NonZeroUsize;
 
@@ -33,14 +32,14 @@ fn run(documents: &[ErrataDocument], gen: CandidateGen, jobs: usize) -> (Vec<u8>
 }
 
 #[test]
-fn indexed_matches_exhaustive_bytewise_at_every_worker_count() {
+fn bounded_matches_exhaustive_bytewise_at_every_worker_count() {
     let documents = paper_documents();
     let (oracle_bytes, oracle_stats) = run(&documents, CandidateGen::Exhaustive, 1);
     assert!(oracle_stats.cascade_merges > 0, "{oracle_stats:?}");
 
-    let mut indexed_stats = None;
+    let mut bounded_comparisons = None;
     for jobs in [1usize, 8] {
-        for gen in [CandidateGen::Indexed, CandidateGen::Exhaustive] {
+        for gen in [CandidateGen::Bounded, CandidateGen::Exhaustive] {
             let (bytes, stats) = run(&documents, gen, jobs);
             assert_eq!(
                 bytes, oracle_bytes,
@@ -51,27 +50,21 @@ fn indexed_matches_exhaustive_bytewise_at_every_worker_count() {
                 "cascade_merges differ for {gen:?} at jobs={jobs}"
             );
             assert_eq!(stats, oracle_stats, "{gen:?} at jobs={jobs}");
-            if gen == CandidateGen::Indexed {
-                // Effort diagnostics are themselves jobs-invariant.
-                match &indexed_stats {
-                    None => indexed_stats = Some(stats),
-                    Some(first) => {
-                        assert_eq!(stats.comparisons_made, first.comparisons_made);
-                        assert_eq!(stats.candidates_pruned, first.candidates_pruned);
-                    }
-                }
+            if gen == CandidateGen::Bounded {
+                // The effort diagnostic is itself jobs-invariant.
+                let first = *bounded_comparisons.get_or_insert(stats.comparisons_made);
+                assert_eq!(stats.comparisons_made, first, "jobs={jobs}");
             }
         }
     }
 
-    // The acceptance bar: the indexed path does >= 5x less edit-distance
-    // work than the all-pairs oracle on the default corpus.
-    let indexed = indexed_stats.expect("indexed path ran");
+    // The acceptance bar: the bounded decision does >= 5x less
+    // edit-distance work than the full-scoring oracle on the default corpus.
+    let bounded = bounded_comparisons.expect("bounded decision ran");
     assert!(
-        oracle_stats.comparisons_made >= 5 * indexed.comparisons_made,
-        "expected >= 5x reduction: exhaustive {} vs indexed {}",
+        oracle_stats.comparisons_made >= 5 * bounded,
+        "expected >= 5x reduction: exhaustive {} vs bounded {bounded}",
         oracle_stats.comparisons_made,
-        indexed.comparisons_made
     );
 }
 
@@ -81,10 +74,10 @@ fn obs_counters_report_dedup_effort() {
     rememberr_obs::reset();
     rememberr_obs::enable();
     let _ =
-        Database::from_documents_opts(&documents, DedupStrategy::default(), CandidateGen::Indexed);
+        Database::from_documents_opts(&documents, DedupStrategy::default(), CandidateGen::Bounded);
     let counters = rememberr_obs::snapshot().counters_json();
     rememberr_obs::disable();
     rememberr_obs::reset();
     assert!(counters.contains("dedup.comparisons_made"), "{counters}");
-    assert!(counters.contains("dedup.candidates_pruned"), "{counters}");
+    assert!(counters.contains("dedup.cascade_merges"), "{counters}");
 }

@@ -168,6 +168,31 @@ fn corrupt_snapshots_are_rejected() {
     }
 }
 
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// Hostile snapshots: 1-8 bytes overwritten anywhere in the header,
+    /// string table or entries section, behind a re-stamped checksum, load
+    /// as a database or a typed `PersistError` — never a panic or an abort.
+    #[test]
+    fn forged_section_bytes_load_or_fail_typed(
+        section in 0usize..CHECKSUMS,
+        at in 0usize..1 << 20,
+        value in prop::collection::vec(prop_oneof![any::<u8>(), Just(0u8), Just(0xff)], 1..9),
+    ) {
+        let bytes = binary_snapshot();
+        let len = section_ranges(bytes)[section].len();
+        let forged = forge(bytes, section, at % (len - value.len() + 1), &value);
+        let _ = load(forged.as_slice());
+    }
+}
+
+/// The binary snapshot of [`annotated_db`], encoded once.
+fn binary_snapshot() -> &'static [u8] {
+    static BYTES: OnceLock<Vec<u8>> = OnceLock::new();
+    BYTES.get_or_init(|| snapshot(annotated_db(), SnapshotFormat::Binary))
+}
+
 /// Section indices of the `rememberr-bin/v1` layout.
 const HEADER: usize = 0;
 const STRINGS: usize = 1;

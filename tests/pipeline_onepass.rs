@@ -2,10 +2,10 @@
 //! (`Database::from_documents_analyzed` → `classify_database_analyzed` →
 //! `assist_highlights_analyzed`) must be indistinguishable from the
 //! per-stage pipeline that re-derives lexical features in every stage —
-//! byte-identical database JSON, identical `DedupStats`, `DecisionStats`
-//! and assist summaries, at single- and multi-worker counts — while
-//! tokenizing each database entry exactly once (the
-//! `textkit.tokenize_calls` audit counter).
+//! byte-identical database JSON, identical `DedupStats` (including the
+//! `comparisons_made` diagnostic), `DecisionStats` and assist summaries, at
+//! single- and multi-worker counts — while tokenizing each database entry
+//! exactly once (the `textkit.tokenize_calls` audit counter).
 
 use std::num::NonZeroUsize;
 use std::sync::Mutex;
@@ -96,6 +96,10 @@ fn one_pass_pipeline_matches_per_stage_at_every_worker_count() {
                     assert_eq!(
                         out.dedup_stats, want.dedup_stats,
                         "DedupStats diverged ({mode}, jobs={jobs})"
+                    );
+                    assert_eq!(
+                        out.dedup_stats.comparisons_made, want.dedup_stats.comparisons_made,
+                        "dedup effort diverged ({mode}, jobs={jobs})"
                     );
                     assert_eq!(
                         out.decision_stats, want.decision_stats,
