@@ -412,14 +412,19 @@ pub fn cmd_profile(args: &ParsedArgs) -> CmdResult {
     Ok(out)
 }
 
-/// Renders the shared-arena counters of the single-pass pipeline: how many
+/// Renders the deterministic effort counters of the single-pass pipeline:
+/// how many same-document title pairs extraction checked, how many
 /// documents the corpus analysis covered and how many tokenization passes
-/// the whole run paid for. The arena itself contributes exactly one
-/// tokenization per entry; the remainder comes from corpus generation and
-/// extraction-time title comparisons upstream of the database build.
+/// the whole run paid for. The arena contributes exactly one tokenization
+/// per entry; the calls outside it are extraction's one title key per
+/// erratum (docgen adds none).
 fn render_corpus_counters(snap: &rememberr_obs::Snapshot) -> String {
     let mut out = String::from("corpus analysis (deterministic):\n");
-    let names = ["corpus.docs_analyzed", "textkit.tokenize_calls"];
+    let names = [
+        "extract.title_comparisons",
+        "corpus.docs_analyzed",
+        "textkit.tokenize_calls",
+    ];
     let width = names.iter().map(|n| n.len()).max().unwrap_or(0);
     for name in names {
         let value = snap.counters.get(name).copied().unwrap_or(0);
@@ -577,9 +582,10 @@ PROFILE:
   rememberr profile runs the full in-process pipeline (generate ->
   extract -> dedup -> classify -> analyze) in single-pass mode (one
   shared corpus-analysis arena) with profiling on and prints a per-stage
-  self/child-time table, the corpus-analysis counters
-  (corpus.docs_analyzed, textkit.tokenize_calls), per-worker utilization,
-  and the busy-time imbalance ratio. Combine with --trace-out for a trace
+  self/child-time table, the deterministic effort counters
+  (extract.title_comparisons, corpus.docs_analyzed,
+  textkit.tokenize_calls), per-worker utilization, and the busy-time
+  imbalance ratio. Combine with --trace-out for a trace
   of the same run.
 
 SNAPSHOTS (extract, classify):

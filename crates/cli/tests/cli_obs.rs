@@ -399,11 +399,21 @@ fn profile_prints_stage_table_and_worker_utilization() {
     assert!(text.contains("child ms"), "{text}");
     assert!(text.contains("total ms"), "{text}");
     assert!(text.contains("extract.document"), "{text}");
+    for child in [
+        "extract.depaginate",
+        "extract.revtable",
+        "extract.summary",
+        "extract.errata_parse",
+        "extract.detect_defects",
+    ] {
+        assert!(text.contains(child), "{child} missing: {text}");
+    }
     assert!(text.contains("dedup.assign_keys"), "{text}");
     assert!(text.contains("classify.database"), "{text}");
     assert!(text.contains("analysis.full_report"), "{text}");
-    // The shared-arena counters of the single-pass run.
+    // The deterministic effort counters of the single-pass run.
     assert!(text.contains("corpus analysis (deterministic):"), "{text}");
+    assert!(text.contains("extract.title_comparisons"), "{text}");
     assert!(text.contains("corpus.docs_analyzed"), "{text}");
     assert!(text.contains("textkit.tokenize_calls"), "{text}");
     // Worker utilization plus the imbalance ratio.

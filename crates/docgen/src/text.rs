@@ -677,6 +677,7 @@ mod tests {
     use super::*;
     use crate::bugpool::build_pool;
     use crate::sampler::sample_profile;
+    use rememberr_textkit::TitleKey;
 
     fn first_bugs(n: usize) -> Vec<(BugSeed, BugProfile)> {
         let spec = CorpusSpec::scaled(0.1);
@@ -710,7 +711,7 @@ mod tests {
             assert_ne!(a.title, b.title);
             // Same description: still recognizably the same bug.
             assert_eq!(a.description, b.description);
-            let sim = rememberr_textkit::title_similarity(&a.title, &b.title);
+            let sim = TitleKey::new(&a.title).similarity(&TitleKey::new(&b.title));
             assert!(sim > 0.5, "{sim}: {:?} vs {:?}", a.title, b.title);
         }
     }

@@ -37,7 +37,10 @@ pub struct ExtractedDocument {
 /// and reported in [`ExtractedDocument::report`].
 pub fn extract_document(design: Design, text: &str) -> Result<ExtractedDocument, ExtractError> {
     let _span = rememberr_obs::span!("extract.document", "{design}");
-    let lines = depaginate(text)?;
+    let lines = {
+        let _span = rememberr_obs::span!("extract.depaginate");
+        depaginate(text)?
+    };
     // The summary table is optional in older streams: fall back to parsing
     // the revision table up to the errata heading.
     let has_summary = lines.iter().any(|l| l.trim() == SUMMARY_HEADING);
@@ -46,16 +49,23 @@ pub fn extract_document(design: Design, text: &str) -> Result<ExtractedDocument,
     } else {
         ERRATA_HEADING
     };
-    let rev_lines = section_between(&lines, REVISION_HEADING, rev_end)?;
-    let revisions = parse_revision_table(design, rev_lines)?;
+    let revisions = {
+        let _span = rememberr_obs::span!("extract.revtable");
+        let rev_lines = section_between(&lines, REVISION_HEADING, rev_end)?;
+        parse_revision_table(design, rev_lines)?
+    };
     let fix_summary = if has_summary {
+        let _span = rememberr_obs::span!("extract.summary");
         let summary_lines = section_between(&lines, SUMMARY_HEADING, ERRATA_HEADING)?;
         parse_fix_summary(design, summary_lines)
     } else {
         Vec::new()
     };
-    let errata_lines = section_after(&lines, ERRATA_HEADING)?;
-    let parsed = parse_errata(design, errata_lines)?;
+    let parsed = {
+        let _span = rememberr_obs::span!("extract.errata_parse");
+        let errata_lines = section_after(&lines, ERRATA_HEADING)?;
+        parse_errata(design, errata_lines)?
+    };
 
     let document = ErrataDocument {
         design,
@@ -63,7 +73,10 @@ pub fn extract_document(design: Design, text: &str) -> Result<ExtractedDocument,
         errata: parsed.iter().map(|p| p.erratum.clone()).collect(),
         fix_summary,
     };
-    let report = detect_defects(&document, &parsed);
+    let report = {
+        let _span = rememberr_obs::span!("extract.detect_defects");
+        detect_defects(&document, &parsed)
+    };
     report.count_metrics();
     Ok(ExtractedDocument { document, report })
 }

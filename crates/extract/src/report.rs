@@ -7,7 +7,7 @@
 //! and intra-document duplicate candidates.
 
 use rememberr_model::{Design, ErrataDocument, ErratumId, MsrRef};
-use rememberr_textkit::title_similarity;
+use rememberr_textkit::TitleKey;
 use serde::{Deserialize, Serialize};
 
 use crate::errata_parse::ParsedErratum;
@@ -176,13 +176,19 @@ pub fn detect_defects(doc: &ErrataDocument, parsed: &[ParsedErratum]) -> Extract
         }
     }
 
-    // Intra-document duplicate candidates.
+    // Intra-document duplicate candidates: one title key per erratum, and
+    // an exact threshold decision per pair.
+    let keys: Vec<TitleKey> = doc.errata.iter().map(|e| TitleKey::new(&e.title)).collect();
+    let mut comparisons = 0u64;
     for (i, a) in doc.errata.iter().enumerate() {
-        for b in doc.errata.iter().skip(i + 1) {
+        for (j, b) in doc.errata.iter().enumerate().skip(i + 1) {
             if a.id.number == b.id.number {
                 continue; // that is a name collision, not a duplicate pair
             }
-            let near_title = title_similarity(&a.title, &b.title) >= INTRA_DOC_SIMILARITY;
+            comparisons += 1;
+            let near_title = keys[i]
+                .similarity_at_least(&keys[j], INTRA_DOC_SIMILARITY)
+                .passes;
             let same_body = a.description == b.description;
             if near_title || same_body {
                 report.intra_doc_duplicates.push((
@@ -193,6 +199,7 @@ pub fn detect_defects(doc: &ErrataDocument, parsed: &[ParsedErratum]) -> Extract
             }
         }
     }
+    rememberr_obs::count("extract.title_comparisons", comparisons);
 
     report
 }
@@ -200,6 +207,7 @@ pub fn detect_defects(doc: &ErrataDocument, parsed: &[ParsedErratum]) -> Extract
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use rememberr_model::{Date, Erratum, Revision};
 
     fn erratum(design: Design, n: u32, title: &str, description: &str) -> Erratum {
@@ -372,6 +380,47 @@ mod tests {
             detect_defects(&doc, &[]).status_summary_mismatches,
             vec![ErratumId::new(Design::Intel6, 2)]
         );
+    }
+
+    /// Stopwords, stem variants and a few content words: generated titles
+    /// often collide after normalization, and some are empty or stopwords
+    /// only.
+    const VOCAB: &[&str] = &[
+        "the", "of", "may", "might", "warm", "reset", "resets", "hang", "hangs", "hanging",
+        "cache", "caches", "usb", "transfer",
+    ];
+    const BODIES: [&str; 3] = ["first body", "second body", "third body"];
+
+    fn generated_erratum() -> impl Strategy<Value = Erratum> {
+        (
+            1u32..30,
+            prop::collection::vec((0..VOCAB.len()).prop_map(|i| VOCAB[i]), 0..6),
+            0..BODIES.len(),
+        )
+            .prop_map(|(n, words, body)| erratum(Design::Intel6, n, &words.join(" "), BODIES[body]))
+    }
+
+    proptest! {
+        #[test]
+        fn intra_doc_duplicates_match_the_full_similarity_oracle(
+            errata in prop::collection::vec(generated_erratum(), 2..41),
+        ) {
+            let mut want = Vec::new();
+            for (i, a) in errata.iter().enumerate() {
+                for b in &errata[i + 1..] {
+                    if a.id.number == b.id.number {
+                        continue;
+                    }
+                    let similarity = TitleKey::new(&a.title).similarity(&TitleKey::new(&b.title));
+                    if similarity >= INTRA_DOC_SIMILARITY || a.description == b.description {
+                        let (lo, hi) = (a.id.number.min(b.id.number), a.id.number.max(b.id.number));
+                        want.push((Design::Intel6, lo, hi));
+                    }
+                }
+            }
+            let doc = doc_with(errata, Vec::new());
+            prop_assert_eq!(detect_defects(&doc, &[]).intra_doc_duplicates, want);
+        }
     }
 
     #[test]

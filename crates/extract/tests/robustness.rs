@@ -3,7 +3,7 @@
 
 use proptest::prelude::*;
 use rememberr_docgen::{CorpusSpec, SyntheticCorpus};
-use rememberr_extract::extract_document;
+use rememberr_extract::{extract_document, ERRATA_HEADING};
 use rememberr_model::Design;
 
 fn sample_text() -> (Design, String) {
@@ -21,6 +21,30 @@ enum Mutation {
     SwapLines(usize, usize),
     InsertGarbage(usize),
     DropFormFeeds,
+    /// Empties the title of the i-th erratum.
+    BlankTitle(usize),
+    /// Gives the i-th erratum a title of stopwords only, whose normalized
+    /// token set is empty.
+    StopwordTitle(usize),
+    /// Repeats the i-th erratum section: a name collision with an
+    /// identical body.
+    DuplicateErratum(usize),
+}
+
+/// Indices of the erratum header lines (`<id>  <title>`) after the errata
+/// heading.
+fn header_lines(lines: &[&str]) -> Vec<usize> {
+    let Some(heading) = lines.iter().position(|l| l.trim() == ERRATA_HEADING) else {
+        return Vec::new();
+    };
+    (heading + 1..lines.len())
+        .filter(|&i| {
+            lines[i].split_once("  ").is_some_and(|(id, _)| {
+                id.chars().all(|c| c.is_ascii_alphanumeric())
+                    && id.ends_with(|c: char| c.is_ascii_digit())
+            })
+        })
+        .collect()
 }
 
 fn mutate(text: &str, mutation: &Mutation) -> String {
@@ -55,6 +79,41 @@ fn mutate(text: &str, mutation: &Mutation) -> String {
             lines.join("\n")
         }
         Mutation::DropFormFeeds => text.replace('\u{c}', "\n"),
+        Mutation::BlankTitle(i) | Mutation::StopwordTitle(i) => {
+            let headers = header_lines(&lines);
+            if headers.is_empty() {
+                return text.to_string();
+            }
+            let h = headers[i % headers.len()];
+            let id = lines[h].split_once("  ").map_or("", |(id, _)| id);
+            let title = match mutation {
+                Mutation::BlankTitle(_) => "",
+                _ => "The Of May Be",
+            };
+            let header = format!("{id}  {title}");
+            // The header plus its indented continuation lines.
+            let title_end = (h + 1..lines.len())
+                .find(|&k| !lines[k].starts_with(' '))
+                .unwrap_or(lines.len());
+            lines.drain(h..title_end);
+            lines.insert(h, &header);
+            lines.join("\n")
+        }
+        Mutation::DuplicateErratum(i) => {
+            let headers = header_lines(&lines);
+            if headers.is_empty() {
+                return text.to_string();
+            }
+            let h = headers[i % headers.len()];
+            let end = (h..lines.len())
+                .find(|&k| lines[k].trim().is_empty())
+                .unwrap_or(lines.len());
+            let copy: Vec<&str> = std::iter::once("")
+                .chain(lines[h..end].iter().copied())
+                .collect();
+            lines.splice(end..end, copy);
+            lines.join("\n")
+        }
     }
 }
 
@@ -66,6 +125,9 @@ fn mutation_strategy() -> impl Strategy<Value = Mutation> {
         ((0usize..5_000), (0usize..5_000)).prop_map(|(a, b)| Mutation::SwapLines(a, b)),
         (0usize..5_000).prop_map(Mutation::InsertGarbage),
         Just(Mutation::DropFormFeeds),
+        (0usize..500).prop_map(Mutation::BlankTitle),
+        (0usize..500).prop_map(Mutation::StopwordTitle),
+        (0usize..500).prop_map(Mutation::DuplicateErratum),
     ]
 }
 

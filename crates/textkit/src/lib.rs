@@ -8,10 +8,10 @@
 //!   erratum prose, aware of numbers, hex constants and register names;
 //! * [`normalize`] / [`normalized_key`] — stopword removal and light
 //!   stemming for duplicate detection;
-//! * [`levenshtein`], [`title_similarity`], [`TitleKey`] — the similarity
-//!   metric behind the Intel duplicate-detection cascade, with an exact
-//!   threshold check that skips the edit-distance program when cheap bounds
-//!   settle a pair;
+//! * [`levenshtein`], [`TitleKey`] — the title-similarity metric behind the
+//!   Intel duplicate-detection cascade and the intra-document duplicate
+//!   check, with an exact threshold check that skips the edit-distance
+//!   program when cheap bounds settle a pair;
 //! * [`Pattern`] / [`PatternSet`] — a token-phrase pattern engine replacing
 //!   the paper's regex rules;
 //! * [`RuleMatcher`] — an indexed multi-pattern engine that matches a whole
@@ -28,17 +28,16 @@
 //! # Examples
 //!
 //! ```
-//! use rememberr_textkit::{Pattern, title_similarity};
+//! use rememberr_textkit::{Pattern, TitleKey};
 //!
 //! # fn main() -> Result<(), rememberr_textkit::PatternError> {
 //! let p = Pattern::parse("machine check <2> exception")?;
 //! assert!(p.matches("a Machine Check Architecture exception occurs"));
 //!
-//! let s = title_similarity(
-//!     "X87 FDP Value May be Saved Incorrectly",
-//!     "x87 FDP Values Might Be Saved Incorrectly",
-//! );
-//! assert!(s > 0.9);
+//! let a = TitleKey::new("X87 FDP Value May be Saved Incorrectly");
+//! let b = TitleKey::new("x87 FDP Values Might Be Saved Incorrectly");
+//! assert!(a.similarity(&b) > 0.9);
+//! assert!(a.similarity_at_least(&b, 0.9).passes);
 //! # Ok(())
 //! # }
 //! ```
@@ -67,8 +66,6 @@ pub use intern::Interner;
 pub use matcher::{MatchSet, RuleMatcher};
 pub use normalize::{is_stopword, normalize, normalized_key, stem, stem_owned};
 pub use pattern::{Pattern, PatternError, PatternSet, PreparedText, Span};
-pub use similarity::{
-    levenshtein, levenshtein_similarity, title_similarity, ThresholdCheck, TitleKey,
-};
+pub use similarity::{levenshtein, levenshtein_similarity, ThresholdCheck, TitleKey};
 pub use tokenize::{tokenize, word_tokens, Token, TokenKind};
 pub use wrap::{reflow, reflow_counted, wrap, ReflowStats};

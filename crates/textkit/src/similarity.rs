@@ -3,7 +3,7 @@
 //! The Intel duplicate detector ranks candidate pairs by title similarity
 //! (Section IV-A: "title similarity is a strong indicator of potential
 //! duplicates"). We provide Levenshtein distance (banded, early-exit) and
-//! the composite [`title_similarity`] the cascade uses: a blend of token-set
+//! the composite title similarity the cascade uses: a blend of token-set
 //! Jaccard and Levenshtein similarity over normalized titles, precomputed
 //! per title as a [`TitleKey`].
 
@@ -150,28 +150,16 @@ fn decide_threshold(jaccard: f64, a: &str, b: &str, threshold: f64) -> Threshold
     }
 }
 
-/// Composite title similarity in `[0, 1]`, the ranking key of the Intel
-/// duplicate-detection cascade.
-///
-/// Titles are normalized (stopwords out, light stemming), then the score is
-/// a blend of token Jaccard and character-level Levenshtein similarity on
-/// the normalized keys: Jaccard captures word permutations, Levenshtein
-/// captures near-identical phrasing with small in-word edits.
-///
-/// Normalization dominates the cost of a single comparison; callers scoring
-/// one title against many (the dedup cascade is O(n²) in the worst case)
-/// should precompute a [`TitleKey`] per title instead.
-pub fn title_similarity(a: &str, b: &str) -> f64 {
-    TitleKey::new(a).similarity(&TitleKey::new(b))
-}
-
 /// A title's precomputed similarity key: its normalized token set and
 /// joined normalized form, computed once so repeated comparisons skip
 /// re-normalization.
 ///
-/// `TitleKey::new(a).similarity(&TitleKey::new(b))` equals
-/// `title_similarity(a, b)` exactly; the type only hoists the
-/// tokenize/stopword/stem work out of comparison loops.
+/// Titles are normalized (stopwords out, light stemming), then
+/// [`TitleKey::similarity`] blends token Jaccard and character-level
+/// Levenshtein similarity on the normalized keys: Jaccard captures word
+/// permutations, Levenshtein captures near-identical phrasing with small
+/// in-word edits. Normalization dominates the cost of a comparison, so
+/// callers build one key per title and compare keys.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct TitleKey {
     /// Distinct normalized tokens (the Jaccard operand).
@@ -216,8 +204,8 @@ impl TitleKey {
         &self.tokens
     }
 
-    /// Composite similarity against another precomputed key; same blend and
-    /// same result as [`title_similarity`] on the original titles.
+    /// Composite title similarity in `[0, 1]` against another key, the
+    /// ranking key of the Intel duplicate-detection cascade.
     #[must_use]
     pub fn similarity(&self, other: &Self) -> f64 {
         let l = levenshtein_similarity(&self.joined, &other.joined);
@@ -246,8 +234,29 @@ impl TitleKey {
     /// provably leaves the band that could still pass. `passes` is
     /// bit-for-bit identical to comparing [`TitleKey::similarity`] against
     /// `threshold`; `scored` reports whether the dynamic program ran.
+    ///
+    /// Before the token-set intersection, the token counts alone may reject
+    /// the pair: `jaccard <= min(|A|, |B|) / max(|A|, |B|)`, and correctly
+    /// rounded division is monotone in both operands, so the bound holds in
+    /// floating point too. A pair it rejects also fails the first bound of
+    /// the edit-distance decision, so `scored` is what that decision alone
+    /// would report.
     #[must_use]
     pub fn similarity_at_least(&self, other: &Self, threshold: f64) -> ThresholdCheck {
+        let (na, nb) = (self.tokens.len(), other.tokens.len());
+        let max_len = self.joined.len().max(other.joined.len());
+        // Both token sets empty (jaccard 1) or both keys empty (no length
+        // bound): the decision below handles those exactly.
+        if na.max(nb) > 0 && max_len > 0 {
+            let j_upper = na.min(nb) as f64 / na.max(nb) as f64;
+            let d_lower = self.joined.len().abs_diff(other.joined.len());
+            if composite(j_upper, 1.0 - d_lower as f64 / max_len as f64) < threshold {
+                return ThresholdCheck {
+                    passes: false,
+                    scored: false,
+                };
+            }
+        }
         decide_threshold(self.jaccard(other), &self.joined, &other.joined, threshold)
     }
 }
@@ -284,13 +293,15 @@ mod tests {
     }
 
     #[test]
-    fn title_similarity_ranks_near_duplicates_high() {
-        let a = "X87 FDP Value May be Saved Incorrectly";
-        let b = "x87 FDP Values Might Be Saved Incorrectly";
-        let c = "Processor May Hang When Switching Between Instruction Cache and Op Cache";
-        assert!(title_similarity(a, b) > 0.9, "{}", title_similarity(a, b));
-        assert!(title_similarity(a, c) < 0.3, "{}", title_similarity(a, c));
-        assert!(title_similarity(a, a) > 0.999);
+    fn title_key_ranks_near_duplicates_high() {
+        let a = TitleKey::new("X87 FDP Value May be Saved Incorrectly");
+        let b = TitleKey::new("x87 FDP Values Might Be Saved Incorrectly");
+        let c = TitleKey::new(
+            "Processor May Hang When Switching Between Instruction Cache and Op Cache",
+        );
+        assert!(a.similarity(&b) > 0.9, "{}", a.similarity(&b));
+        assert!(a.similarity(&c) < 0.3, "{}", a.similarity(&c));
+        assert!(a.similarity(&a) > 0.999);
     }
 
     #[test]
@@ -317,24 +328,44 @@ mod tests {
         }
     }
 
+    /// Stopwords, stem variants and a few content words: titles drawn from
+    /// this share most tokens, so pairs land on both sides of thresholds in
+    /// `[0.8, 1.0]`, and some are empty or stopwords only.
+    const VOCAB: &[&str] = &[
+        "the", "of", "may", "might", "be", "warm", "reset", "resets", "hang", "hanging", "hangs",
+        "cache", "caches", "value", "values", "saved", "x87", "usb",
+    ];
+
+    fn vocab_title() -> impl Strategy<Value = String> {
+        prop::collection::vec((0..VOCAB.len()).prop_map(|i| VOCAB[i]), 0..8)
+            .prop_map(|words| words.join(" "))
+    }
+
+    /// Arbitrary strings at any threshold, or vocabulary titles at
+    /// thresholds around the intra-document check's 0.9, where the
+    /// token-count bound both rejects and passes pairs.
+    fn titles_and_threshold() -> impl Strategy<Value = (String, String, f64)> {
+        prop_oneof![
+            (".{0,60}", ".{0,60}", 0.0f64..1.0),
+            (
+                vocab_title(),
+                vocab_title(),
+                prop_oneof![0.8f64..1.0, Just(0.9), Just(1.0)],
+            ),
+        ]
+    }
+
     proptest! {
         #[test]
         fn threshold_check_matches_full_similarity(
-            a in ".{0,60}",
-            b in ".{0,60}",
-            threshold in 0.0f64..1.0,
+            (a, b, threshold) in titles_and_threshold(),
         ) {
             let (ka, kb) = (TitleKey::new(&a), TitleKey::new(&b));
             let full = ka.similarity(&kb) >= threshold;
-            let fast = ka.similarity_at_least(&kb, threshold).passes;
-            prop_assert_eq!(fast, full, "threshold {} on {:?} vs {:?}", threshold, a, b);
-        }
-
-        #[test]
-        fn title_key_similarity_matches_direct_similarity(a in ".{0,60}", b in ".{0,60}") {
-            let cached = TitleKey::new(&a).similarity(&TitleKey::new(&b));
-            let direct = title_similarity(&a, &b);
-            prop_assert!((cached - direct).abs() == 0.0, "cached {cached} != direct {direct}");
+            let fast = ka.similarity_at_least(&kb, threshold);
+            prop_assert_eq!(fast.passes, full, "threshold {} on {:?} vs {:?}", threshold, a, b);
+            let unbounded = decide_threshold(ka.jaccard(&kb), ka.joined(), kb.joined(), threshold);
+            prop_assert_eq!(fast.scored, unbounded.scored, "{:?} vs {:?}", a, b);
         }
 
         #[test]
@@ -350,7 +381,7 @@ mod tests {
 
         #[test]
         fn similarity_scores_are_in_unit_interval(a in ".{0,40}", b in ".{0,40}") {
-            let t = title_similarity(&a, &b);
+            let t = TitleKey::new(&a).similarity(&TitleKey::new(&b));
             prop_assert!((0.0..=1.0).contains(&t), "title {t}");
             let l = levenshtein_similarity(&a, &b);
             prop_assert!((-1e-9..=1.0 + 1e-9).contains(&l), "lev {l}");

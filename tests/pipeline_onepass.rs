@@ -5,7 +5,8 @@
 //! byte-identical database JSON, identical `DedupStats` (including the
 //! `comparisons_made` diagnostic), `DecisionStats` and assist summaries, at
 //! single- and multi-worker counts — while tokenizing each database entry
-//! exactly once (the `textkit.tokenize_calls` audit counter).
+//! exactly once (the `textkit.tokenize_calls` audit counter). Ingesting
+//! rendered text adds exactly one title key per extracted erratum.
 
 use std::num::NonZeroUsize;
 use std::sync::Mutex;
@@ -17,6 +18,7 @@ use rememberr_classify::{
     MatcherKind, Rules,
 };
 use rememberr_docgen::{CorpusSpec, SyntheticCorpus};
+use rememberr_extract::extract_corpus;
 
 /// Both tests mutate process-global state (worker count, obs counters), so
 /// they serialize on this lock.
@@ -126,34 +128,52 @@ fn one_pass_pipeline_tokenizes_each_entry_exactly_once() {
     let corpus = SyntheticCorpus::generate(&CorpusSpec::scaled(0.25));
     let rules = Rules::standard();
 
-    rememberr_obs::reset();
-    rememberr_obs::enable();
-    let (mut db, arena) = Database::from_documents_analyzed(
-        &corpus.structured,
-        DedupStrategy::default(),
-        CandidateGen::default(),
-    );
-    classify_database_analyzed(
-        &mut db,
-        &rules,
-        HumanOracle::Simulated(&corpus.truth),
-        &FourEyesConfig::default(),
-        MatcherKind::default(),
-        &arena,
-    );
-    assist_highlights_analyzed(&db, &rules, &arena);
-    let snapshot = rememberr_obs::snapshot();
-    rememberr_obs::disable();
-    rememberr_obs::reset();
+    // The ingest path from rendered text: extraction builds one title key
+    // per erratum, then the arena tokenizes each database entry once.
+    for jobs in [1usize, 8] {
+        rememberr_par::set_jobs(NonZeroUsize::new(jobs));
+        rememberr_obs::reset();
+        rememberr_obs::enable();
+        let (documents, _) =
+            extract_corpus(corpus.rendered.iter().map(|r| (r.design, r.text.as_str())))
+                .expect("the rendered corpus extracts");
+        let after_extract = tokenize_calls();
+        let (mut db, arena) = Database::from_documents_analyzed(
+            &documents,
+            DedupStrategy::default(),
+            CandidateGen::default(),
+        );
+        classify_database_analyzed(
+            &mut db,
+            &rules,
+            HumanOracle::Simulated(&corpus.truth),
+            &FourEyesConfig::default(),
+            MatcherKind::default(),
+            &arena,
+        );
+        assist_highlights_analyzed(&db, &rules, &arena);
+        let total = tokenize_calls();
+        rememberr_obs::disable();
+        rememberr_obs::reset();
 
-    let calls = snapshot
+        let extracted: u64 = documents.iter().map(|d| d.errata.len() as u64).sum();
+        assert_eq!(
+            after_extract, extracted,
+            "extraction must key each erratum title exactly once (jobs={jobs})"
+        );
+        assert_eq!(
+            total,
+            extracted + db.len() as u64,
+            "the one-pass pipeline must tokenize each erratum exactly once (jobs={jobs})"
+        );
+    }
+    rememberr_par::set_jobs(None);
+}
+
+fn tokenize_calls() -> u64 {
+    rememberr_obs::snapshot()
         .counters
         .get("textkit.tokenize_calls")
         .copied()
-        .unwrap_or(0);
-    assert_eq!(
-        calls,
-        db.len() as u64,
-        "the one-pass pipeline must tokenize each erratum exactly once"
-    );
+        .unwrap_or(0)
 }
