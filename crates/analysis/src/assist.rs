@@ -9,9 +9,10 @@
 //!
 //! Two entry points share one implementation: [`assist_highlights`]
 //! re-tokenizes each representative's text, while
-//! [`assist_highlights_analyzed`] borrows the already-prepared text from an
-//! [`AnalyzedCorpus`] (the single-pass pipeline's shared arena), skipping
-//! the tokenization entirely.
+//! [`assist_highlights_analyzed`] borrows the already-prepared text and the
+//! rule-match pass that classification memoized from an [`AnalyzedCorpus`]
+//! (the single-pass pipeline's shared arena), skipping both the
+//! tokenization and a second match pass.
 
 use std::collections::{BTreeMap, HashMap};
 
@@ -91,15 +92,15 @@ fn assist_impl(db: &Database, rules: &Rules, corpus: Option<&AnalyzedCorpus>) ->
         let highlights = match corpus {
             // The highlight set is the strong rule library in library
             // order (see `Rules::highlight_set`), which is also how the
-            // shared matcher numbers its first pattern ids — so one
-            // indexed match pass prunes the set to the rules that match
-            // this text, and only those are scanned for their full span
-            // lists. Pruning is lossless: the output is identical to the
-            // exhaustive scan the per-stage arm performs.
+            // shared matcher numbers its first pattern ids — so the
+            // representative's match set, memoized in the corpus when
+            // classification matched it, prunes the set to the rules that
+            // match this text, and only those are scanned for their full
+            // span lists. Pruning is lossless: the output is identical to
+            // the exhaustive scan the per-stage arm performs.
             Some(corpus) => {
-                let text = corpus.text(i);
-                let matches = rules.matcher().match_doc(text);
-                highlights_prepared_filtered(&patterns, text, |id| matches.is_match(id))
+                let matches = corpus.match_set(i, rules.matcher());
+                highlights_prepared_filtered(&patterns, corpus.text(i), |id| matches.is_match(id))
             }
             None => highlights_prepared(
                 &patterns,

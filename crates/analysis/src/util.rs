@@ -27,7 +27,7 @@ pub fn unique_of(db: &Database, vendor: Vendor) -> Vec<&DbEntry> {
         .collect()
 }
 
-/// Distinct cluster keys listed by a design's document.
+/// Distinct cluster keys listed by a design's document, sorted.
 pub fn keys_in_document(db: &Database, design: rememberr_model::Design) -> Vec<UniqueKey> {
     let mut keys: Vec<UniqueKey> = db.entries_for(design).filter_map(|e| e.key).collect();
     keys.sort_unstable();

@@ -2,7 +2,7 @@
 
 use rememberr_extract::scan_msr_refs;
 use rememberr_model::{Annotation, Category, Erratum};
-use rememberr_textkit::PreparedText;
+use rememberr_textkit::{MatchSet, PreparedText};
 
 use crate::rules::Rules;
 
@@ -123,102 +123,133 @@ pub fn classify_prepared_with(
     text: &PreparedText,
     matcher: MatcherKind,
 ) -> AutoClassification {
+    match matcher {
+        MatcherKind::Indexed => {
+            classify_matched(rules, erratum, text, &rules.matcher().match_doc(text))
+        }
+        MatcherKind::Exhaustive => classify_exhaustive(rules, erratum, text),
+    }
+}
+
+/// The indexed classification of one erratum from a [`MatchSet`] that
+/// `rules.matcher()` already computed over `text`, so a caller holding the
+/// set (the single-pass pipeline memoizes one per representative) runs no
+/// second match pass.
+pub(crate) fn classify_matched(
+    rules: &Rules,
+    erratum: &Erratum,
+    text: &PreparedText,
+    matches: &MatchSet,
+) -> AutoClassification {
     let mut annotation = Annotation::new();
     let mut needs_human = Vec::new();
     let mut auto_decided = 0usize;
+    rememberr_obs::count("classify.pattern_evals", matches.evaluated);
+    rememberr_obs::count("classify.patterns_pruned", matches.pruned);
+    for category in Category::all() {
+        let resolved = if let Some(span) = rules
+            .strong_ids_for(category)
+            .iter()
+            .find_map(|&id| matches.first_span(id))
+        {
+            // Decision and snippet come from the same pass: the match set
+            // already holds the first span of the first matching strong
+            // rule.
+            Resolved::Relevant(text.snippet(span).to_string())
+        } else if rules.weak_ids_for(category).any(|id| matches.is_match(id)) {
+            Resolved::Human
+        } else {
+            Resolved::Irrelevant
+        };
+        apply(
+            resolved,
+            category,
+            &mut annotation,
+            &mut needs_human,
+            &mut auto_decided,
+        );
+    }
+    let complex = rules.complex_ids().any(|id| matches.is_match(id));
+    finish(annotation, needs_human, auto_decided, erratum, complex)
+}
 
-    let complex = match matcher {
-        MatcherKind::Indexed => {
-            let matches = rules.matcher().match_doc(text);
-            rememberr_obs::count("classify.pattern_evals", matches.evaluated);
-            rememberr_obs::count("classify.patterns_pruned", matches.pruned);
-            for category in Category::all() {
-                let resolved = if let Some(span) = rules
-                    .strong_ids_for(category)
-                    .iter()
-                    .find_map(|&id| matches.first_span(id))
-                {
-                    // Decision and snippet come from the same pass: the
-                    // match set already holds the first span of the first
-                    // matching strong rule.
-                    Resolved::Relevant(text.snippet(span).to_string())
-                } else if rules.weak_ids_for(category).any(|id| matches.is_match(id)) {
-                    Resolved::Human
-                } else {
-                    Resolved::Irrelevant
-                };
-                apply(
-                    resolved,
-                    category,
-                    &mut annotation,
-                    &mut needs_human,
-                    &mut auto_decided,
-                );
+/// The pattern-by-pattern oracle behind [`MatcherKind::Exhaustive`].
+fn classify_exhaustive(
+    rules: &Rules,
+    erratum: &Erratum,
+    text: &PreparedText,
+) -> AutoClassification {
+    let mut annotation = Annotation::new();
+    let mut needs_human = Vec::new();
+    let mut auto_decided = 0usize;
+    // The original shape: every category filters the library and
+    // scans pattern-by-pattern, then re-scans to cut the snippet.
+    let mut evals = 0u64;
+    for category in Category::all() {
+        let mut matched = false;
+        for p in rules.strong_for(category) {
+            evals += 1;
+            if p.is_match(text) {
+                matched = true;
+                break;
             }
-            rules.complex_ids().any(|id| matches.is_match(id))
         }
-        MatcherKind::Exhaustive => {
-            // The original shape: every category filters the library and
-            // scans pattern-by-pattern, then re-scans to cut the snippet.
-            let mut evals = 0u64;
-            for category in Category::all() {
-                let mut matched = false;
-                for p in rules.strong_for(category) {
-                    evals += 1;
-                    if p.is_match(text) {
-                        matched = true;
-                        break;
-                    }
-                }
-                let resolved = if matched {
-                    let mut snippet = None;
-                    for p in rules.strong_for(category) {
-                        evals += 1;
-                        if let Some(span) = p.find_in(text).first() {
-                            snippet = Some(text.snippet(*span).to_string());
-                            break;
-                        }
-                    }
-                    Resolved::Relevant(snippet.unwrap_or_default())
-                } else {
-                    let mut human = false;
-                    for p in rules.weak_for(category) {
-                        evals += 1;
-                        if p.is_match(text) {
-                            human = true;
-                            break;
-                        }
-                    }
-                    if human {
-                        Resolved::Human
-                    } else {
-                        Resolved::Irrelevant
-                    }
-                };
-                apply(
-                    resolved,
-                    category,
-                    &mut annotation,
-                    &mut needs_human,
-                    &mut auto_decided,
-                );
-            }
-            let mut complex = false;
-            for p in rules.complex() {
+        let resolved = if matched {
+            let mut snippet = None;
+            for p in rules.strong_for(category) {
                 evals += 1;
-                if p.is_match(text) {
-                    complex = true;
+                if let Some(span) = p.find_in(text).first() {
+                    snippet = Some(text.snippet(*span).to_string());
                     break;
                 }
             }
-            rememberr_obs::count("classify.pattern_evals", evals);
-            complex
+            Resolved::Relevant(snippet.unwrap_or_default())
+        } else {
+            let mut human = false;
+            for p in rules.weak_for(category) {
+                evals += 1;
+                if p.is_match(text) {
+                    human = true;
+                    break;
+                }
+            }
+            if human {
+                Resolved::Human
+            } else {
+                Resolved::Irrelevant
+            }
+        };
+        apply(
+            resolved,
+            category,
+            &mut annotation,
+            &mut needs_human,
+            &mut auto_decided,
+        );
+    }
+    let mut complex = false;
+    for p in rules.complex() {
+        evals += 1;
+        if p.is_match(text) {
+            complex = true;
+            break;
         }
-    };
+    }
+    rememberr_obs::count("classify.pattern_evals", evals);
+    finish(annotation, needs_human, auto_decided, erratum, complex)
+}
 
+/// Attaches the MSR references and the complex-conditions flag, which
+/// both matchers derive the same way.
+fn finish(
+    mut annotation: Annotation,
+    needs_human: Vec<Category>,
+    auto_decided: usize,
+    erratum: &Erratum,
+    complex: bool,
+) -> AutoClassification {
     annotation.msrs = scan_msr_refs(&erratum.description);
     annotation.complex_conditions = complex;
-
     AutoClassification {
         annotation,
         needs_human,

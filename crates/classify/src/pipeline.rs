@@ -19,7 +19,7 @@ use serde::{Deserialize, Serialize};
 /// who assign an abstract category without quoting erratum text.
 const HUMAN_SNIPPET: &str = "[four-eyes]";
 
-use crate::auto::{classify_prepared_with, prepare, MatcherKind};
+use crate::auto::{classify_matched, classify_prepared_with, prepare, MatcherKind};
 use crate::foureyes::{run_four_eyes_over, FourEyesConfig, FourEyesOutcome, HumanItem};
 use crate::rules::Rules;
 
@@ -99,7 +99,9 @@ pub fn classify_database_with(
 /// the preparation of entry `i`'s full text, as produced by
 /// `Database::from_documents_analyzed`). The rule stage borrows each
 /// representative's prepared text from the corpus instead of re-tokenizing
-/// it, which is what makes the single-pass pipeline single-pass.
+/// it, which is what makes the single-pass pipeline single-pass, and the
+/// indexed matcher reads the representative's memoized match set
+/// ([`AnalyzedCorpus::match_set`]), which later stages reuse.
 pub fn classify_database_analyzed(
     db: &mut Database,
     rules: &Rules,
@@ -169,11 +171,17 @@ fn classify_database_impl(
         let _span = rememberr_obs::span!("classify.rules");
         rememberr_par::par_map(&rep_entries, |&i| {
             let entry = &db.entries()[i];
-            match corpus {
-                Some(corpus) => {
+            match (corpus, matcher) {
+                (Some(corpus), MatcherKind::Indexed) => classify_matched(
+                    rules,
+                    &entry.erratum,
+                    corpus.text(i),
+                    &corpus.match_set(i, rules.matcher()),
+                ),
+                (Some(corpus), MatcherKind::Exhaustive) => {
                     classify_prepared_with(rules, &entry.erratum, corpus.text(i), matcher)
                 }
-                None => {
+                (None, _) => {
                     classify_prepared_with(rules, &entry.erratum, &prepare(&entry.erratum), matcher)
                 }
             }
@@ -248,10 +256,7 @@ fn classify_database_impl(
     };
 
     // Attach to every cluster member (by key: identifiers can collide).
-    for (_, key) in &representatives {
-        let ann = annotations.remove(key).expect("annotation present");
-        db.annotate_key(*key, ann);
-    }
+    db.annotate_keys(&annotations);
 
     let unique_errata = representatives.len();
     let stats = DecisionStats {
@@ -398,6 +403,49 @@ mod tests {
 
         assert_eq!(legacy_run.stats, analyzed_run.stats);
         assert_eq!(legacy.entries(), analyzed.entries());
+    }
+
+    #[test]
+    fn two_rule_libraries_over_one_arena_each_get_their_own_matches() {
+        use rememberr_model::Vendor;
+        use rememberr_textkit::DocText;
+
+        let corpus = SyntheticCorpus::generate(&CorpusSpec::scaled(0.05));
+        let db = Database::from_documents(&corpus.structured);
+        let arena = AnalyzedCorpus::analyze(db.entries(), |e| DocText {
+            text: e.erratum.full_text(),
+            title_len: e.erratum.title.len(),
+            analyze_title: e.vendor() == Vendor::Intel,
+        });
+        // A small library whose pattern ids mean something else than the
+        // standard library's; it runs first, so the arena memoizes its
+        // match sets.
+        let small = Rules::compile(
+            &[("Trg_EXT_rst", "reset"), ("Eff_HNG_hng", "hang|hangs")],
+            &[("Trg_POW_pwc", "power")],
+            &["complex set of conditions"],
+        )
+        .unwrap();
+        for rules in [&small, &Rules::standard()] {
+            let mut per_stage = db.clone();
+            let per_stage_run = classify_database(
+                &mut per_stage,
+                rules,
+                HumanOracle::None,
+                &FourEyesConfig::default(),
+            );
+            let mut analyzed = db.clone();
+            let analyzed_run = classify_database_analyzed(
+                &mut analyzed,
+                rules,
+                HumanOracle::None,
+                &FourEyesConfig::default(),
+                MatcherKind::default(),
+                &arena,
+            );
+            assert_eq!(per_stage_run.stats, analyzed_run.stats);
+            assert_eq!(per_stage.entries(), analyzed.entries());
+        }
     }
 
     #[test]

@@ -374,7 +374,9 @@ pub fn cmd_profile(args: &ParsedArgs) -> CmdResult {
             .map_err(|e| e.to_string())?;
     // Single-pass mode: one shared analysis arena feeds dedup, classify,
     // and the highlighting assist, so each erratum is tokenized exactly
-    // once (the `textkit.tokenize_calls` counter below shows it).
+    // once and each representative matched once (the
+    // `textkit.tokenize_calls` and `textkit.match_doc_calls` counters
+    // below show it).
     let rules = Rules::standard();
     let (mut db, arena) =
         Database::from_documents_analyzed(&documents, DedupStrategy::default(), Default::default());
@@ -414,16 +416,19 @@ pub fn cmd_profile(args: &ParsedArgs) -> CmdResult {
 
 /// Renders the deterministic effort counters of the single-pass pipeline:
 /// how many same-document title pairs extraction checked, how many
-/// documents the corpus analysis covered and how many tokenization passes
-/// the whole run paid for. The arena contributes exactly one tokenization
-/// per entry; the calls outside it are extraction's one title key per
-/// erratum (docgen adds none).
+/// documents the corpus analysis covered, how many tokenization passes the
+/// whole run paid for and how many rule-match passes. The arena
+/// contributes exactly one tokenization per entry; the calls outside it
+/// are extraction's one title key per erratum (docgen adds none).
+/// Classification and the highlighting assist share one match pass per
+/// representative.
 fn render_corpus_counters(snap: &rememberr_obs::Snapshot) -> String {
     let mut out = String::from("corpus analysis (deterministic):\n");
     let names = [
         "extract.title_comparisons",
         "corpus.docs_analyzed",
         "textkit.tokenize_calls",
+        "textkit.match_doc_calls",
     ];
     let width = names.iter().map(|n| n.len()).max().unwrap_or(0);
     for name in names {
@@ -584,9 +589,9 @@ PROFILE:
   shared corpus-analysis arena) with profiling on and prints a per-stage
   self/child-time table, the deterministic effort counters
   (extract.title_comparisons, corpus.docs_analyzed,
-  textkit.tokenize_calls), per-worker utilization, and the busy-time
-  imbalance ratio. Combine with --trace-out for a trace
-  of the same run.
+  textkit.tokenize_calls, textkit.match_doc_calls), per-worker
+  utilization, and the busy-time imbalance ratio. Combine with
+  --trace-out for a trace of the same run.
 
 SNAPSHOTS (extract, classify):
   --snapshot-format jsonl|binary

@@ -416,6 +416,7 @@ fn profile_prints_stage_table_and_worker_utilization() {
     assert!(text.contains("extract.title_comparisons"), "{text}");
     assert!(text.contains("corpus.docs_analyzed"), "{text}");
     assert!(text.contains("textkit.tokenize_calls"), "{text}");
+    assert!(text.contains("textkit.match_doc_calls"), "{text}");
     // Worker utilization plus the imbalance ratio.
     assert!(text.contains("workers (wall clock):"), "{text}");
     assert!(text.contains("w00"), "{text}");

@@ -7,11 +7,12 @@ use serde::{DeError, Deserialize, Serialize, Value};
 
 use rememberr_textkit::{AnalyzedCorpus, DocText};
 
+use crate::cluster::ClusterTable;
 use crate::dedup::{
     assign_keys_analyzed, assign_keys_with, CandidateGen, DedupStats, DedupStrategy,
 };
 use crate::entry::DbEntry;
-use crate::index::{QueryIndex, QueryIndexCell};
+use crate::index::{DerivedCell, QueryIndex};
 
 /// The annotated, keyed errata database — the paper's primary artifact.
 ///
@@ -27,14 +28,15 @@ use crate::index::{QueryIndex, QueryIndexCell};
 /// assert!(db.unique_count() <= db.len());
 /// ```
 /// Identity (equality, serialization) is the entries plus dedup
-/// statistics; the cached query index is a derived acceleration structure
-/// and never part of either — see the manual `PartialEq`/`Serialize`/
-/// `Deserialize` impls below.
+/// statistics; the cached query index and cluster table are derived
+/// acceleration structures and never part of either — see the manual
+/// `PartialEq`/`Serialize`/`Deserialize` impls below.
 #[derive(Debug, Clone, Default)]
 pub struct Database {
     entries: Vec<DbEntry>,
     dedup_stats: DedupStats,
-    index: QueryIndexCell,
+    index: DerivedCell<QueryIndex>,
+    clusters: DerivedCell<ClusterTable>,
 }
 
 impl PartialEq for Database {
@@ -61,7 +63,7 @@ impl Deserialize for Database {
         Ok(Database {
             entries: field("entries").and_then(Vec::<DbEntry>::from_value)?,
             dedup_stats: field("dedup_stats").and_then(DedupStats::from_value)?,
-            index: QueryIndexCell::default(),
+            ..Database::default()
         })
     }
 }
@@ -100,7 +102,7 @@ impl Database {
         Self {
             entries,
             dedup_stats,
-            index: QueryIndexCell::default(),
+            ..Self::default()
         }
     }
 
@@ -128,7 +130,7 @@ impl Database {
         let db = Self {
             entries,
             dedup_stats,
-            index: QueryIndexCell::default(),
+            ..Self::default()
         };
         // Downstream consumers (classification, highlight assist) read the
         // arena only at representative positions — resolved exactly the way
@@ -177,20 +179,34 @@ impl Database {
         self.index.get_or_build(|| QueryIndex::build(self))
     }
 
+    /// The cluster table, cached beside the query index under the same
+    /// rules: built lazily, shared by concurrent readers, dropped by every
+    /// mutator.
+    fn clusters(&self) -> &ClusterTable {
+        self.clusters
+            .get_or_build(|| ClusterTable::build(&self.entries))
+    }
+
+    /// Drops the derived caches; every `&mut self` method calls it first.
+    fn invalidate_derived(&mut self) {
+        self.index.invalidate();
+        self.clusters.invalidate();
+    }
+
     /// Debug guard every `&mut self` mutator ends with: a mutation that
-    /// leaves a built index cached would serve stale query results.
-    fn debug_assert_index_invalidated(&self) {
+    /// leaves a built cache behind would serve stale results.
+    fn debug_assert_derived_invalidated(&self) {
         debug_assert!(
-            !self.index.is_built(),
-            "database mutation left a built query index behind"
+            !self.index.is_built() && !self.clusters.is_built(),
+            "database mutation left a built query index or cluster table behind"
         );
     }
 
     /// Restores dedup statistics (used when loading a persisted database).
     pub(crate) fn restore_dedup_stats(&mut self, stats: DedupStats) {
-        self.index.invalidate();
+        self.invalidate_derived();
         self.dedup_stats = stats;
-        self.debug_assert_index_invalidated();
+        self.debug_assert_derived_invalidated();
     }
 
     /// Entries listed by a given design's document.
@@ -205,8 +221,8 @@ impl Database {
 
     /// Mutable lookup, for attaching annotations.
     pub fn entry_mut(&mut self, id: ErratumId) -> Option<&mut DbEntry> {
-        self.index.invalidate();
-        self.debug_assert_index_invalidated();
+        self.invalidate_derived();
+        self.debug_assert_derived_invalidated();
         self.entries.iter_mut().find(|e| e.id() == id)
     }
 
@@ -226,48 +242,38 @@ impl Database {
     ///
     /// Returns the number of entries annotated.
     pub fn annotate_key(&mut self, key: UniqueKey, annotation: Annotation) -> usize {
-        self.index.invalidate();
+        self.annotate_keys(&HashMap::from([(key, annotation)]))
+    }
+
+    /// Attaches `annotations[key]` to every entry keyed `key`, for all keys
+    /// at once, in one pass over the entries. Entries whose key has no
+    /// annotation are left as they are.
+    ///
+    /// Returns the number of entries annotated.
+    pub fn annotate_keys(&mut self, annotations: &HashMap<UniqueKey, Annotation>) -> usize {
+        self.invalidate_derived();
         let mut n = 0;
         for e in &mut self.entries {
-            if e.key == Some(key) {
+            if let Some(annotation) = e.key.and_then(|key| annotations.get(&key)) {
                 e.annotation = Some(annotation.clone());
                 n += 1;
             }
         }
-        self.debug_assert_index_invalidated();
+        self.debug_assert_derived_invalidated();
         n
     }
 
-    /// One representative entry per unique key: the earliest disclosure
-    /// (ties broken by design order, then number).
+    /// One representative entry per unique key, in key order: the earliest
+    /// disclosure (ties broken by design order, then number, then entry
+    /// order).
     ///
     /// The paper's deduplicated ("unique errata") analyses run over exactly
     /// this view.
     pub fn unique_entries(&self) -> Vec<&DbEntry> {
-        let mut best: HashMap<UniqueKey, &DbEntry> = HashMap::new();
-        for e in &self.entries {
-            let Some(key) = e.key else { continue };
-            best.entry(key)
-                .and_modify(|cur| {
-                    let cand = (
-                        e.provenance.disclosure_date,
-                        e.design().index(),
-                        e.id().number,
-                    );
-                    let incumbent = (
-                        cur.provenance.disclosure_date,
-                        cur.design().index(),
-                        cur.id().number,
-                    );
-                    if cand < incumbent {
-                        *cur = e;
-                    }
-                })
-                .or_insert(e);
-        }
-        let mut out: Vec<&DbEntry> = best.into_values().collect();
-        out.sort_by_key(|e| e.key);
-        out
+        self.clusters()
+            .representatives()
+            .map(|pos| &self.entries[pos])
+            .collect()
     }
 
     /// Number of unique bugs (clusters).
@@ -296,19 +302,19 @@ impl Database {
     /// a new generation's errata document — joins an existing database, the
     /// extension path the paper's Section VII describes.
     pub fn merge(&mut self, other: Database, strategy: DedupStrategy) -> DedupStats {
-        self.index.invalidate();
+        self.invalidate_derived();
         self.entries.extend(other.entries);
         for entry in &mut self.entries {
             entry.key = None;
         }
         self.dedup_stats = assign_keys_with(&mut self.entries, strategy, CandidateGen::default());
-        self.debug_assert_index_invalidated();
+        self.debug_assert_derived_invalidated();
         self.dedup_stats
     }
 
-    /// All entries of the cluster containing `key`.
+    /// All entries of the cluster containing `key`, in entry order.
     pub fn cluster(&self, key: UniqueKey) -> impl Iterator<Item = &DbEntry> {
-        self.entries.iter().filter(move |e| e.key == Some(key))
+        self.clusters().members(key).map(|pos| &self.entries[pos])
     }
 
     /// Designs listing the cluster `key`, in canonical order, deduplicated.
@@ -339,9 +345,9 @@ impl Extend<DbEntry> for Database {
     /// Extends the database with pre-keyed entries. Dedup statistics are
     /// not recomputed; call [`crate::assign_keys`] afterwards if needed.
     fn extend<I: IntoIterator<Item = DbEntry>>(&mut self, iter: I) {
-        self.index.invalidate();
+        self.invalidate_derived();
         self.entries.extend(iter);
-        self.debug_assert_index_invalidated();
+        self.debug_assert_derived_invalidated();
     }
 }
 
@@ -499,25 +505,31 @@ mod tests {
         assert_eq!(q.count_indexed(db.query_index(), &db), q.count(&db));
     }
 
-    #[test]
-    fn every_mutation_path_invalidates_the_query_index() {
-        let (corpus, db) = small_db();
+    type Mutation = Box<dyn FnOnce(&mut Database)>;
+
+    /// Every `&mut self` mutator, each applied once to `db`'s first entry
+    /// or first cluster.
+    fn every_mutation(db: &Database, annotation: Annotation) -> Vec<(&'static str, Mutation)> {
         let id = db.entries()[0].id();
         let key = db.unique_entries()[0].key.unwrap();
+        let last_key = db.unique_entries().last().unwrap().key;
         let extra = db.entries()[0].clone();
-        let annotation = corpus.truth.bugs[0].profile.annotation.clone();
         let stats = db.dedup_stats();
-
-        type Mutation = Box<dyn FnOnce(&mut Database)>;
-        let mutations: Vec<(&str, Mutation)> = vec![
+        let all_keys: HashMap<UniqueKey, Annotation> = db
+            .unique_entries()
+            .iter()
+            .map(|e| (e.key.unwrap(), annotation.clone()))
+            .collect();
+        vec![
             (
                 "restore_dedup_stats",
                 Box::new(move |db| db.restore_dedup_stats(stats)),
             ),
             (
                 "entry_mut",
+                // Moves the entry into the last cluster.
                 Box::new(move |db| {
-                    let _ = db.entry_mut(id);
+                    db.entry_mut(id).unwrap().key = last_key;
                 }),
             ),
             ("annotate_cluster", {
@@ -532,6 +544,12 @@ mod tests {
                     let _ = db.annotate_key(key, annotation);
                 }),
             ),
+            (
+                "annotate_keys",
+                Box::new(move |db| {
+                    let _ = db.annotate_keys(&all_keys);
+                }),
+            ),
             ("extend", Box::new(move |db| db.extend([extra]))),
             (
                 "merge",
@@ -539,13 +557,169 @@ mod tests {
                     let _ = db.merge(Database::new(), crate::dedup::DedupStrategy::default());
                 }),
             ),
-        ];
-        for (name, mutate) in mutations {
+        ]
+    }
+
+    #[test]
+    fn every_mutation_path_invalidates_the_query_index() {
+        let (corpus, db) = small_db();
+        let annotation = corpus.truth.bugs[0].profile.annotation.clone();
+        for (name, mutate) in every_mutation(&db, annotation) {
             let mut db = db.clone();
             let _ = db.query_index();
+            let _ = db.unique_entries();
             assert!(db.index.is_built(), "{name}: index built before mutation");
+            assert!(
+                db.clusters.is_built(),
+                "{name}: table built before mutation"
+            );
             mutate(&mut db);
             assert!(!db.index.is_built(), "{name} left a built index cached");
+            assert!(!db.clusters.is_built(), "{name} left a built table cached");
+        }
+    }
+
+    #[test]
+    fn annotate_keys_annotates_exactly_the_listed_clusters() {
+        let (corpus, db) = small_db();
+        // Every other cluster, so unlisted clusters are covered too.
+        let annotations: HashMap<UniqueKey, Annotation> = db
+            .unique_entries()
+            .iter()
+            .step_by(2)
+            .zip(&corpus.truth.bugs)
+            .map(|(rep, bug)| (rep.key.unwrap(), bug.profile.annotation.clone()))
+            .collect();
+        let mut annotated = db.clone();
+        let n = annotated.annotate_keys(&annotations);
+        let mut expected = 0;
+        for (before, after) in db.entries().iter().zip(annotated.entries()) {
+            match before.key.and_then(|key| annotations.get(&key)) {
+                Some(annotation) => {
+                    expected += 1;
+                    assert_eq!(after.annotation.as_ref(), Some(annotation));
+                }
+                None => assert_eq!(after, before),
+            }
+        }
+        assert_eq!(n, expected);
+        assert!(expected > 0 && expected < db.len());
+    }
+
+    /// Today's linear-scan definitions of the cluster queries: the oracle
+    /// the cluster table is checked against.
+    mod oracle {
+        use super::*;
+
+        pub(super) fn cluster(db: &Database, key: UniqueKey) -> Vec<&DbEntry> {
+            db.entries().iter().filter(|e| e.key == Some(key)).collect()
+        }
+
+        pub(super) fn cluster_designs(db: &Database, key: UniqueKey) -> Vec<Design> {
+            let mut designs: Vec<Design> = cluster(db, key).iter().map(|e| e.design()).collect();
+            designs.sort_by_key(|d| d.index());
+            designs.dedup();
+            designs
+        }
+
+        pub(super) fn unique_entries(db: &Database) -> Vec<&DbEntry> {
+            let mut best: HashMap<UniqueKey, &DbEntry> = HashMap::new();
+            for e in db.entries() {
+                let Some(key) = e.key else { continue };
+                best.entry(key)
+                    .and_modify(|cur| {
+                        let cand = (
+                            e.provenance.disclosure_date,
+                            e.design().index(),
+                            e.id().number,
+                        );
+                        let incumbent = (
+                            cur.provenance.disclosure_date,
+                            cur.design().index(),
+                            cur.id().number,
+                        );
+                        if cand < incumbent {
+                            *cur = e;
+                        }
+                    })
+                    .or_insert(e);
+            }
+            let mut out: Vec<&DbEntry> = best.into_values().collect();
+            out.sort_by_key(|e| e.key);
+            out
+        }
+    }
+
+    /// Checks `cluster`, `cluster_designs` and `unique_entries` against the
+    /// oracle for every key present plus one absent key. Entries compare by
+    /// address, so the table must pick the very same entries, not equal
+    /// copies.
+    fn assert_clusters_match_oracle(db: &Database, when: &str) {
+        let addresses = |entries: Vec<&DbEntry>| -> Vec<*const DbEntry> {
+            entries.into_iter().map(|e| e as *const DbEntry).collect()
+        };
+        assert_eq!(
+            addresses(db.unique_entries()),
+            addresses(oracle::unique_entries(db)),
+            "unique_entries {when}"
+        );
+        let mut keys: Vec<UniqueKey> = db.entries().iter().filter_map(|e| e.key).collect();
+        keys.sort_unstable();
+        keys.dedup();
+        let absent = UniqueKey(keys.last().map_or(0, |k| k.0 + 1));
+        for key in keys.into_iter().chain([absent]) {
+            assert_eq!(
+                addresses(db.cluster(key).collect()),
+                addresses(oracle::cluster(db, key)),
+                "cluster {key} {when}"
+            );
+            assert_eq!(
+                db.cluster_designs(key),
+                oracle::cluster_designs(db, key),
+                "cluster_designs {key} {when}"
+            );
+        }
+    }
+
+    /// The cluster table of one docgen corpus agrees with the oracle after
+    /// dedup and before and after every mutator. Seeds docgen cannot build
+    /// a corpus from check nothing.
+    fn check_cluster_table(seed: u64, scale: f64) {
+        let mut spec = CorpusSpec::scaled(scale);
+        spec.seed = seed;
+        let Ok(corpus) = SyntheticCorpus::try_generate(&spec) else {
+            return;
+        };
+        let db = Database::from_documents(&corpus.structured);
+        assert_clusters_match_oracle(&db, "after dedup");
+        let annotation = corpus.truth.bugs[0].profile.annotation.clone();
+        for (name, mutate) in every_mutation(&db, annotation) {
+            let mut db = db.clone();
+            assert_clusters_match_oracle(&db, &format!("before {name}"));
+            mutate(&mut db);
+            assert_clusters_match_oracle(&db, &format!("after {name}"));
+        }
+
+        // A merge that re-keys two halves of the corpus together.
+        let half = corpus.structured.len() / 2;
+        let mut merged = Database::from_documents(&corpus.structured[..half]);
+        assert_clusters_match_oracle(&merged, "before merging halves");
+        let other = Database::from_documents(&corpus.structured[half..]);
+        merged.merge(other, crate::dedup::DedupStrategy::default());
+        assert_clusters_match_oracle(&merged, "after merging halves");
+    }
+
+    proptest::proptest! {
+        // Each case generates a corpus and checks every cluster sixteen
+        // times over, so keep the count small.
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(8))]
+
+        #[test]
+        fn cluster_table_matches_the_linear_scan_oracle(
+            seed in 0u64..1_000_000,
+            scale in 0.02f64..0.25,
+        ) {
+            check_cluster_table(seed, scale);
         }
     }
 

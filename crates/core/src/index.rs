@@ -35,15 +35,15 @@
 //! intersected beyond the driver) and `query.residual_checks` (candidates
 //! that went through the residual `matches` fallback).
 
-use std::collections::HashMap;
 use std::fmt;
 use std::sync::OnceLock;
 
 use rememberr_model::{
-    Context, Date, Design, Effect, FixStatus, MsrName, Trigger, TriggerClass, UniqueKey, Vendor,
+    Context, Date, Design, Effect, FixStatus, MsrName, Trigger, TriggerClass, Vendor,
     WorkaroundCategory,
 };
 
+use crate::cluster::representatives;
 use crate::db::Database;
 use crate::entry::DbEntry;
 use crate::query::Query;
@@ -177,33 +177,9 @@ impl QueryIndex {
         let entries = db.entries();
         let n = entries.len();
 
-        // Representative per cluster: earliest disclosure, ties broken by
-        // design order then erratum number, first position on full ties —
-        // exactly the choice `Database::unique_entries` makes.
-        let mut best: HashMap<UniqueKey, u32> = HashMap::new();
-        for (i, e) in entries.iter().enumerate() {
-            let Some(key) = e.key else { continue };
-            let cand = (
-                e.provenance.disclosure_date,
-                e.design().index(),
-                e.id().number,
-            );
-            best.entry(key)
-                .and_modify(|pos| {
-                    let cur = &entries[*pos as usize];
-                    let incumbent = (
-                        cur.provenance.disclosure_date,
-                        cur.design().index(),
-                        cur.id().number,
-                    );
-                    if cand < incumbent {
-                        *pos = i as u32;
-                    }
-                })
-                .or_insert(i as u32);
-        }
-        let mut reps: Vec<(UniqueKey, u32)> = best.into_iter().collect();
-        reps.sort_unstable_by_key(|&(key, _)| key);
+        // Representative per cluster, in key order: the same routine
+        // `Database::unique_entries` answers from, so the two never differ.
+        let reps = representatives(entries);
         let mut unique_rank = vec![u32::MAX; n];
         for (rank, &(_, pos)) in reps.iter().enumerate() {
             unique_rank[pos as usize] = rank as u32;
@@ -255,47 +231,53 @@ impl QueryIndex {
     }
 }
 
-/// Lazily-built [`QueryIndex`] cache living inside [`Database`].
+/// A lazily-built cache of a structure derived from a [`Database`]'s
+/// entries — the [`QueryIndex`] and the cluster table.
 ///
 /// The cell participates in the database's derived `Clone`/`Debug`/
 /// `Default` without leaking into equality or serialization: clones start
 /// empty (the clone rebuilds on first use), and two databases compare
-/// equal regardless of which of them has built its index.
-#[derive(Default)]
-pub(crate) struct QueryIndexCell(OnceLock<QueryIndex>);
+/// equal regardless of which of them has built a cache.
+pub(crate) struct DerivedCell<T>(OnceLock<T>);
 
-impl QueryIndexCell {
-    /// The cached index, building it on first use. Safe under concurrent
+impl<T> DerivedCell<T> {
+    /// The cached value, building it on first use. Safe under concurrent
     /// readers: one builds, the rest block and share the result.
-    pub(crate) fn get_or_build(&self, build: impl FnOnce() -> QueryIndex) -> &QueryIndex {
+    pub(crate) fn get_or_build(&self, build: impl FnOnce() -> T) -> &T {
         self.0.get_or_init(build)
     }
 
-    /// Drops any built index; the next reader rebuilds. Called by every
+    /// Drops any built value; the next reader rebuilds. Called by every
     /// database mutator.
     pub(crate) fn invalidate(&mut self) {
         self.0 = OnceLock::new();
     }
 
-    /// Whether an index is currently cached. Mutators debug-assert this
-    /// is false after invalidating — a mutation that leaves a built index
-    /// behind would serve stale query results.
+    /// Whether a value is currently cached. Mutators debug-assert this is
+    /// false after invalidating — a mutation that leaves a built cache
+    /// behind would serve stale results.
     pub(crate) fn is_built(&self) -> bool {
         self.0.get().is_some()
     }
 }
 
-impl Clone for QueryIndexCell {
-    fn clone(&self) -> Self {
-        QueryIndexCell::default()
+impl<T> Default for DerivedCell<T> {
+    fn default() -> Self {
+        DerivedCell(OnceLock::new())
     }
 }
 
-impl fmt::Debug for QueryIndexCell {
+impl<T> Clone for DerivedCell<T> {
+    fn clone(&self) -> Self {
+        DerivedCell::default()
+    }
+}
+
+impl<T> fmt::Debug for DerivedCell<T> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(match self.0.get() {
-            Some(_) => "QueryIndexCell(built)",
-            None => "QueryIndexCell(empty)",
+            Some(_) => "DerivedCell(built)",
+            None => "DerivedCell(empty)",
         })
     }
 }
@@ -540,7 +522,7 @@ mod tests {
 
     #[test]
     fn index_cell_clone_is_empty_and_invalidates() {
-        let cell = QueryIndexCell::default();
+        let cell = DerivedCell::default();
         assert!(!cell.is_built());
         let db = Database::new();
         cell.get_or_build(|| QueryIndex::build(&db));

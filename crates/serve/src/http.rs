@@ -91,12 +91,16 @@ pub fn read_request(
 ) -> ReadOutcome {
     let mut buf: Vec<u8> = Vec::with_capacity(512);
     let mut chunk = [0u8; 2048];
+    // `buf[..scanned]` holds no terminator, so each search looks only at
+    // the bytes that arrived since the last one.
+    let mut scanned = 0;
     loop {
-        if let Some(end) = head_end(&buf) {
-            return finish_request(stream, buf, end, give_up_at, stop);
-        }
-        if buf.len() > MAX_HEAD_BYTES {
-            return ReadOutcome::Malformed("request head too large".into());
+        match head_end(&buf, scanned) {
+            Some(end) if end > MAX_HEAD_BYTES => return head_too_large(),
+            Some(end) => return finish_request(stream, buf, end, give_up_at, stop),
+            // Any terminator still to come would end past the limit.
+            None if buf.len() >= MAX_HEAD_BYTES => return head_too_large(),
+            None => scanned = buf.len(),
         }
         if stop() {
             return ReadOutcome::Stopped;
@@ -125,9 +129,19 @@ pub fn read_request(
     }
 }
 
-/// Byte offset just past the `\r\n\r\n` terminating the head, if present.
-fn head_end(buf: &[u8]) -> Option<usize> {
-    buf.windows(4).position(|w| w == b"\r\n\r\n").map(|p| p + 4)
+fn head_too_large() -> ReadOutcome {
+    ReadOutcome::Malformed("request head too large".into())
+}
+
+/// Byte offset just past the first `\r\n\r\n` in `buf`, given that
+/// `buf[..scanned]` holds none: only the bytes from `scanned` on, plus the
+/// three before them that a terminator could start in, are searched.
+fn head_end(buf: &[u8], scanned: usize) -> Option<usize> {
+    let from = scanned.saturating_sub(3);
+    buf[from..]
+        .windows(4)
+        .position(|w| w == b"\r\n\r\n")
+        .map(|p| from + p + 4)
 }
 
 fn finish_request(
@@ -511,6 +525,60 @@ mod tests {
             if let Ok(req) = parse_head(&head) {
                 prop_assert!(req.path.starts_with('/'), "{:?}", head);
             }
+        }
+    }
+
+    #[test]
+    fn head_end_finds_the_terminator_one_byte_at_a_time() {
+        let head = b"GET /healthz HTTP/1.1\r\nHost: x\r\n\r\nbody";
+        let whole = head_end(head, 0);
+        assert_eq!(whole, Some(head.len() - 4));
+        let mut found = None;
+        for arrived in 1..=head.len() {
+            let scanned = arrived - 1;
+            if let Some(end) = head_end(&head[..arrived], scanned) {
+                found = Some((end, arrived));
+                break;
+            }
+        }
+        // Found exactly when the terminator's last byte arrives.
+        assert_eq!(found, whole.map(|end| (end, end)));
+        assert_eq!(head_end(b"\r\n\r", 0), None);
+        assert_eq!(head_end(b"", 0), None);
+    }
+
+    proptest! {
+        /// However the head's bytes are split across reads, the incremental
+        /// search finds the same terminator as one search of the whole.
+        #[test]
+        fn incremental_head_search_matches_a_full_search(
+            pieces in prop::collection::vec(
+                prop_oneof![
+                    Just("GET /q HTTP/1.1".to_string()),
+                    Just("\r".to_string()),
+                    Just("\n".to_string()),
+                    Just("\r\n".to_string()),
+                    "[a-z]{1,3}",
+                ],
+                0..40,
+            ),
+            cuts in prop::collection::vec(0usize..200, 0..12),
+        ) {
+            let text = pieces.concat();
+            let bytes = text.as_bytes();
+            let mut cuts: Vec<usize> = cuts.into_iter().map(|c| c % (bytes.len() + 1)).collect();
+            cuts.push(bytes.len());
+            cuts.sort_unstable();
+            let mut scanned = 0;
+            let mut found = None;
+            for cut in cuts {
+                if let Some(end) = head_end(&bytes[..cut], scanned) {
+                    found = Some(end);
+                    break;
+                }
+                scanned = cut;
+            }
+            prop_assert_eq!(found, head_end(bytes, 0));
         }
     }
 

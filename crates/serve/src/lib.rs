@@ -272,9 +272,14 @@ fn shed(shared: &Shared, mut stream: TcpStream) {
     rememberr_obs::count("serve.shed", 1);
     let _ = stream.set_write_timeout(Some(Duration::from_millis(100)));
     let _ = stream.write_all(&Response::shed().to_bytes());
-    // Closing with the request still unread would RST the connection and
-    // can destroy the 503 before the client reads it; signal EOF and
-    // drain briefly so the refusal arrives intact.
+    close_after_refusal(stream);
+}
+
+/// Closes a connection whose request may be partly unread. Closing with
+/// unread bytes would RST the connection and can destroy the refusal
+/// before the client reads it; signal EOF and drain briefly (at most four
+/// read slices) so the refusal arrives intact.
+fn close_after_refusal(mut stream: TcpStream) {
     let _ = stream.shutdown(std::net::Shutdown::Write);
     let _ = stream.set_read_timeout(Some(Duration::from_millis(25)));
     let mut sink = [0u8; 512];
@@ -314,6 +319,7 @@ fn serve_connection(shared: &Shared, mut stream: TcpStream, accepted_at: Instant
                 let _ = Response::text(400, format!("{message}\n"))
                     .closing()
                     .write_to(&mut stream);
+                close_after_refusal(stream);
                 return;
             }
         };

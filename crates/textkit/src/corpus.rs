@@ -10,10 +10,16 @@
 //!
 //! Consumers receive borrowed views ([`AnalyzedDoc`]) and never re-derive:
 //! the dedup cascade reads [`AnalyzedCorpus::title_key`], classification
-//! and highlighting read [`AnalyzedCorpus::text`]. The
-//! `textkit.tokenize_calls` obs counter audits the contract — a one-pass
-//! pipeline run tokenizes each document exactly once.
+//! and highlighting read [`AnalyzedCorpus::text`] and share one rule-match
+//! pass per document through [`AnalyzedCorpus::match_set`]. The
+//! `textkit.tokenize_calls` and `textkit.match_doc_calls` obs counters
+//! audit the contract — a one-pass pipeline run tokenizes each document
+//! exactly once and runs one rule-match pass per document it matches.
 
+use std::borrow::Cow;
+use std::sync::OnceLock;
+
+use crate::matcher::{MatchSet, RuleMatcher};
 use crate::normalize::{is_stopword, stem_owned};
 use crate::pattern::PreparedText;
 use crate::similarity::TitleKey;
@@ -42,6 +48,9 @@ pub struct DocText {
 struct AnalyzedDocData {
     text: PreparedText,
     title_key: Option<TitleKey>,
+    /// The first requested rule-match pass over `text`, with the id of the
+    /// matcher that computed it (see [`AnalyzedCorpus::match_set`]).
+    matches: OnceLock<(u64, MatchSet)>,
 }
 
 /// A corpus analyzed once: the tokenized full text and the normalized title
@@ -76,7 +85,11 @@ impl AnalyzedCorpus {
             let title_key = doc
                 .analyze_title
                 .then(|| TitleKey::from_normalized(normalized_title_prefix(&text, title_len)));
-            AnalyzedDocData { text, title_key }
+            AnalyzedDocData {
+                text,
+                title_key,
+                matches: OnceLock::new(),
+            }
         });
         rememberr_obs::count("corpus.docs_analyzed", docs.len() as u64);
         Self { docs }
@@ -104,6 +117,30 @@ impl AnalyzedCorpus {
     #[must_use]
     pub fn title_key(&self, i: usize) -> Option<&TitleKey> {
         self.docs[i].title_key.as_ref()
+    }
+
+    /// The match set of `matcher` over document `i`'s text.
+    ///
+    /// The first matcher to ask about document `i` runs the one
+    /// [`RuleMatcher::match_doc`] pass and its set is memoized, so the
+    /// stages that match the same representative with the same library —
+    /// classification, then the highlighting assist — share that pass. The
+    /// memo is keyed to the matcher that computed it: any other matcher
+    /// gets a fresh pass of its own, never the memoized set.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i` is out of bounds.
+    pub fn match_set(&self, i: usize, matcher: &RuleMatcher) -> Cow<'_, MatchSet> {
+        let doc = &self.docs[i];
+        let (owner, matches) = doc
+            .matches
+            .get_or_init(|| (matcher.id(), matcher.match_doc(&doc.text)));
+        if *owner == matcher.id() {
+            Cow::Borrowed(matches)
+        } else {
+            Cow::Owned(matcher.match_doc(&doc.text))
+        }
     }
 
     /// A borrowed view of document `i`.
@@ -146,8 +183,8 @@ pub struct AnalyzedDoc<'a> {
 }
 
 impl<'a> AnalyzedDoc<'a> {
-    /// The tokenized full text (word tokens, spans for snippet extraction,
-    /// sorted distinct-word index).
+    /// The tokenized full text (word tokens and spans for snippet
+    /// extraction).
     #[must_use]
     pub fn text(&self) -> &'a PreparedText {
         self.corpus.text(self.i)
@@ -255,6 +292,41 @@ mod tests {
             corpus.title_key(1),
             Some(&TitleKey::new("Intel-style entry"))
         );
+    }
+
+    #[test]
+    fn match_sets_are_memoized_per_matcher() {
+        use crate::pattern::Pattern;
+
+        let lib = |sources: &[&str]| {
+            RuleMatcher::compile(sources.iter().map(|s| Pattern::parse(s).unwrap()))
+        };
+        let resets = lib(&["warm|cold reset", "hang"]);
+        let caches = lib(&["cache line boundary", "reset"]);
+        let docs = [Doc {
+            title: "Warm Reset Hang",
+            body: "A warm reset across a cache line boundary may hang.",
+            analyze_title: false,
+        }];
+        let corpus = analyze(&docs);
+        let fresh = |m: &RuleMatcher| m.match_doc(corpus.text(0));
+
+        // The first matcher's set is memoized and served borrowed.
+        let first = corpus.match_set(0, &resets);
+        assert!(matches!(first, Cow::Borrowed(_)));
+        assert_eq!(*first, fresh(&resets));
+        assert!(matches!(corpus.match_set(0, &resets), Cow::Borrowed(_)));
+        // A clone is the same library, so it shares the memo.
+        assert!(matches!(
+            corpus.match_set(0, &resets.clone()),
+            Cow::Borrowed(_)
+        ));
+
+        // A different library gets its own pass, never the memo.
+        let other = corpus.match_set(0, &caches);
+        assert!(matches!(other, Cow::Owned(_)));
+        assert_eq!(*other, fresh(&caches));
+        assert_ne!(*other, *first);
     }
 
     #[test]

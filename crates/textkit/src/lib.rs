@@ -19,8 +19,8 @@
 //!   patterns whose anchor token is absent (over [`Interner`] token ids);
 //! * [`AnalyzedCorpus`] / [`AnalyzedDoc`] — the single-pass analysis arena:
 //!   tokenizes, normalizes and stems each document's title/text exactly
-//!   once, in parallel, and hands out the views every downstream stage
-//!   consumes;
+//!   once, in parallel, memoizes each document's [`MatchSet`], and hands
+//!   out the views every downstream stage consumes;
 //! * [`highlights`] — the syntax-highlighting assist used during manual
 //!   classification;
 //! * [`wrap`] / [`reflow`] — document line rendering and its inverse.

@@ -15,20 +15,27 @@
 //! * Each literal alternative of the anchor posts
 //!   `token id → pattern id` into an inverted index ([`Interner`] assigns
 //!   the dense ids); each prefix alternative (`speculat*`) goes to a small
-//!   prefix bucket probed against the text's sorted distinct-word index.
+//!   prefix bucket tested against every word token.
 //! * Patterns with no `Word` element at all (pure gap/number/wildcard
 //!   shapes like `# <2> #`) fall into an **always-check bucket**: they are
 //!   scanned positionally for every text, exactly as before.
 //!
-//! Matching a [`PreparedText`] unions the posting lists of the tokens
-//! actually present, probes the prefix bucket, and positionally evaluates
-//! only the resulting candidates — returning each candidate's first match
-//! span so callers never re-scan to extract a snippet. The candidate set is
-//! *lossless*: a pattern that matches always anchors on some present token,
-//! so skipping non-candidates can never change a decision (the equivalence
-//! proptests in `tests/matcher_equiv.rs` assert exactly this).
+//! Matching a [`PreparedText`] walks its word tokens once, unioning the
+//! posting lists of the tokens present and the prefix-bucket hits, and
+//! positionally evaluates only the resulting candidates — returning each
+//! matching pattern's first match span so callers never re-scan to extract
+//! a snippet. The candidate set is *lossless*: a pattern that matches
+//! always anchors on some present token, so skipping non-candidates can
+//! never change a decision (the equivalence proptests in
+//! `tests/matcher_equiv.rs` assert exactly this).
+//!
+//! Every [`RuleMatcher::match_doc`] call ticks the `textkit.match_doc_calls`
+//! obs counter; a pipeline that matches each unique erratum once makes
+//! exactly one call per representative (an [`crate::AnalyzedCorpus`]
+//! memoizes the [`MatchSet`] for the stages that share it).
 
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use crate::intern::Interner;
 use crate::normalize::is_stopword;
@@ -60,27 +67,38 @@ use crate::pattern::{Elem, Pattern, PreparedText, Span, WordAlt};
 /// ```
 #[derive(Debug, Clone)]
 pub struct RuleMatcher {
+    /// Identity of this compiled library, distinct for every
+    /// [`RuleMatcher::compile`] call in the process and shared by clones.
+    /// An [`crate::AnalyzedCorpus`] keys its memoized match sets by it.
+    id: u64,
     /// The compiled library; the pattern id is the index.
     patterns: Vec<Pattern>,
     /// Anchor-literal vocabulary: token string → dense token id.
     interner: Interner,
     /// Inverted index: token id → sorted pattern ids anchored on it.
     postings: Vec<Vec<u32>>,
-    /// Prefix anchors: `(prefix, pattern id)`, probed against the text's
-    /// distinct-word index.
+    /// Prefix anchors: `(prefix, pattern id)`, tested against every word.
     prefix_anchors: Vec<(String, u32)>,
     /// Patterns with no word element: positionally scanned on every text.
     always_check: Vec<u32>,
 }
 
-/// The result of matching a whole library against one text: per-pattern
-/// first match spans plus pruning effort counters.
-#[derive(Debug, Clone)]
+/// Source of [`RuleMatcher`] identities. The ids publish no other data,
+/// so `Relaxed` suffices: `fetch_add` alone makes each one unique.
+static NEXT_MATCHER_ID: AtomicU64 = AtomicU64::new(0);
+
+/// The result of matching a whole library against one text: the first
+/// match span of every matching pattern plus pruning effort counters.
+///
+/// Only the hits are stored — typically a handful of a library's patterns
+/// — so a corpus can keep one set per document cheaply.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MatchSet {
-    /// First (leftmost, shortest-gap) match span per pattern id; `None`
-    /// for patterns that do not match (or were pruned — pruning is
-    /// lossless, so the two are indistinguishable by construction).
-    first: Vec<Option<Span>>,
+    /// `(pattern id, first match span)` for every matching pattern, in id
+    /// order. Patterns that do not match (or were pruned — pruning is
+    /// lossless, so the two are indistinguishable by construction) are
+    /// absent.
+    hits: Vec<(u32, Span)>,
     /// Patterns positionally evaluated (candidates).
     pub evaluated: u64,
     /// Patterns skipped without a positional scan.
@@ -88,23 +106,19 @@ pub struct MatchSet {
 }
 
 impl MatchSet {
-    /// The first match span of a pattern, if it matches.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `id` is not a valid pattern id of the matcher that
-    /// produced this set.
+    /// The first (leftmost, shortest-gap) match span of a pattern, if it
+    /// matches. Ids outside the library never match.
     pub fn first_span(&self, id: usize) -> Option<Span> {
-        self.first[id]
+        let id = u32::try_from(id).ok()?;
+        self.hits
+            .binary_search_by_key(&id, |&(hit, _)| hit)
+            .ok()
+            .map(|at| self.hits[at].1)
     }
 
     /// True if the pattern matches anywhere in the text.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `id` is out of range.
     pub fn is_match(&self, id: usize) -> bool {
-        self.first[id].is_some()
+        self.first_span(id).is_some()
     }
 }
 
@@ -184,6 +198,7 @@ impl RuleMatcher {
             }
         }
         Self {
+            id: NEXT_MATCHER_ID.fetch_add(1, Ordering::Relaxed),
             patterns,
             interner,
             postings,
@@ -212,14 +227,20 @@ impl RuleMatcher {
         self.always_check.len()
     }
 
-    /// Computes the candidate flags for a text: the union of posting lists
-    /// for tokens present, prefix-bucket hits, and the always-check bucket.
+    /// This compiled library's identity (see the field docs).
+    pub(crate) fn id(&self) -> u64 {
+        self.id
+    }
+
+    /// Computes the candidate flags for a text in one walk over its word
+    /// tokens: the union of posting lists for tokens present, prefix-bucket
+    /// hits, and the always-check bucket.
     fn candidates(&self, text: &PreparedText) -> Vec<bool> {
         let mut candidate = vec![false; self.patterns.len()];
         for &id in &self.always_check {
             candidate[id as usize] = true;
         }
-        for word in text.distinct_words() {
+        for word in text.words() {
             if let Some(tid) = self.interner.get(word) {
                 if let Some(list) = self.postings.get(tid as usize) {
                     for &id in list {
@@ -227,10 +248,10 @@ impl RuleMatcher {
                     }
                 }
             }
-        }
-        for (prefix, id) in &self.prefix_anchors {
-            if !candidate[*id as usize] && text.has_word_with_prefix(prefix) {
-                candidate[*id as usize] = true;
+            for (prefix, id) in &self.prefix_anchors {
+                if word.starts_with(prefix.as_str()) {
+                    candidate[*id as usize] = true;
+                }
             }
         }
         candidate
@@ -243,17 +264,20 @@ impl RuleMatcher {
     /// get decision *and* snippet from the same scan. `evaluated + pruned`
     /// always equals [`RuleMatcher::len`].
     pub fn match_doc(&self, text: &PreparedText) -> MatchSet {
+        rememberr_obs::count("textkit.match_doc_calls", 1);
         let candidate = self.candidates(text);
-        let mut first = vec![None; self.patterns.len()];
+        let mut hits = Vec::new();
         let mut evaluated = 0u64;
         for (id, &is_candidate) in candidate.iter().enumerate() {
             if is_candidate {
                 evaluated += 1;
-                first[id] = self.patterns[id].first_match_in(text);
+                if let Some(span) = self.patterns[id].first_match_in(text) {
+                    hits.push((id as u32, span));
+                }
             }
         }
         MatchSet {
-            first,
+            hits,
             evaluated,
             pruned: self.patterns.len() as u64 - evaluated,
         }
@@ -357,7 +381,7 @@ mod tests {
     }
 
     #[test]
-    fn prefix_anchors_hit_via_the_distinct_word_index() {
+    fn prefix_anchors_hit_via_word_tokens() {
         let matcher = lib(&["speculat*", "throttl* event"]);
         let hit = PreparedText::new("a speculative load occurs");
         let matches = matcher.match_doc(&hit);

@@ -117,8 +117,7 @@ impl Span {
 /// the text once amortizes tokenization and lowercasing. The prepared text
 /// *owns* its source, so callers can slice matched [`Span`]s back out of it
 /// ([`PreparedText::snippet`]) without keeping a second copy of the string
-/// alive, and it carries a sorted distinct-word index that multi-pattern
-/// matchers ([`crate::RuleMatcher`]) use as a token presence set.
+/// alive.
 #[derive(Debug, Clone)]
 pub struct PreparedText {
     /// The source text the spans index into.
@@ -136,12 +135,6 @@ pub struct PreparedText {
     kinds: Vec<TokenKind>,
     /// Source byte spans, parallel to the words.
     spans: Vec<Span>,
-    /// Indices into `words`, sorted by word and deduplicated by value —
-    /// one representative per distinct word. Built lazily on first use:
-    /// only pattern matching reads it, and in the single-pass pipeline
-    /// most prepared documents (non-representative duplicates) are never
-    /// pattern-matched, so the sort would be pure waste.
-    distinct: std::sync::OnceLock<Vec<u32>>,
 }
 
 impl PreparedText {
@@ -178,7 +171,6 @@ impl PreparedText {
             word_ends,
             kinds,
             spans,
-            distinct: std::sync::OnceLock::new(),
         }
     }
 
@@ -194,7 +186,6 @@ impl PreparedText {
             word_ends: Vec::new(),
             kinds: Vec::new(),
             spans: Vec::new(),
-            distinct: std::sync::OnceLock::new(),
         }
     }
 
@@ -210,16 +201,6 @@ impl PreparedText {
             self.word_ends[i - 1] as usize
         };
         &self.words_buf[start..self.word_ends[i] as usize]
-    }
-
-    /// The lazily-built distinct-word index (see the field docs).
-    fn distinct(&self) -> &[u32] {
-        self.distinct.get_or_init(|| {
-            let mut distinct: Vec<u32> = (0..self.len() as u32).collect();
-            distinct.sort_unstable_by(|&a, &b| self.word(a as usize).cmp(self.word(b as usize)));
-            distinct.dedup_by(|&mut a, &mut b| self.word(a as usize) == self.word(b as usize));
-            distinct
-        })
     }
 
     /// Number of word tokens.
@@ -260,21 +241,6 @@ impl PreparedText {
     /// a token prefix via `partition_point`.
     pub fn token_spans(&self) -> &[Span] {
         &self.spans
-    }
-
-    /// The distinct lowercased words, each yielded once, in sorted order.
-    pub fn distinct_words(&self) -> impl Iterator<Item = &str> {
-        self.distinct().iter().map(|&i| self.word(i as usize))
-    }
-
-    /// True if any word starts with `prefix` (binary search over the
-    /// distinct-word index: words sharing a prefix sort contiguously).
-    pub fn has_word_with_prefix(&self, prefix: &str) -> bool {
-        let distinct = self.distinct();
-        let at = distinct.partition_point(|&i| self.word(i as usize) < prefix);
-        distinct
-            .get(at)
-            .is_some_and(|&i| self.word(i as usize).starts_with(prefix))
     }
 }
 
@@ -637,24 +603,6 @@ mod tests {
         let span = p.first_match_in(&text).unwrap();
         assert_eq!(text.snippet(span), "Warm Reset");
         assert_eq!(p.find_in(&text).first().copied(), Some(span));
-    }
-
-    #[test]
-    fn distinct_words_are_sorted_and_unique() {
-        let text = prep("reset b reset a b a a");
-        let distinct: Vec<&str> = text.distinct_words().collect();
-        assert_eq!(distinct, ["a", "b", "reset"]);
-    }
-
-    #[test]
-    fn word_prefix_probe() {
-        let text = prep("a speculative load occurs");
-        assert!(text.has_word_with_prefix("speculat"));
-        assert!(text.has_word_with_prefix("a"));
-        assert!(text.has_word_with_prefix("occurs"));
-        assert!(!text.has_word_with_prefix("speculative-"));
-        assert!(!text.has_word_with_prefix("z"));
-        assert!(!prep("").has_word_with_prefix("a"));
     }
 
     #[test]

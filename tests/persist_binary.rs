@@ -3,15 +3,74 @@
 //! the database the JSONL oracle reproduces, re-exported JSONL after a
 //! binary roundtrip is byte-identical to JSONL written directly, the
 //! binary bytes are identical at every worker count, and corruption in
-//! any section is rejected instead of loading a wrong database.
+//! any section is rejected instead of loading a wrong database. Truncated
+//! and length-forged snapshots fail typed, without an allocation sized by
+//! the forged field.
 
+use std::alloc::{GlobalAlloc, Layout, System};
 use std::num::NonZeroUsize;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
 
 use proptest::prelude::*;
 use rememberr::{load, save_as, Database, PersistError, SnapshotFormat};
 use rememberr_classify::{classify_database, FourEyesConfig, HumanOracle, Rules};
 use rememberr_docgen::{CorpusSpec, SyntheticCorpus};
+
+/// The system allocator, recording the largest single request it served,
+/// so the hostile-snapshot properties can check that no forged count sized
+/// an allocation.
+struct LargestRequest;
+
+/// Largest allocation request served so far, in bytes. It publishes no
+/// other data, so `Relaxed` suffices.
+static LARGEST_REQUEST: AtomicUsize = AtomicUsize::new(0);
+
+// SAFETY: every method forwards its arguments unchanged to `System`, which
+// upholds the `GlobalAlloc` contract; the only addition is a relaxed
+// atomic update, which neither allocates nor touches the memory served.
+unsafe impl GlobalAlloc for LargestRequest {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        LARGEST_REQUEST.fetch_max(layout.size(), Ordering::Relaxed);
+        // SAFETY: the caller's guarantees for `layout` are passed on as is.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        LARGEST_REQUEST.fetch_max(layout.size(), Ordering::Relaxed);
+        // SAFETY: as for `alloc`.
+        unsafe { System.alloc_zeroed(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from `System` through this allocator, with
+        // this `layout`, as the caller guarantees.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        LARGEST_REQUEST.fetch_max(new_size, Ordering::Relaxed);
+        // SAFETY: as for `dealloc`, and the caller guarantees `new_size`.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: LargestRequest = LargestRequest;
+
+/// No allocation in this test binary may exceed this. Honest work here
+/// (generating and classifying a 0.15-scale corpus, decoding its snapshot)
+/// requests at most ~0.65 MB at once; a forged `u32` count sizing a vector
+/// of entries, strings or chunks would request up to ~100 GB.
+const ALLOCATION_CAP: usize = 16 << 20;
+
+fn assert_no_oversized_allocation(what: &str) {
+    let largest = LARGEST_REQUEST.load(Ordering::Relaxed);
+    assert!(
+        largest <= ALLOCATION_CAP,
+        "{what}: a {largest}-byte allocation was requested"
+    );
+}
 
 /// A fully classified database at a representative scale, built once.
 fn annotated_db() -> &'static Database {
@@ -187,6 +246,123 @@ proptest! {
     }
 }
 
+/// Every offset a truncation must be rejected at: each byte of the magic
+/// and version, and, for every section, the start of its length field, the
+/// start and middle of its payload, and the last payload byte.
+fn section_boundaries(bytes: &[u8]) -> Vec<usize> {
+    let mut cuts: Vec<usize> = (0..=8).collect();
+    for range in section_ranges(bytes) {
+        cuts.extend([range.start - 8, range.start, (range.start + range.end) / 2]);
+        cuts.push(range.end - 1);
+    }
+    cuts
+}
+
+#[test]
+fn snapshots_truncated_at_section_boundaries_are_rejected() {
+    let bytes = binary_snapshot();
+    for keep in section_boundaries(bytes) {
+        assert!(
+            load(&bytes[..keep]).is_err(),
+            "a snapshot cut to {keep} of {} bytes loaded",
+            bytes.len()
+        );
+    }
+    assert_no_oversized_allocation("truncation at section boundaries");
+}
+
+/// The forgeable length fields of the layout: the u64 length in front of
+/// each section, the string table's u32 count, the entries section's u32
+/// chunk count, and the u64 length in front of each chunk.
+#[derive(Debug, Clone, Copy)]
+enum LengthField {
+    Section(usize),
+    StringCount,
+    ChunkCount,
+    ChunkLength(usize),
+}
+
+/// Byte offset and width of `field` in `bytes`, and the section whose
+/// checksum covers it (`None` for section lengths, which no checksum
+/// covers).
+fn locate(bytes: &[u8], field: LengthField) -> (usize, usize, Option<usize>) {
+    let ranges = section_ranges(bytes);
+    match field {
+        LengthField::Section(section) => (ranges[section].start - 8, 8, None),
+        LengthField::StringCount => (ranges[STRINGS].start, 4, Some(STRINGS)),
+        LengthField::ChunkCount => (ranges[ENTRIES].start, 4, Some(ENTRIES)),
+        LengthField::ChunkLength(chunk) => {
+            let entries = &bytes[ranges[ENTRIES].clone()];
+            let chunks = u32::from_le_bytes(entries[..4].try_into().unwrap()) as usize;
+            let mut at = 4;
+            for _ in 0..chunk % chunks {
+                let len = u64::from_le_bytes(entries[at..at + 8].try_into().unwrap());
+                at += 8 + len as usize;
+            }
+            (ranges[ENTRIES].start + at, 8, Some(ENTRIES))
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// A snapshot cut anywhere is rejected with a typed error.
+    #[test]
+    fn truncated_snapshots_fail_typed(at in 0usize..1 << 20) {
+        let bytes = binary_snapshot();
+        let keep = at % bytes.len();
+        prop_assert!(load(&bytes[..keep]).is_err(), "cut to {} bytes", keep);
+        assert_no_oversized_allocation("truncation");
+    }
+
+    /// A forged section length, string count, chunk count or chunk length,
+    /// behind re-stamped checksums, loads as a database or a typed
+    /// `PersistError`: never a panic, an abort, or an allocation sized by
+    /// the forged value.
+    #[test]
+    fn forged_length_fields_load_or_fail_typed(
+        which in 0usize..4,
+        index in 0usize..64,
+        value in prop_oneof![
+            Just(0u64),
+            Just(1u64),
+            Just(u64::from(u32::MAX)),
+            Just(u64::MAX),
+            any::<u64>(),
+            0u64..1 << 20,
+        ],
+        nudge in -2i64..3,
+    ) {
+        let bytes = binary_snapshot();
+        let field = match which {
+            0 => LengthField::Section(index % (CHECKSUMS + 1)),
+            1 => LengthField::StringCount,
+            2 => LengthField::ChunkCount,
+            _ => LengthField::ChunkLength(index),
+        };
+        let (at, width, covering) = locate(bytes, field);
+        // Half the cases move the true value by a little, the rest write
+        // `value` outright.
+        let honest = match width {
+            4 => u64::from(u32::from_le_bytes(bytes[at..at + 4].try_into().unwrap())),
+            _ => u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap()),
+        };
+        let forged_value = if index % 2 == 0 {
+            honest.wrapping_add_signed(nudge)
+        } else {
+            value
+        };
+        let mut forged = bytes.to_vec();
+        forged[at..at + width].copy_from_slice(&forged_value.to_le_bytes()[..width]);
+        if let Some(section) = covering {
+            restamp(&mut forged, section);
+        }
+        let _ = load(forged.as_slice());
+        assert_no_oversized_allocation(&format!("{field:?} forged to {forged_value}"));
+    }
+}
+
 /// The binary snapshot of [`annotated_db`], encoded once.
 fn binary_snapshot() -> &'static [u8] {
     static BYTES: OnceLock<Vec<u8>> = OnceLock::new();
@@ -224,13 +400,18 @@ fn fnv1a64(bytes: &[u8]) -> u64 {
 /// forged field is wrong.
 fn forge(bytes: &[u8], section: usize, offset: usize, value: &[u8]) -> Vec<u8> {
     let mut forged = bytes.to_vec();
-    let ranges = section_ranges(&forged);
-    let at = ranges[section].start + offset;
+    let at = section_ranges(&forged)[section].start + offset;
     forged[at..at + value.len()].copy_from_slice(value);
-    let sum = fnv1a64(&forged[ranges[section].clone()]);
-    let slot = ranges[CHECKSUMS].start + 8 * section;
-    forged[slot..slot + 8].copy_from_slice(&sum.to_le_bytes());
+    restamp(&mut forged, section);
     forged
+}
+
+/// Re-stamps the stored checksum of `section` to match its payload.
+fn restamp(bytes: &mut [u8], section: usize) {
+    let ranges = section_ranges(bytes);
+    let sum = fnv1a64(&bytes[ranges[section].clone()]);
+    let slot = ranges[CHECKSUMS].start + 8 * section;
+    bytes[slot..slot + 8].copy_from_slice(&sum.to_le_bytes());
 }
 
 #[test]
