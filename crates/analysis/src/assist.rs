@@ -7,21 +7,16 @@
 //! label fires — so reports can quantify how much reading the assist
 //! saves.
 //!
-//! Two entry points share one implementation: [`assist_highlights`]
-//! re-tokenizes each representative's text, while
-//! [`assist_highlights_analyzed`] borrows the already-prepared text and the
-//! rule-match pass that classification memoized from an [`AnalyzedCorpus`]
-//! (the single-pass pipeline's shared arena), skipping both the
-//! tokenization and a second match pass.
+//! [`assist_highlights_analyzed`] reads each representative's tokenized
+//! text and the rule-match pass that classification memoized in the
+//! shared arena ([`Database::analyze_representatives`]), so it neither
+//! tokenizes nor matches again.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 
 use rememberr::Database;
 use rememberr_classify::Rules;
-use rememberr_model::ErratumId;
-use rememberr_textkit::{
-    highlights_prepared, highlights_prepared_filtered, AnalyzedCorpus, PreparedText,
-};
+use rememberr_textkit::{highlights_prepared_filtered, AnalyzedCorpus};
 
 /// Summary of the highlighting assist over a database's unique errata.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -46,67 +41,39 @@ impl AssistSummary {
     }
 }
 
-/// Computes the highlighting assist, re-tokenizing each representative.
-pub fn assist_highlights(db: &Database, rules: &Rules) -> AssistSummary {
-    assist_impl(db, rules, None)
-}
-
-/// [`assist_highlights`] over a database whose entries were already
-/// tokenized into an [`AnalyzedCorpus`] (index `i` of the corpus must hold
-/// the preparation of entry `i`'s full text).
+/// Computes the highlighting assist over every representative.
+///
+/// `corpus` must be [`Database::analyze_representatives`] of `db`: document
+/// `k` is the `k`-th representative's text.
 pub fn assist_highlights_analyzed(
     db: &Database,
     rules: &Rules,
     corpus: &AnalyzedCorpus,
 ) -> AssistSummary {
+    let _span = rememberr_obs::span!("analysis.assist");
     assert_eq!(
         corpus.len(),
-        db.entries().len(),
-        "analyzed corpus must align with the database entries"
+        db.unique_entries().len(),
+        "analyzed corpus must hold one document per representative"
     );
-    assist_impl(db, rules, Some(corpus))
-}
-
-fn assist_impl(db: &Database, rules: &Rules, corpus: Option<&AnalyzedCorpus>) -> AssistSummary {
-    let _span = rememberr_obs::span!("analysis.assist");
     let patterns = rules.highlight_set();
-
-    // Identifiers can collide across vendors; resolve each representative
-    // to its first occurrence, matching `Database::entry` and the analyzed
-    // corpus's positional alignment with the entry slice.
-    let mut index_of: HashMap<ErratumId, usize> = HashMap::new();
-    for (i, entry) in db.entries().iter().enumerate() {
-        index_of.entry(entry.id()).or_insert(i);
-    }
-    let rep_entries: Vec<usize> = db
-        .unique_entries()
-        .iter()
-        .map(|e| index_of[&e.id()])
-        .collect();
+    let docs: Vec<usize> = (0..corpus.len()).collect();
 
     // Highlighting is pure per representative, so it fans out across
     // workers; the label tally folds the input-ordered results
     // sequentially, keeping the summary identical at every worker count.
-    let per_rep: Vec<(usize, Vec<String>)> = rememberr_par::par_map(&rep_entries, |&i| {
-        let entry = &db.entries()[i];
-        let highlights = match corpus {
-            // The highlight set is the strong rule library in library
-            // order (see `Rules::highlight_set`), which is also how the
-            // shared matcher numbers its first pattern ids — so the
-            // representative's match set, memoized in the corpus when
-            // classification matched it, prunes the set to the rules that
-            // match this text, and only those are scanned for their full
-            // span lists. Pruning is lossless: the output is identical to
-            // the exhaustive scan the per-stage arm performs.
-            Some(corpus) => {
-                let matches = corpus.match_set(i, rules.matcher());
-                highlights_prepared_filtered(&patterns, corpus.text(i), |id| matches.is_match(id))
-            }
-            None => highlights_prepared(
-                &patterns,
-                &PreparedText::from_string(entry.erratum.full_text()),
-            ),
-        };
+    let per_rep: Vec<(usize, Vec<String>)> = rememberr_par::par_map(&docs, |&k| {
+        // The highlight set is the strong rule library in library order
+        // (see `Rules::highlight_set`), which is also how the shared
+        // matcher numbers its first pattern ids — so the representative's
+        // match set, memoized in the corpus when classification matched
+        // it, prunes the set to the rules that match this text, and only
+        // those are scanned for their full span lists. Pruning is
+        // lossless: the output equals the exhaustive scan
+        // `rememberr_textkit::highlights` performs.
+        let matches = corpus.match_set(k, rules.matcher());
+        let highlights =
+            highlights_prepared_filtered(&patterns, corpus.text(k), |id| matches.is_match(id));
         let mut labels: Vec<String> = highlights
             .iter()
             .flat_map(|h| h.labels.iter().cloned())
@@ -117,7 +84,7 @@ fn assist_impl(db: &Database, rules: &Rules, corpus: Option<&AnalyzedCorpus>) ->
     });
 
     let mut summary = AssistSummary {
-        unique_errata: rep_entries.len(),
+        unique_errata: corpus.len(),
         highlighted_errata: 0,
         total_highlights: 0,
         label_hits: BTreeMap::new(),
@@ -142,34 +109,42 @@ fn assist_impl(db: &Database, rules: &Rules, corpus: Option<&AnalyzedCorpus>) ->
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rememberr_classify::{
+        classify_database_analyzed, FourEyesConfig, HumanOracle, MatcherKind,
+    };
     use rememberr_docgen::{CorpusSpec, SyntheticCorpus};
-    use rememberr_model::Vendor;
-    use rememberr_textkit::DocText;
 
     #[test]
     fn assist_finds_highlights_and_agrees_with_analyzed_path() {
         let corpus = SyntheticCorpus::generate(&CorpusSpec::scaled(0.05));
-        let db = Database::from_documents(&corpus.structured);
+        let mut db = Database::from_documents(&corpus.structured);
         let rules = Rules::standard();
 
-        let per_stage = assist_highlights(&db, &rules);
-        assert!(per_stage.unique_errata > 0);
-        assert!(per_stage.total_highlights > 0, "{per_stage:?}");
-        assert!(per_stage.coverage() > 0.5, "{per_stage:?}");
+        // A fresh arena: the assist runs its own match passes.
+        let fresh = assist_highlights_analyzed(&db, &rules, &db.analyze_representatives());
+        assert!(fresh.unique_errata > 0);
+        assert!(fresh.total_highlights > 0, "{fresh:?}");
+        assert!(fresh.coverage() > 0.5, "{fresh:?}");
 
-        let arena = AnalyzedCorpus::analyze(db.entries(), |e| DocText {
-            text: e.erratum.full_text(),
-            title_len: e.erratum.title.len(),
-            analyze_title: e.vendor() == Vendor::Intel,
-        });
-        let analyzed = assist_highlights_analyzed(&db, &rules, &arena);
-        assert_eq!(per_stage, analyzed);
+        // The analyzed path: the assist reads the match sets that
+        // classification memoized in the shared arena.
+        let arena = db.analyze_representatives();
+        classify_database_analyzed(
+            &mut db,
+            &rules,
+            HumanOracle::None,
+            &FourEyesConfig::default(),
+            MatcherKind::default(),
+            &arena,
+        );
+        assert_eq!(assist_highlights_analyzed(&db, &rules, &arena), fresh);
     }
 
     #[test]
     fn empty_database_yields_empty_summary() {
         let db = Database::from_documents(&[]);
-        let summary = assist_highlights(&db, &Rules::standard());
+        let summary =
+            assist_highlights_analyzed(&db, &Rules::standard(), &db.analyze_representatives());
         assert_eq!(summary.unique_errata, 0);
         assert_eq!(summary.coverage(), 0.0);
         assert!(summary.label_hits.is_empty());

@@ -73,7 +73,7 @@ mod timeline;
 mod util;
 mod workfix;
 
-pub use assist::{assist_highlights, assist_highlights_analyzed, AssistSummary};
+pub use assist::{assist_highlights_analyzed, AssistSummary};
 pub use categories::{
     class_breakdown, fig10_trigger_frequency, fig11_trigger_counts, fig13_class_evolution,
     fig14_class_share, fig15_external_breakdown, fig16_feature_breakdown, fig17_context_frequency,

@@ -13,7 +13,7 @@ use rememberr::{
 };
 use rememberr_bench::{annotated_paper_db, paper_corpus, paper_db, small_corpus};
 use rememberr_classify::{
-    classify_database, classify_database_with, classify_erratum, FourEyesConfig, HumanOracle,
+    classify_database, classify_database_analyzed, classify_erratum, FourEyesConfig, HumanOracle,
     MatcherKind, Rules,
 };
 use rememberr_docgen::{render_document, CorpusSpec, SyntheticCorpus};
@@ -94,12 +94,14 @@ fn bench_classify_matcher(c: &mut Criterion) {
             b.iter_batched(
                 || Database::from_documents(&corpus.structured),
                 |mut db| {
-                    black_box(classify_database_with(
+                    let arena = db.analyze_representatives();
+                    black_box(classify_database_analyzed(
                         &mut db,
                         &rules,
                         HumanOracle::None,
                         &FourEyesConfig::default(),
                         matcher,
+                        &arena,
                     ))
                 },
                 criterion::BatchSize::LargeInput,

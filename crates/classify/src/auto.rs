@@ -113,8 +113,8 @@ pub fn classify_erratum_with(
 }
 
 /// [`classify_erratum_with`] over text that is already tokenized, so
-/// callers holding the erratum's [`PreparedText`] — the single-pass
-/// pipeline borrows it from an [`rememberr_textkit::AnalyzedCorpus`] — skip
+/// callers holding the erratum's [`PreparedText`] — the pipeline borrows
+/// it from an [`rememberr_textkit::AnalyzedCorpus`] — skip
 /// the re-tokenization. `text` must be the preparation of
 /// `erratum.full_text()`; snippets are sliced out of it.
 pub fn classify_prepared_with(
@@ -133,7 +133,7 @@ pub fn classify_prepared_with(
 
 /// The indexed classification of one erratum from a [`MatchSet`] that
 /// `rules.matcher()` already computed over `text`, so a caller holding the
-/// set (the single-pass pipeline memoizes one per representative) runs no
+/// set (the pipeline's arena memoizes one per representative) runs no
 /// second match pass.
 pub(crate) fn classify_matched(
     rules: &Rules,

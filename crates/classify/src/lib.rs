@@ -50,7 +50,6 @@ pub use foureyes::{
     StepReport,
 };
 pub use pipeline::{
-    classify_database, classify_database_analyzed, classify_database_with, ClassificationRun,
-    DecisionStats, HumanOracle,
+    classify_database, classify_database_analyzed, ClassificationRun, DecisionStats, HumanOracle,
 };
 pub use rules::Rules;

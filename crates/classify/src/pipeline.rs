@@ -19,7 +19,7 @@ use serde::{Deserialize, Serialize};
 /// who assign an abstract category without quoting erratum text.
 const HUMAN_SNIPPET: &str = "[four-eyes]";
 
-use crate::auto::{classify_matched, classify_prepared_with, prepare, MatcherKind};
+use crate::auto::{classify_matched, classify_prepared_with, MatcherKind};
 use crate::foureyes::{run_four_eyes_over, FourEyesConfig, FourEyesOutcome, HumanItem};
 use crate::rules::Rules;
 
@@ -66,42 +66,30 @@ pub struct ClassificationRun {
 }
 
 /// Classifies every cluster of the database in place with the default
-/// (indexed) rule matcher. See [`classify_database_with`].
+/// (indexed) rule matcher.
+///
+/// Returns workload statistics and, when `oracle` is
+/// [`HumanOracle::Simulated`], the four-eyes step reports that regenerate
+/// Figures 8 and 9. Tokenizes each representative once
+/// ([`Database::analyze_representatives`]); see
+/// [`classify_database_analyzed`] to share that arena with later stages.
 pub fn classify_database(
     db: &mut Database,
     rules: &Rules,
     oracle: HumanOracle<'_>,
     config: &FourEyesConfig,
 ) -> ClassificationRun {
-    classify_database_with(db, rules, oracle, config, MatcherKind::default())
+    let corpus = db.analyze_representatives();
+    classify_database_analyzed(db, rules, oracle, config, MatcherKind::default(), &corpus)
 }
 
-/// Classifies every cluster of the database in place.
+/// [`classify_database`] over a given arena and rule matcher.
 ///
-/// Returns workload statistics and, when `oracle` is
-/// [`HumanOracle::Simulated`], the four-eyes step reports that regenerate
-/// Figures 8 and 9.
-///
-/// The `matcher` choice ([`MatcherKind`]) selects how the rule library is
-/// evaluated; both kinds produce byte-identical databases and statistics.
-pub fn classify_database_with(
-    db: &mut Database,
-    rules: &Rules,
-    oracle: HumanOracle<'_>,
-    config: &FourEyesConfig,
-    matcher: MatcherKind,
-) -> ClassificationRun {
-    classify_database_impl(db, rules, oracle, config, matcher, None)
-}
-
-/// [`classify_database_with`] over a database whose entries were already
-/// tokenized into an [`AnalyzedCorpus`] (index `i` of the corpus must hold
-/// the preparation of entry `i`'s full text, as produced by
-/// `Database::from_documents_analyzed`). The rule stage borrows each
-/// representative's prepared text from the corpus instead of re-tokenizing
-/// it, which is what makes the single-pass pipeline single-pass, and the
-/// indexed matcher reads the representative's memoized match set
-/// ([`AnalyzedCorpus::match_set`]), which later stages reuse.
+/// `corpus` must be [`Database::analyze_representatives`] of `db`: document
+/// `k` is the `k`-th representative's text. The indexed matcher reads the
+/// representative's memoized match set ([`AnalyzedCorpus::match_set`]),
+/// which the highlighting assist reuses. The `matcher` choice
+/// ([`MatcherKind`]) never changes the database or the statistics.
 pub fn classify_database_analyzed(
     db: &mut Database,
     rules: &Rules,
@@ -110,39 +98,18 @@ pub fn classify_database_analyzed(
     matcher: MatcherKind,
     corpus: &AnalyzedCorpus,
 ) -> ClassificationRun {
-    assert_eq!(
-        corpus.len(),
-        db.entries().len(),
-        "analyzed corpus must align with the database entries"
-    );
-    classify_database_impl(db, rules, oracle, config, matcher, Some(corpus))
-}
-
-fn classify_database_impl(
-    db: &mut Database,
-    rules: &Rules,
-    oracle: HumanOracle<'_>,
-    config: &FourEyesConfig,
-    matcher: MatcherKind,
-    corpus: Option<&AnalyzedCorpus>,
-) -> ClassificationRun {
     let _span = rememberr_obs::span!("classify.database");
     // One representative per cluster ("we merge identical unique errata").
-    let representatives: Vec<(ErratumId, UniqueKey)> = db
-        .unique_entries()
+    let unique = db.unique_entries();
+    assert_eq!(
+        corpus.len(),
+        unique.len(),
+        "analyzed corpus must hold one document per representative"
+    );
+    let representatives: Vec<(ErratumId, UniqueKey)> = unique
         .iter()
         .map(|e| (e.id(), e.key.expect("deduplicated database")))
         .collect();
-
-    // Identifiers can collide across vendors; `Database::entry` resolves a
-    // collision to the first occurrence, so the positional index does the
-    // same. The positions also address the analyzed corpus, which is
-    // aligned with the entry slice.
-    let mut index_of: HashMap<ErratumId, usize> = HashMap::new();
-    for (i, entry) in db.entries().iter().enumerate() {
-        index_of.entry(entry.id()).or_insert(i);
-    }
-    let rep_entries: Vec<usize> = representatives.iter().map(|(id, _)| index_of[id]).collect();
 
     let mut annotations: HashMap<UniqueKey, Annotation> = HashMap::new();
     let mut human_items: Vec<HumanItem> = Vec::new();
@@ -169,21 +136,15 @@ fn classify_database_impl(
     // identical at every worker count.
     let autos = {
         let _span = rememberr_obs::span!("classify.rules");
-        rememberr_par::par_map(&rep_entries, |&i| {
-            let entry = &db.entries()[i];
-            match (corpus, matcher) {
-                (Some(corpus), MatcherKind::Indexed) => classify_matched(
-                    rules,
-                    &entry.erratum,
-                    corpus.text(i),
-                    &corpus.match_set(i, rules.matcher()),
-                ),
-                (Some(corpus), MatcherKind::Exhaustive) => {
-                    classify_prepared_with(rules, &entry.erratum, corpus.text(i), matcher)
-                }
-                (None, _) => {
-                    classify_prepared_with(rules, &entry.erratum, &prepare(&entry.erratum), matcher)
-                }
+        rememberr_par::par_map_indexed(&unique, |k, entry| match matcher {
+            MatcherKind::Indexed => classify_matched(
+                rules,
+                &entry.erratum,
+                corpus.text(k),
+                &corpus.match_set(k, rules.matcher()),
+            ),
+            MatcherKind::Exhaustive => {
+                classify_prepared_with(rules, &entry.erratum, corpus.text(k), matcher)
             }
         })
     };
@@ -354,12 +315,14 @@ mod tests {
         let mut runs = Vec::new();
         for matcher in [MatcherKind::Indexed, MatcherKind::Exhaustive] {
             let mut db = Database::from_documents(&corpus.structured);
-            let run = classify_database_with(
+            let arena = db.analyze_representatives();
+            let run = classify_database_analyzed(
                 &mut db,
                 &rules,
                 HumanOracle::Simulated(&corpus.truth),
                 &FourEyesConfig::default(),
                 matcher,
+                &arena,
             );
             runs.push((db, run.stats));
         }
@@ -370,53 +333,10 @@ mod tests {
     }
 
     #[test]
-    fn analyzed_and_per_stage_classification_agree() {
-        use rememberr_model::Vendor;
-        use rememberr_textkit::DocText;
-
-        let corpus = SyntheticCorpus::generate(&CorpusSpec::scaled(0.05));
-        let rules = Rules::standard();
-
-        let mut legacy = Database::from_documents(&corpus.structured);
-        let legacy_run = classify_database_with(
-            &mut legacy,
-            &rules,
-            HumanOracle::Simulated(&corpus.truth),
-            &FourEyesConfig::default(),
-            MatcherKind::default(),
-        );
-
-        let mut analyzed = Database::from_documents(&corpus.structured);
-        let arena = AnalyzedCorpus::analyze(analyzed.entries(), |e| DocText {
-            text: e.erratum.full_text(),
-            title_len: e.erratum.title.len(),
-            analyze_title: e.vendor() == Vendor::Intel,
-        });
-        let analyzed_run = classify_database_analyzed(
-            &mut analyzed,
-            &rules,
-            HumanOracle::Simulated(&corpus.truth),
-            &FourEyesConfig::default(),
-            MatcherKind::default(),
-            &arena,
-        );
-
-        assert_eq!(legacy_run.stats, analyzed_run.stats);
-        assert_eq!(legacy.entries(), analyzed.entries());
-    }
-
-    #[test]
     fn two_rule_libraries_over_one_arena_each_get_their_own_matches() {
-        use rememberr_model::Vendor;
-        use rememberr_textkit::DocText;
-
         let corpus = SyntheticCorpus::generate(&CorpusSpec::scaled(0.05));
         let db = Database::from_documents(&corpus.structured);
-        let arena = AnalyzedCorpus::analyze(db.entries(), |e| DocText {
-            text: e.erratum.full_text(),
-            title_len: e.erratum.title.len(),
-            analyze_title: e.vendor() == Vendor::Intel,
-        });
+        let arena = db.analyze_representatives();
         // A small library whose pattern ids mean something else than the
         // standard library's; it runs first, so the arena memoizes its
         // match sets.
@@ -427,24 +347,24 @@ mod tests {
         )
         .unwrap();
         for rules in [&small, &Rules::standard()] {
-            let mut per_stage = db.clone();
-            let per_stage_run = classify_database(
-                &mut per_stage,
+            let mut own_arena = db.clone();
+            let own_run = classify_database(
+                &mut own_arena,
                 rules,
                 HumanOracle::None,
                 &FourEyesConfig::default(),
             );
-            let mut analyzed = db.clone();
-            let analyzed_run = classify_database_analyzed(
-                &mut analyzed,
+            let mut shared_arena = db.clone();
+            let shared_run = classify_database_analyzed(
+                &mut shared_arena,
                 rules,
                 HumanOracle::None,
                 &FourEyesConfig::default(),
                 MatcherKind::default(),
                 &arena,
             );
-            assert_eq!(per_stage_run.stats, analyzed_run.stats);
-            assert_eq!(per_stage.entries(), analyzed.entries());
+            assert_eq!(own_run.stats, shared_run.stats);
+            assert_eq!(own_arena.entries(), shared_arena.entries());
         }
     }
 

@@ -372,9 +372,9 @@ pub fn cmd_profile(args: &ParsedArgs) -> CmdResult {
     let (documents, defects) =
         extract_corpus(corpus.rendered.iter().map(|r| (r.design, r.text.as_str())))
             .map_err(|e| e.to_string())?;
-    // Single-pass mode: one shared analysis arena feeds dedup, classify,
-    // and the highlighting assist, so each erratum is tokenized exactly
-    // once and each representative matched once (the
+    // Dedup keys its own titles; then one arena over the representatives
+    // feeds classification and the highlighting assist, so each
+    // representative is tokenized once and matched once (the
     // `textkit.tokenize_calls` and `textkit.match_doc_calls` counters
     // below show it).
     let rules = Rules::standard();
@@ -414,14 +414,14 @@ pub fn cmd_profile(args: &ParsedArgs) -> CmdResult {
     Ok(out)
 }
 
-/// Renders the deterministic effort counters of the single-pass pipeline:
-/// how many same-document title pairs extraction checked, how many
-/// documents the corpus analysis covered, how many tokenization passes the
-/// whole run paid for and how many rule-match passes. The arena
-/// contributes exactly one tokenization per entry; the calls outside it
-/// are extraction's one title key per erratum (docgen adds none).
-/// Classification and the highlighting assist share one match pass per
-/// representative.
+/// Renders the deterministic effort counters of the ingest path: how many
+/// same-document title pairs extraction checked, how many documents the
+/// corpus analysis covered (one per representative), how many
+/// tokenization passes the whole run paid for and how many rule-match
+/// passes. Tokenization is extraction's one title key per erratum, dedup's
+/// one per Intel entry and the arena's one per representative (docgen adds
+/// none). Classification and the highlighting assist share one match pass
+/// per representative.
 fn render_corpus_counters(snap: &rememberr_obs::Snapshot) -> String {
     let mut out = String::from("corpus analysis (deterministic):\n");
     let names = [
@@ -585,8 +585,9 @@ OBSERVABILITY (any command):
 
 PROFILE:
   rememberr profile runs the full in-process pipeline (generate ->
-  extract -> dedup -> classify -> analyze) in single-pass mode (one
-  shared corpus-analysis arena) with profiling on and prints a per-stage
+  extract -> dedup -> classify -> analyze; one corpus-analysis arena
+  over the unique errata feeds classify and the highlighting assist)
+  with profiling on and prints a per-stage
   self/child-time table, the deterministic effort counters
   (extract.title_comparisons, corpus.docs_analyzed,
   textkit.tokenize_calls, textkit.match_doc_calls), per-worker

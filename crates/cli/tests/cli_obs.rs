@@ -411,7 +411,7 @@ fn profile_prints_stage_table_and_worker_utilization() {
     assert!(text.contains("dedup.assign_keys"), "{text}");
     assert!(text.contains("classify.database"), "{text}");
     assert!(text.contains("analysis.full_report"), "{text}");
-    // The deterministic effort counters of the single-pass run.
+    // The deterministic effort counters of the ingest run.
     assert!(text.contains("corpus analysis (deterministic):"), "{text}");
     assert!(text.contains("extract.title_comparisons"), "{text}");
     assert!(text.contains("corpus.docs_analyzed"), "{text}");

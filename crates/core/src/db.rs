@@ -5,12 +5,10 @@ use std::collections::HashMap;
 use rememberr_model::{Annotation, Design, ErrataDocument, ErratumId, UniqueKey, Vendor};
 use serde::{DeError, Deserialize, Serialize, Value};
 
-use rememberr_textkit::{AnalyzedCorpus, DocText};
+use rememberr_textkit::AnalyzedCorpus;
 
 use crate::cluster::ClusterTable;
-use crate::dedup::{
-    assign_keys_analyzed, assign_keys_with, CandidateGen, DedupStats, DedupStrategy,
-};
+use crate::dedup::{assign_keys_with, CandidateGen, DedupStats, DedupStrategy};
 use crate::entry::DbEntry;
 use crate::index::{DerivedCell, QueryIndex};
 
@@ -106,49 +104,28 @@ impl Database {
         }
     }
 
-    /// Like [`Database::from_documents_opts`], but analyzes the whole
-    /// corpus once up front and returns the [`AnalyzedCorpus`] alongside
-    /// the database so classification and analysis reuse the same
-    /// tokenization instead of re-deriving it per stage.
-    ///
-    /// The corpus is aligned with [`Database::entries`]: index `i` holds
-    /// the analysis of entry `i` (keying assigns cluster keys in place and
-    /// never reorders). Intel entries are title-analyzed for dedup; the
-    /// resulting database is byte-identical to the per-stage path.
+    /// [`Database::from_documents_opts`] followed by
+    /// [`Database::analyze_representatives`]: the database and the arena
+    /// that classification and the highlighting assist share.
     pub fn from_documents_analyzed(
         documents: &[ErrataDocument],
         strategy: DedupStrategy,
         candidates: CandidateGen,
     ) -> (Self, AnalyzedCorpus) {
-        let mut entries = build_entries(documents);
-        let corpus = AnalyzedCorpus::analyze(&entries, |e| DocText {
-            text: e.erratum.full_text(),
-            title_len: e.erratum.title.len(),
-            analyze_title: e.vendor() == Vendor::Intel,
-        });
-        let dedup_stats = assign_keys_analyzed(&mut entries, strategy, candidates, &corpus);
-        let db = Self {
-            entries,
-            dedup_stats,
-            ..Self::default()
-        };
-        // Downstream consumers (classification, highlight assist) read the
-        // arena only at representative positions — resolved exactly the way
-        // they resolve them: one representative per unique key, mapped to
-        // its first entry index. Release the rest of the token buffers so
-        // the match-heavy stages run against a much smaller resident arena.
-        let mut index_of: HashMap<ErratumId, usize> = HashMap::new();
-        for (i, entry) in db.entries.iter().enumerate() {
-            index_of.entry(entry.id()).or_insert(i);
-        }
-        let keep: Vec<usize> = db
-            .unique_entries()
-            .iter()
-            .map(|e| index_of[&e.id()])
-            .collect();
-        let mut corpus = corpus;
-        corpus.release_texts_except(keep);
+        let db = Self::from_documents_opts(documents, strategy, candidates);
+        let corpus = db.analyze_representatives();
         (db, corpus)
+    }
+
+    /// Tokenizes the full text of every cluster representative once.
+    ///
+    /// Document `k` of the arena is the `k`-th entry of
+    /// [`Database::unique_entries`], so each representative is read from
+    /// its own text even when two representatives share an identifier.
+    /// The other cluster members' full texts are never tokenized: dedup
+    /// reads only their titles.
+    pub fn analyze_representatives(&self) -> AnalyzedCorpus {
+        AnalyzedCorpus::analyze(&self.unique_entries(), |e| e.erratum.full_text())
     }
 
     /// Number of entries (errata listings, duplicates counted).

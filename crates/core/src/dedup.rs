@@ -24,7 +24,7 @@
 use std::collections::HashMap;
 
 use rememberr_model::{UniqueKey, Vendor};
-use rememberr_textkit::{AnalyzedCorpus, ThresholdCheck, TitleKey};
+use rememberr_textkit::{ThresholdCheck, TitleKey};
 use serde::{DeError, Deserialize, Serialize, Value};
 
 use crate::entry::DbEntry;
@@ -179,38 +179,6 @@ pub fn assign_keys_with(
     strategy: DedupStrategy,
     candidates: CandidateGen,
 ) -> DedupStats {
-    assign_keys_impl(entries, strategy, candidates, None)
-}
-
-/// [`assign_keys_with`] over a pre-analyzed corpus: title keys are
-/// borrowed from `corpus` (built once, corpus-wide, by
-/// [`AnalyzedCorpus::analyze`]) instead of being derived here, so dedup
-/// performs no tokenization at all. Clusters, key assignment, serialized
-/// output and `comparisons_made` are identical to the per-stage path.
-///
-/// `corpus` must be aligned with `entries` (index `i` analyzed from
-/// `entries[i]`) and title-analyzed exactly for the Intel entries —
-/// [`crate::Database::from_documents_analyzed`] constructs it that way.
-pub fn assign_keys_analyzed(
-    entries: &mut [DbEntry],
-    strategy: DedupStrategy,
-    candidates: CandidateGen,
-    corpus: &AnalyzedCorpus,
-) -> DedupStats {
-    assert_eq!(
-        corpus.len(),
-        entries.len(),
-        "analyzed corpus must align with the entry slice"
-    );
-    assign_keys_impl(entries, strategy, candidates, Some(corpus))
-}
-
-fn assign_keys_impl(
-    entries: &mut [DbEntry],
-    strategy: DedupStrategy,
-    candidates: CandidateGen,
-    analyzed: Option<&AnalyzedCorpus>,
-) -> DedupStats {
     let _span = rememberr_obs::span!("dedup.assign_keys");
     let mut stats = DedupStats {
         entries: entries.len(),
@@ -258,18 +226,12 @@ fn assign_keys_impl(
     // Each Intel title is normalized exactly once into a side table instead
     // of inside the pairwise cascade below; the table feeds both the
     // exact-title stage and the similarity scoring. `title_keys[i]` is
-    // `Some` exactly for the Intel entries. In single-pass mode the analysis
-    // arena already holds the keys and nothing is derived here.
-    let owned: Vec<Option<TitleKey>>;
-    let title_keys: Vec<Option<&TitleKey>> = match analyzed {
-        Some(corpus) => (0..entries.len()).map(|i| corpus.title_key(i)).collect(),
-        None => {
-            let _span = rememberr_obs::span!("dedup.title_keys");
-            owned = rememberr_par::par_map(&*entries, |e| {
-                (e.vendor() == Vendor::Intel).then(|| TitleKey::new(&e.erratum.title))
-            });
-            owned.iter().map(Option::as_ref).collect()
-        }
+    // `Some` exactly for the Intel entries.
+    let title_keys: Vec<Option<TitleKey>> = {
+        let _span = rememberr_obs::span!("dedup.title_keys");
+        rememberr_par::par_map(&*entries, |e| {
+            (e.vendor() == Vendor::Intel).then(|| TitleKey::new(&e.erratum.title))
+        })
     };
 
     // --- Intel: exact normalized-title clusters. ---
@@ -315,7 +277,7 @@ fn assign_keys_impl(
         }
         let roots: Vec<usize> = (0..entries.len()).map(|i| find(&mut parent, i)).collect();
         let pairs = distinct_root_pairs(&groups, &roots);
-        let key = |i: usize| title_keys[i].expect("cascade entry is Intel");
+        let key = |i: usize| title_keys[i].as_ref().expect("cascade entry is Intel");
         let checks: Vec<ThresholdCheck> =
             rememberr_par::par_map(&pairs, |&(a, b)| match candidates {
                 CandidateGen::Bounded => key(a).similarity_at_least(key(b), threshold),
@@ -604,28 +566,6 @@ mod tests {
             sb.comparisons_made,
             se.comparisons_made
         );
-    }
-
-    #[test]
-    fn analyzed_and_per_stage_paths_agree() {
-        for candidates in [CandidateGen::Bounded, CandidateGen::Exhaustive] {
-            let mut legacy = mixed_corpus();
-            let mut analyzed = mixed_corpus();
-            let sl = assign_keys_with(&mut legacy, DedupStrategy::default(), candidates);
-            let corpus = AnalyzedCorpus::analyze(&analyzed, |e| rememberr_textkit::DocText {
-                text: e.erratum.full_text(),
-                title_len: e.erratum.title.len(),
-                analyze_title: e.vendor() == Vendor::Intel,
-            });
-            let sa =
-                assign_keys_analyzed(&mut analyzed, DedupStrategy::default(), candidates, &corpus);
-            let kl: Vec<_> = legacy.iter().map(|e| e.key).collect();
-            let ka: Vec<_> = analyzed.iter().map(|e| e.key).collect();
-            assert_eq!(kl, ka, "{candidates:?}");
-            assert_eq!(sl, sa, "{candidates:?}");
-            assert_eq!(sl.cascade_merges, sa.cascade_merges, "{candidates:?}");
-            assert_eq!(sl.comparisons_made, sa.comparisons_made, "{candidates:?}");
-        }
     }
 
     #[test]

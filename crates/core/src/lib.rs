@@ -47,7 +47,7 @@ mod query;
 
 pub use db::Database;
 pub use dedup::{
-    assign_keys, assign_keys_analyzed, assign_keys_with, CandidateGen, DedupStats, DedupStrategy,
+    assign_keys, assign_keys_with, CandidateGen, DedupStats, DedupStrategy,
     DEFAULT_SIMILARITY_THRESHOLD,
 };
 pub use entry::DbEntry;

@@ -17,10 +17,11 @@
 //! * [`RuleMatcher`] — an indexed multi-pattern engine that matches a whole
 //!   pattern library against a [`PreparedText`] in one pass, pruning
 //!   patterns whose anchor token is absent (over [`Interner`] token ids);
-//! * [`AnalyzedCorpus`] / [`AnalyzedDoc`] — the single-pass analysis arena:
-//!   tokenizes, normalizes and stems each document's title/text exactly
-//!   once, in parallel, memoizes each document's [`MatchSet`], and hands
-//!   out the views every downstream stage consumes;
+//! * [`AnalyzedCorpus`] — the analysis arena: tokenizes each document's
+//!   full text exactly once, in parallel, and memoizes each document's
+//!   [`MatchSet`] so classification and the highlighting assist share one
+//!   rule-match pass. The pipeline builds it after dedup, over the cluster
+//!   representatives only;
 //! * [`highlights`] — the syntax-highlighting assist used during manual
 //!   classification;
 //! * [`wrap`] / [`reflow`] — document line rendering and its inverse.
@@ -57,7 +58,7 @@ mod similarity;
 mod tokenize;
 mod wrap;
 
-pub use corpus::{AnalyzedCorpus, AnalyzedDoc, DocText};
+pub use corpus::AnalyzedCorpus;
 pub use highlight::{
     highlights, highlights_prepared, highlights_prepared_filtered, render_ansi, render_markup,
     Highlight,

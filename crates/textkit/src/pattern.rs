@@ -174,21 +174,6 @@ impl PreparedText {
         }
     }
 
-    /// An empty prepared text: no tokens, empty source.
-    ///
-    /// Unlike [`PreparedText::new`] this does not tick the tokenize
-    /// counter — nothing is tokenized. It is the placeholder an analyzed
-    /// corpus swaps in when it releases a document's token buffer.
-    pub fn empty() -> Self {
-        Self {
-            source: String::new(),
-            words_buf: String::new(),
-            word_ends: Vec::new(),
-            kinds: Vec::new(),
-            spans: Vec::new(),
-        }
-    }
-
     /// The `i`-th lowercased word token.
     ///
     /// # Panics

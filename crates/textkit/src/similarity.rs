@@ -174,15 +174,7 @@ impl TitleKey {
     #[must_use]
     pub fn new(title: &str) -> Self {
         rememberr_obs::count("textkit.tokenize_calls", 1);
-        Self::from_normalized(normalize(title))
-    }
-
-    /// Builds the key from already-normalized tokens (stopwords removed,
-    /// stemmed, in title order) without re-tokenizing. The invariant that
-    /// `joined` equals [`crate::normalized_key`] of the original title holds
-    /// exactly when `normalized` is what [`crate::normalize`] returned for
-    /// it, which is how [`crate::AnalyzedCorpus`] calls this.
-    pub(crate) fn from_normalized(normalized: Vec<String>) -> Self {
+        let normalized = normalize(title);
         let joined = normalized.join(" ");
         Self {
             tokens: normalized.into_iter().collect(),

@@ -17,7 +17,7 @@ use std::sync::{Mutex, MutexGuard};
 
 use rememberr::{save, Database, DedupStrategy};
 use rememberr_classify::{
-    classify_database_with, DecisionStats, FourEyesConfig, HumanOracle, MatcherKind, Rules,
+    classify_database_analyzed, DecisionStats, FourEyesConfig, HumanOracle, MatcherKind, Rules,
 };
 use rememberr_docgen::{CorpusSpec, GroundTruth, SyntheticCorpus};
 use rememberr_extract::extract_corpus;
@@ -48,12 +48,14 @@ fn run(
     rememberr_obs::reset();
     rememberr_obs::enable();
     let mut db = Database::from_documents(documents);
-    let stats = classify_database_with(
+    let arena = db.analyze_representatives();
+    let stats = classify_database_analyzed(
         &mut db,
         rules,
         HumanOracle::Simulated(truth),
         &FourEyesConfig::default(),
         matcher,
+        &arena,
     )
     .stats;
     let counters = rememberr_obs::snapshot().counters_json();
@@ -114,13 +116,15 @@ fn indexed_matcher_does_ten_times_less_pattern_work() {
         rememberr_obs::enable();
         let mut db =
             Database::from_documents_opts(&documents, DedupStrategy::default(), Default::default());
-        rememberr_obs::reset(); // drop dedup counters; measure classify only
-        let _ = classify_database_with(
+        let arena = db.analyze_representatives();
+        rememberr_obs::reset(); // drop dedup and arena counters; measure classify only
+        let _ = classify_database_analyzed(
             &mut db,
             &rules,
             HumanOracle::Simulated(&truth),
             &FourEyesConfig::default(),
             matcher,
+            &arena,
         );
         let snap = rememberr_obs::snapshot();
         rememberr_obs::disable();
@@ -156,12 +160,14 @@ fn obs_counters_report_classify_effort() {
     rememberr_obs::reset();
     rememberr_obs::enable();
     let mut db = Database::from_documents(&documents);
-    let _ = classify_database_with(
+    let arena = db.analyze_representatives();
+    let _ = classify_database_analyzed(
         &mut db,
         &Rules::standard(),
         HumanOracle::Simulated(&truth),
         &FourEyesConfig::default(),
         MatcherKind::Indexed,
+        &arena,
     );
     let counters = rememberr_obs::snapshot().counters_json();
     rememberr_obs::disable();

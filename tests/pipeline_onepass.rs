@@ -1,32 +1,54 @@
-//! One-pass pipeline equivalence: the shared corpus-analysis arena
-//! (`Database::from_documents_analyzed` → `classify_database_analyzed` →
-//! `assist_highlights_analyzed`) must be indistinguishable from the
-//! per-stage pipeline that re-derives lexical features in every stage —
-//! byte-identical database JSON, identical `DedupStats` (including the
-//! `comparisons_made` diagnostic), `DecisionStats` and assist summaries, at
-//! single- and multi-worker counts — while tokenizing each database entry
-//! exactly once (the `textkit.tokenize_calls` audit counter) and matching
-//! each unique erratum against the rule library exactly once (the
-//! `textkit.match_doc_calls` counter). Ingesting rendered text adds exactly
-//! one title key per extracted erratum.
+//! One ingest path. The two public ways to run it — `Database::from_documents`
+//! then `classify_database`, or `Database::from_documents_analyzed` →
+//! `classify_database_analyzed` → `assist_highlights_analyzed` sharing one
+//! arena — must produce byte-identical database JSON and identical
+//! `DedupStats` (including the `comparisons_made` diagnostic),
+//! `DecisionStats` and assist summaries at single- and multi-worker counts.
+//!
+//! The arena is built after dedup, over the representatives only: a run
+//! from rendered text tokenizes each extracted title once in extraction,
+//! each Intel title once in dedup and each representative's full text
+//! once (the `textkit.tokenize_calls` audit counter), and matches each
+//! representative against the rule library once (the
+//! `textkit.match_doc_calls` counter). Representative `k` reads arena
+//! document `k`, so every representative is classified and highlighted
+//! from its own text, even when extraction gives two of them one
+//! identifier.
 
-use std::collections::{BTreeMap, HashSet};
+use std::collections::{BTreeMap, BTreeSet, HashSet};
 use std::num::NonZeroUsize;
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard};
 
 use rememberr::{save, CandidateGen, Database, DedupStats, DedupStrategy};
-use rememberr_analysis::{assist_highlights, assist_highlights_analyzed, AssistSummary};
+use rememberr_analysis::{assist_highlights_analyzed, AssistSummary};
 use rememberr_classify::{
-    classify_database_analyzed, classify_database_with, DecisionStats, FourEyesConfig, HumanOracle,
-    MatcherKind, Rules,
+    classify_database, classify_database_analyzed, classify_erratum, DecisionStats, FourEyesConfig,
+    HumanOracle, MatcherKind, Rules,
 };
 use rememberr_docgen::{CorpusSpec, SyntheticCorpus};
 use rememberr_extract::extract_corpus;
-use rememberr_model::ErratumId;
+use rememberr_model::{ErrataDocument, ErratumId, Vendor};
+use rememberr_textkit::{highlights, highlights_prepared_filtered};
 
-/// Both tests mutate process-global state (worker count, obs counters), so
-/// they serialize on this lock.
+/// Every test mutates process-global state (worker count, obs counters),
+/// so they serialize on this lock. A failed test poisons it; the others
+/// still run and report their own result.
 static GLOBAL: Mutex<()> = Mutex::new(());
+
+fn exclusive() -> MutexGuard<'static, ()> {
+    GLOBAL
+        .lock()
+        .unwrap_or_else(|poisoned| poisoned.into_inner())
+}
+
+/// The documents extracted from a corpus's rendered text: the input in
+/// which extraction can give two errata one identifier.
+fn extracted(corpus: &SyntheticCorpus) -> Vec<ErrataDocument> {
+    let (documents, _) =
+        extract_corpus(corpus.rendered.iter().map(|r| (r.design, r.text.as_str())))
+            .expect("the rendered corpus extracts");
+    documents
+}
 
 struct RunOutput {
     db_bytes: Vec<u8>,
@@ -35,19 +57,25 @@ struct RunOutput {
     assist: AssistSummary,
 }
 
-/// One full pipeline run (dedup → classify → assist) in either mode over
-/// pre-built documents.
-fn run_pipeline(corpus: &SyntheticCorpus, rules: &Rules, one_pass: bool) -> RunOutput {
-    let (db, run, assist) = if one_pass {
+/// One full pipeline run (dedup → classify → assist) through either pair
+/// of entry points.
+fn run_pipeline(
+    documents: &[ErrataDocument],
+    corpus: &SyntheticCorpus,
+    rules: &Rules,
+    shared_arena: bool,
+) -> RunOutput {
+    let oracle = HumanOracle::Simulated(&corpus.truth);
+    let (db, run, assist) = if shared_arena {
         let (mut db, arena) = Database::from_documents_analyzed(
-            &corpus.structured,
+            documents,
             DedupStrategy::default(),
             CandidateGen::default(),
         );
         let run = classify_database_analyzed(
             &mut db,
             rules,
-            HumanOracle::Simulated(&corpus.truth),
+            oracle,
             &FourEyesConfig::default(),
             MatcherKind::default(),
             &arena,
@@ -55,19 +83,10 @@ fn run_pipeline(corpus: &SyntheticCorpus, rules: &Rules, one_pass: bool) -> RunO
         let assist = assist_highlights_analyzed(&db, rules, &arena);
         (db, run, assist)
     } else {
-        let mut db = Database::from_documents_opts(
-            &corpus.structured,
-            DedupStrategy::default(),
-            CandidateGen::default(),
-        );
-        let run = classify_database_with(
-            &mut db,
-            rules,
-            HumanOracle::Simulated(&corpus.truth),
-            &FourEyesConfig::default(),
-            MatcherKind::default(),
-        );
-        let assist = assist_highlights(&db, rules);
+        let mut db = Database::from_documents(documents);
+        let run = classify_database(&mut db, rules, oracle, &FourEyesConfig::default());
+        // A fresh arena: the assist runs its own match passes.
+        let assist = assist_highlights_analyzed(&db, rules, &db.analyze_representatives());
         (db, run, assist)
     };
     let mut db_bytes = Vec::new();
@@ -82,16 +101,21 @@ fn run_pipeline(corpus: &SyntheticCorpus, rules: &Rules, one_pass: bool) -> RunO
 
 #[test]
 fn one_pass_pipeline_matches_per_stage_at_every_worker_count() {
-    let _guard = GLOBAL.lock().unwrap();
+    let _guard = exclusive();
     let corpus = SyntheticCorpus::generate(&CorpusSpec::scaled(0.25));
+    let documents = extracted(&corpus);
     let rules = Rules::standard();
 
     let mut baseline: Option<RunOutput> = None;
     for jobs in [1usize, 8] {
         rememberr_par::set_jobs(NonZeroUsize::new(jobs));
-        for one_pass in [false, true] {
-            let mode = if one_pass { "one-pass" } else { "per-stage" };
-            let out = run_pipeline(&corpus, &rules, one_pass);
+        for shared_arena in [false, true] {
+            let mode = if shared_arena {
+                "from_documents_analyzed + classify_database_analyzed"
+            } else {
+                "from_documents + classify_database"
+            };
+            let out = run_pipeline(&documents, &corpus, &rules, shared_arena);
             match &baseline {
                 None => baseline = Some(out),
                 Some(want) => {
@@ -143,9 +167,7 @@ fn traced_ingest(corpus: &SyntheticCorpus, rules: &Rules, jobs: usize) -> Ingest
     rememberr_par::set_jobs(NonZeroUsize::new(jobs));
     rememberr_obs::reset();
     rememberr_obs::enable();
-    let (documents, _) =
-        extract_corpus(corpus.rendered.iter().map(|r| (r.design, r.text.as_str())))
-            .expect("the rendered corpus extracts");
+    let documents = extracted(corpus);
     let tokenized_by_extraction = counter(&rememberr_obs::snapshot().counters, TOKENIZE);
     let (mut db, arena) = Database::from_documents_analyzed(
         &documents,
@@ -175,6 +197,7 @@ fn traced_ingest(corpus: &SyntheticCorpus, rules: &Rules, jobs: usize) -> Ingest
 
 const TOKENIZE: &str = "textkit.tokenize_calls";
 const MATCH_PASSES: &str = "textkit.match_doc_calls";
+const DOCS_ANALYZED: &str = "corpus.docs_analyzed";
 const PATTERN_EVALS: &str = "classify.pattern_evals";
 
 fn counter(counters: &BTreeMap<String, u64>, name: &str) -> u64 {
@@ -182,35 +205,43 @@ fn counter(counters: &BTreeMap<String, u64>, name: &str) -> u64 {
 }
 
 #[test]
-fn one_pass_pipeline_tokenizes_each_entry_exactly_once() {
-    let _guard = GLOBAL.lock().unwrap();
+fn one_pass_pipeline_tokenizes_each_representative_exactly_once() {
+    let _guard = exclusive();
     let corpus = SyntheticCorpus::generate(&CorpusSpec::scaled(0.25));
     let rules = Rules::standard();
 
-    // The ingest path from rendered text: extraction builds one title key
-    // per erratum, then the arena tokenizes each database entry once.
+    // Extraction keys each erratum title once, dedup keys each Intel title
+    // once, and the arena tokenizes each representative's full text once.
     for jobs in [1usize, 8] {
         let run = traced_ingest(&corpus, &rules, jobs);
+        let unique = run.db.unique_count() as u64;
+        let intel = run.db.total_count_for(Vendor::Intel) as u64;
         assert_eq!(
             run.tokenized_by_extraction, run.extracted,
             "extraction must key each erratum title exactly once (jobs={jobs})"
         );
         assert_eq!(
+            counter(&run.counters, DOCS_ANALYZED),
+            unique,
+            "the arena holds the representatives only (jobs={jobs})"
+        );
+        assert_eq!(
             counter(&run.counters, TOKENIZE),
-            run.extracted + run.db.len() as u64,
-            "the one-pass pipeline must tokenize each erratum exactly once (jobs={jobs})"
+            run.extracted + intel + unique,
+            "extraction, dedup and the arena each tokenize once (jobs={jobs})"
         );
     }
 }
 
-/// `classify.pattern_evals` of the 0.25 corpus's ingest, as counted before
-/// classification and the assist shared one match pass: sharing the pass
-/// must not change which patterns one pass evaluates.
-const PATTERN_EVALS_AT_QUARTER_SCALE: u64 = 4_392;
+/// `classify.pattern_evals` of the 0.25 corpus's ingest: one match pass
+/// per representative, each over its own text (including `320836-037US`
+/// erratum AAJ008, which shares its identifier with another
+/// representative).
+const PATTERN_EVALS_AT_QUARTER_SCALE: u64 = 4_406;
 
 #[test]
 fn one_pass_pipeline_matches_each_representative_exactly_once() {
-    let _guard = GLOBAL.lock().unwrap();
+    let _guard = exclusive();
     let corpus = SyntheticCorpus::generate(&CorpusSpec::scaled(0.25));
     let rules = Rules::standard();
 
@@ -218,27 +249,118 @@ fn one_pass_pipeline_matches_each_representative_exactly_once() {
     // representative's rule matches; the arena hands both the same pass.
     for jobs in [1usize, 8] {
         let run = traced_ingest(&corpus, &rules, jobs);
-        // Both stages find a representative's arena document by its
-        // identifier's first occurrence. An extraction name collision can
-        // give two representatives one identifier (this corpus has one,
-        // Intel1D#8), and then they read one document and share its pass.
-        let arena_docs: HashSet<ErratumId> =
-            run.db.unique_entries().iter().map(|e| e.id()).collect();
+        let unique = run.db.unique_count() as u64;
         assert_eq!(
             counter(&run.counters, MATCH_PASSES),
-            arena_docs.len() as u64,
-            "one match pass per representative's document (jobs={jobs})"
-        );
-        assert!(arena_docs.len() <= run.db.unique_count());
-        assert_eq!(
-            counter(&run.counters, TOKENIZE),
-            run.extracted + run.db.len() as u64,
-            "tokenization is unchanged (jobs={jobs})"
+            unique,
+            "one match pass per representative (jobs={jobs})"
         );
         assert_eq!(
             counter(&run.counters, PATTERN_EVALS),
             PATTERN_EVALS_AT_QUARTER_SCALE,
-            "pattern evaluations are unchanged (jobs={jobs})"
+            "pattern evaluations are pinned (jobs={jobs})"
         );
     }
+}
+
+/// Asserts that the corpus gives two representatives one identifier, so
+/// the checks below cover that case.
+fn assert_has_shared_identifier(db: &Database, what: &str) {
+    let mut seen = HashSet::new();
+    let shared: Vec<ErratumId> = db
+        .unique_entries()
+        .iter()
+        .map(|e| e.id())
+        .filter(|&id| !seen.insert(id))
+        .collect();
+    assert!(
+        !shared.is_empty(),
+        "{what}: no two representatives share an identifier"
+    );
+}
+
+#[test]
+fn each_representative_is_classified_from_its_own_text() {
+    let _guard = exclusive();
+    let rules = Rules::standard();
+    for (what, spec) in [
+        ("0.25 scale", CorpusSpec::scaled(0.25)),
+        ("paper scale", CorpusSpec::paper()),
+    ] {
+        let corpus = SyntheticCorpus::generate(&spec);
+        let mut db = Database::from_documents(&extracted(&corpus));
+        assert_has_shared_identifier(&db, what);
+        classify_database(
+            &mut db,
+            &rules,
+            HumanOracle::None,
+            &FourEyesConfig::default(),
+        );
+        for rep in db.unique_entries() {
+            assert_eq!(
+                rep.annotation.as_ref(),
+                Some(&classify_erratum(&rules, &rep.erratum).annotation),
+                "{what}: {} in cluster {:?}",
+                rep.id(),
+                rep.key
+            );
+        }
+    }
+}
+
+#[test]
+fn assist_highlights_equal_the_unfiltered_scan() {
+    let _guard = exclusive();
+    let corpus = SyntheticCorpus::generate(&CorpusSpec::scaled(0.25));
+    let documents = extracted(&corpus);
+    let rules = Rules::standard();
+    let patterns = rules.highlight_set();
+
+    for jobs in [1usize, 8] {
+        rememberr_par::set_jobs(NonZeroUsize::new(jobs));
+        let (mut db, arena) = Database::from_documents_analyzed(
+            &documents,
+            DedupStrategy::default(),
+            CandidateGen::default(),
+        );
+        assert_has_shared_identifier(&db, "0.25 scale");
+        classify_database_analyzed(
+            &mut db,
+            &rules,
+            HumanOracle::None,
+            &FourEyesConfig::default(),
+            MatcherKind::default(),
+            &arena,
+        );
+
+        // Oracle: every strong rule scanned over the representative's own
+        // text, tallied the way the assist tallies its summary.
+        let mut want = AssistSummary {
+            unique_errata: 0,
+            highlighted_errata: 0,
+            total_highlights: 0,
+            label_hits: BTreeMap::new(),
+        };
+        for (k, rep) in db.unique_entries().into_iter().enumerate() {
+            let oracle = highlights(&patterns, &rep.erratum.full_text());
+            let matches = arena.match_set(k, rules.matcher());
+            let filtered =
+                highlights_prepared_filtered(&patterns, arena.text(k), |id| matches.is_match(id));
+            assert_eq!(filtered, oracle, "{} at jobs={jobs}", rep.id());
+
+            want.unique_errata += 1;
+            want.total_highlights += oracle.len();
+            want.highlighted_errata += usize::from(!oracle.is_empty());
+            let labels: BTreeSet<&String> = oracle.iter().flat_map(|h| &h.labels).collect();
+            for label in labels {
+                *want.label_hits.entry(label.clone()).or_insert(0) += 1;
+            }
+        }
+        assert_eq!(
+            assist_highlights_analyzed(&db, &rules, &arena),
+            want,
+            "jobs={jobs}"
+        );
+    }
+    rememberr_par::set_jobs(None);
 }
