@@ -7,16 +7,16 @@
 //! label fires — so reports can quantify how much reading the assist
 //! saves.
 //!
-//! [`assist_highlights_analyzed`] reads each representative's tokenized
-//! text and the rule-match pass that classification memoized in the
-//! shared arena ([`Database::analyze_representatives`]), so it neither
-//! tokenizes nor matches again.
+//! [`assist_highlights_analyzed`] reads each representative's rule-match
+//! pass that classification memoized in the shared arena
+//! ([`Database::analyze_representatives`]), whose match set holds every
+//! span, so it neither tokenizes nor scans again.
 
 use std::collections::BTreeMap;
 
 use rememberr::Database;
 use rememberr_classify::Rules;
-use rememberr_textkit::{highlights_prepared_filtered, AnalyzedCorpus};
+use rememberr_textkit::{highlights_matched, AnalyzedCorpus};
 
 /// Summary of the highlighting assist over a database's unique errata.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -67,13 +67,10 @@ pub fn assist_highlights_analyzed(
         // (see `Rules::highlight_set`), which is also how the shared
         // matcher numbers its first pattern ids — so the representative's
         // match set, memoized in the corpus when classification matched
-        // it, prunes the set to the rules that match this text, and only
-        // those are scanned for their full span lists. Pruning is
-        // lossless: the output equals the exhaustive scan
+        // it, already holds every span of every highlight pattern, and
+        // nothing is scanned. The output equals the exhaustive scan
         // `rememberr_textkit::highlights` performs.
-        let matches = corpus.match_set(k, rules.matcher());
-        let highlights =
-            highlights_prepared_filtered(&patterns, corpus.text(k), |id| matches.is_match(id));
+        let highlights = highlights_matched(&patterns, &corpus.match_set(k, rules.matcher()));
         let mut labels: Vec<String> = highlights
             .iter()
             .flat_map(|h| h.labels.iter().cloned())

@@ -365,8 +365,8 @@ impl Rules {
     ///
     /// Pattern `i` of the set is `self.strong()[i]`, which is also pattern
     /// id `i` of [`Rules::matcher`] (the matcher compiles strong rules
-    /// first, in library order) — so a matcher pass over a text can prune
-    /// the set's patterns losslessly before span extraction.
+    /// first, in library order) — so a matcher pass over a text already
+    /// holds the set's spans ([`rememberr_textkit::highlights_matched`]).
     pub fn highlight_set(&self) -> PatternSet {
         let mut set = PatternSet::new();
         for (category, pattern) in &self.strong {
@@ -458,8 +458,8 @@ mod tests {
 
     #[test]
     fn highlight_set_indices_are_matcher_ids() {
-        // The assist prunes the highlight set with a matcher pass, which
-        // is only sound if set index i and matcher id i are the same
+        // The assist reads the highlight set's spans from a matcher pass,
+        // which is only sound if set index i and matcher id i are the same
         // pattern. Check behavioral agreement over texts matching every
         // strong rule's own source (via its first literal alternative).
         let rules = Rules::standard();
@@ -469,10 +469,17 @@ mod tests {
             let text = rememberr_textkit::PreparedText::from_string(
                 pattern.source().replace(['|', '*', '<', '>'], " "),
             );
-            let spans = set.find_spans(&text);
             let matches = matcher.match_doc(&text);
-            let pruned = set.find_spans_filtered(&text, |id| matches.is_match(id));
-            assert_eq!(spans, pruned, "pattern {:?}", pattern.source());
+            let mut from_matches = Vec::new();
+            for id in 0..set.len() {
+                from_matches.extend(matches.spans(id).iter().map(|&span| (set.label(id), span)));
+            }
+            assert_eq!(
+                set.find_spans(&text),
+                from_matches,
+                "pattern {:?}",
+                pattern.source()
+            );
         }
     }
 

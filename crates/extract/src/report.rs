@@ -6,7 +6,9 @@
 //! reused erratum names, missing/duplicated fields, erroneous MSR numbers,
 //! and intra-document duplicate candidates.
 
-use rememberr_model::{Design, ErrataDocument, ErratumId, MsrRef};
+use std::collections::HashMap;
+
+use rememberr_model::{Design, ErrataDocument, Erratum, ErratumId, MsrRef};
 use rememberr_textkit::TitleKey;
 use serde::{Deserialize, Serialize};
 
@@ -18,6 +20,10 @@ use crate::msrscan::inconsistent_refs;
 /// differ. Body-identical pairs are always flagged; the high bar here keeps
 /// qualifier-only title collisions between distinct bugs out of the report.
 pub const INTRA_DOC_SIMILARITY: f64 = 0.9;
+
+// The title prefix filter needs every passing pair of non-empty keys to
+// share a token, so a pair sharing none, `composite(0, 1) = 0.4`, must fail.
+const _: () = assert!(INTRA_DOC_SIMILARITY > 0.4);
 
 /// Defects detected while extracting one document.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
@@ -176,32 +182,115 @@ pub fn detect_defects(doc: &ErrataDocument, parsed: &[ParsedErratum]) -> Extract
         }
     }
 
-    // Intra-document duplicate candidates: one title key per erratum, and
-    // an exact threshold decision per pair.
+    // Intra-document duplicates: one title key per erratum, and an exact
+    // decision for every pair that can be one.
     let keys: Vec<TitleKey> = doc.errata.iter().map(|e| TitleKey::new(&e.title)).collect();
     let mut comparisons = 0u64;
-    for (i, a) in doc.errata.iter().enumerate() {
-        for (j, b) in doc.errata.iter().enumerate().skip(i + 1) {
-            if a.id.number == b.id.number {
-                continue; // that is a name collision, not a duplicate pair
-            }
+    for (i, j) in duplicate_candidates(&doc.errata, &keys) {
+        let (a, b) = (&doc.errata[i], &doc.errata[j]);
+        if a.id.number == b.id.number {
+            continue; // that is a name collision, not a duplicate pair
+        }
+        let duplicate = a.description == b.description || {
             comparisons += 1;
-            let near_title = keys[i]
+            keys[i]
                 .similarity_at_least(&keys[j], INTRA_DOC_SIMILARITY)
-                .passes;
-            let same_body = a.description == b.description;
-            if near_title || same_body {
-                report.intra_doc_duplicates.push((
-                    design,
-                    a.id.number.min(b.id.number),
-                    a.id.number.max(b.id.number),
-                ));
-            }
+                .passes
+        };
+        if duplicate {
+            report.intra_doc_duplicates.push((
+                design,
+                a.id.number.min(b.id.number),
+                a.id.number.max(b.id.number),
+            ));
         }
     }
     rememberr_obs::count("extract.title_comparisons", comparisons);
 
     report
+}
+
+/// Every pair `(i, j)`, `i < j`, of a document's errata that can be an
+/// intra-document duplicate, sorted: the pairs with identical bodies, and
+/// a superset of the pairs whose titles reach [`INTRA_DOC_SIMILARITY`].
+///
+/// Titles go through a prefix filter. A pair of non-empty keys reaches
+/// the threshold only if it shares at least
+/// [`TitleKey::min_shared_tokens`] tokens of each side, `α`. Order each
+/// key's tokens by a per-document order (rarest first, then token id):
+/// the first shared token then lies among the first `n − α + 1` tokens of
+/// both keys, so a pair that shares no token of those prefixes cannot
+/// pass. Two keys without tokens have Jaccard 1 and take the exact check;
+/// an empty key and a non-empty one cannot pass, since
+/// `composite(0, 1) = 0.4`.
+fn duplicate_candidates(errata: &[Erratum], keys: &[TitleKey]) -> Vec<(usize, usize)> {
+    let mut pairs = Vec::new();
+    let mut push_all_pairs = |group: &[usize]| {
+        for (at, &i) in group.iter().enumerate() {
+            pairs.extend(group[at + 1..].iter().map(|&j| (i, j)));
+        }
+    };
+
+    // Identical bodies: runs of a stable sort by description, each run in
+    // index order.
+    let mut by_body: Vec<usize> = (0..errata.len()).collect();
+    by_body.sort_by(|&a, &b| errata[a].description.cmp(&errata[b].description));
+    for run in by_body.chunk_by(|&a, &b| errata[a].description == errata[b].description) {
+        push_all_pairs(run);
+    }
+
+    // Keys without tokens.
+    let empty: Vec<usize> = (0..keys.len())
+        .filter(|&i| keys[i].tokens().len() == 0)
+        .collect();
+    push_all_pairs(&empty);
+
+    // Per-document token ids in first-seen order, and each key's tokens
+    // as ids. The sort below compares ids, never strings.
+    let mut ids: HashMap<&str, usize> = HashMap::new();
+    let mut key_ids: Vec<Vec<usize>> = keys
+        .iter()
+        .map(|key| {
+            key.tokens()
+                .map(|token| {
+                    let next = ids.len();
+                    *ids.entry(token).or_insert(next)
+                })
+                .collect()
+        })
+        .collect();
+    // How many keys hold each token.
+    let mut frequency = vec![0usize; ids.len()];
+    for &id in key_ids.iter().flatten() {
+        frequency[id] += 1;
+    }
+
+    // Probe each key's prefix against the prefixes indexed before it,
+    // then index it.
+    let mut index: Vec<Vec<usize>> = vec![Vec::new(); ids.len()];
+    let mut probed_by = vec![usize::MAX; keys.len()];
+    for (i, tokens) in key_ids.iter_mut().enumerate() {
+        if tokens.is_empty() {
+            continue;
+        }
+        tokens.sort_unstable_by_key(|&id| (frequency[id], id));
+        // α >= 1 at INTRA_DOC_SIMILARITY (asserted above), so the prefix
+        // fits in the key.
+        let prefix = tokens.len() + 1 - keys[i].min_shared_tokens(INTRA_DOC_SIMILARITY);
+        for &id in &tokens[..prefix] {
+            for &j in &index[id] {
+                if probed_by[j] != i {
+                    probed_by[j] = i;
+                    pairs.push((j, i));
+                }
+            }
+            index[id].push(i);
+        }
+    }
+
+    pairs.sort_unstable();
+    pairs.dedup();
+    pairs
 }
 
 #[cfg(test)]
@@ -383,18 +472,19 @@ mod tests {
     }
 
     /// Stopwords, stem variants and a few content words: generated titles
-    /// often collide after normalization, and some are empty or stopwords
-    /// only.
+    /// often collide after normalization, some are empty or stopwords
+    /// only, and the longest have enough distinct tokens that the title
+    /// prefix filter indexes more than one of them.
     const VOCAB: &[&str] = &[
         "the", "of", "may", "might", "warm", "reset", "resets", "hang", "hangs", "hanging",
-        "cache", "caches", "usb", "transfer",
+        "cache", "caches", "usb", "transfer", "packet", "drop",
     ];
     const BODIES: [&str; 3] = ["first body", "second body", "third body"];
 
     fn generated_erratum() -> impl Strategy<Value = Erratum> {
         (
             1u32..30,
-            prop::collection::vec((0..VOCAB.len()).prop_map(|i| VOCAB[i]), 0..6),
+            prop::collection::vec((0..VOCAB.len()).prop_map(|i| VOCAB[i]), 0..10),
             0..BODIES.len(),
         )
             .prop_map(|(n, words, body)| erratum(Design::Intel6, n, &words.join(" "), BODIES[body]))

@@ -8,6 +8,7 @@
 
 use std::collections::BTreeMap;
 
+use crate::matcher::MatchSet;
 use crate::pattern::{PatternSet, PreparedText, Span};
 
 /// A highlighted region: the byte span and the labels that apply to it.
@@ -29,30 +30,42 @@ pub fn highlights(patterns: &PatternSet, text: &str) -> Vec<Highlight> {
 }
 
 /// [`highlights`] over text that is already tokenized, so callers holding a
-/// [`PreparedText`] (for example from an [`crate::AnalyzedCorpus`]) skip the
-/// re-tokenization. Spans index into `prepared.source()`.
+/// [`PreparedText`] skip the re-tokenization. Spans index into
+/// `prepared.source()`.
 pub fn highlights_prepared(patterns: &PatternSet, prepared: &PreparedText) -> Vec<Highlight> {
-    highlights_prepared_filtered(patterns, prepared, |_| true)
+    merge(
+        patterns
+            .find_spans(prepared)
+            .into_iter()
+            .map(|(label, span)| (span, label))
+            .collect(),
+    )
 }
 
-/// [`highlights_prepared`] restricted to the patterns whose set index
-/// passes `keep`.
+/// [`highlights_prepared`] read from a [`MatchSet`] that already holds the
+/// spans, so nothing is scanned.
 ///
-/// Non-matching patterns contribute no spans, so any predicate that keeps
-/// every *matching* pattern — such as `is_match` over a lossless
-/// [`crate::RuleMatcher`] pre-pass whose pattern ids align with the set —
-/// produces output identical to the unfiltered call while skipping the
-/// positional scans that would come up empty.
-pub fn highlights_prepared_filtered(
-    patterns: &PatternSet,
-    prepared: &PreparedText,
-    keep: impl Fn(usize) -> bool,
-) -> Vec<Highlight> {
-    let mut raw: Vec<(Span, &str)> = patterns
-        .find_spans_filtered(prepared, keep)
-        .into_iter()
-        .map(|(label, span)| (span, label))
-        .collect();
+/// Pattern `i` of `patterns` must be pattern `i` of the
+/// [`crate::RuleMatcher`] that computed `matches` over the text (the
+/// matcher may hold more patterns after them). A match set holds exactly
+/// the spans [`crate::Pattern::find_in`] finds, so the result equals
+/// [`highlights_prepared`] over the same text.
+pub fn highlights_matched(patterns: &PatternSet, matches: &MatchSet) -> Vec<Highlight> {
+    merge(
+        (0..patterns.len())
+            .flat_map(|i| {
+                matches
+                    .spans(i)
+                    .iter()
+                    .map(move |&span| (span, patterns.label(i)))
+            })
+            .collect(),
+    )
+}
+
+/// Merges labelled spans into sorted highlights: overlapping or adjacent
+/// spans with any shared coverage merge, carrying the union of labels.
+fn merge(mut raw: Vec<(Span, &str)>) -> Vec<Highlight> {
     raw.sort_by_key(|(span, _)| (span.start, span.end));
 
     let mut merged: Vec<(Span, BTreeMap<String, ()>)> = Vec::new();
@@ -175,6 +188,22 @@ mod tests {
         assert!(hs.is_empty());
         assert_eq!(render_markup(text, &hs), text);
         assert_eq!(render_ansi(text, &hs), text);
+    }
+
+    #[test]
+    fn matched_highlights_equal_the_scan() {
+        let patterns = demo_patterns();
+        let mut sources = vec!["power <2> state|states", "warm|cold reset", "hang|hangs"];
+        // The matcher may hold more patterns after the set's.
+        sources.push("processor");
+        let matcher =
+            crate::RuleMatcher::compile(sources.iter().map(|s| crate::Pattern::parse(s).unwrap()));
+        let text = PreparedText::new(
+            "hang after a power state change, then a warm reset: the processor hangs",
+        );
+        let matched = highlights_matched(&patterns, &matcher.match_doc(&text));
+        assert_eq!(matched, highlights_prepared(&patterns, &text));
+        assert_eq!(matched.len(), 4);
     }
 
     #[test]

@@ -11,19 +11,23 @@
 //! * [`levenshtein`], [`TitleKey`] — the title-similarity metric behind the
 //!   Intel duplicate-detection cascade and the intra-document duplicate
 //!   check, with an exact threshold check that skips the edit-distance
-//!   program when cheap bounds settle a pair;
+//!   program when cheap bounds settle a pair, and the shared-token bound
+//!   ([`TitleKey::min_shared_tokens`]) a prefix filter needs;
 //! * [`Pattern`] / [`PatternSet`] — a token-phrase pattern engine replacing
 //!   the paper's regex rules;
 //! * [`RuleMatcher`] — an indexed multi-pattern engine that matches a whole
 //!   pattern library against a [`PreparedText`] in one pass, pruning
-//!   patterns whose anchor token is absent (over [`Interner`] token ids);
+//!   patterns whose anchor token is absent (over [`Interner`] token ids)
+//!   and trying the rest only at the starts their anchor hits allow; its
+//!   [`MatchSet`] holds every span of every matching pattern;
 //! * [`AnalyzedCorpus`] — the analysis arena: tokenizes each document's
 //!   full text exactly once, in parallel, and memoizes each document's
 //!   [`MatchSet`] so classification and the highlighting assist share one
 //!   rule-match pass. The pipeline builds it after dedup, over the cluster
 //!   representatives only;
-//! * [`highlights`] — the syntax-highlighting assist used during manual
-//!   classification;
+//! * [`highlights`] / [`highlights_matched`] — the syntax-highlighting
+//!   assist used during manual classification, scanned or read from a
+//!   match set;
 //! * [`wrap`] / [`reflow`] — document line rendering and its inverse.
 //!
 //! # Examples
@@ -60,12 +64,11 @@ mod wrap;
 
 pub use corpus::AnalyzedCorpus;
 pub use highlight::{
-    highlights, highlights_prepared, highlights_prepared_filtered, render_ansi, render_markup,
-    Highlight,
+    highlights, highlights_matched, highlights_prepared, render_ansi, render_markup, Highlight,
 };
 pub use intern::Interner;
 pub use matcher::{MatchSet, RuleMatcher};
-pub use normalize::{is_stopword, normalize, normalized_key, stem, stem_owned};
+pub use normalize::{is_stopword, normalize, normalized_key, stem};
 pub use pattern::{Pattern, PatternError, PatternSet, PreparedText, Span};
 pub use similarity::{levenshtein, levenshtein_similarity, ThresholdCheck, TitleKey};
 pub use tokenize::{tokenize, word_tokens, Token, TokenKind};

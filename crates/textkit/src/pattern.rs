@@ -334,12 +334,20 @@ impl Pattern {
     /// Equivalent to `find_in(text).first().copied()` without materializing
     /// the remaining matches.
     pub fn first_match_in(&self, text: &PreparedText) -> Option<Span> {
-        (0..text.len()).find_map(|wi| {
-            self.match_at(text, 0, wi).map(|end| Span {
-                start: text.spans[wi].start,
-                end: text.spans[end - 1].end,
-            })
-        })
+        (0..text.len()).find_map(|wi| self.match_span_at(text, wi).map(|(span, _)| span))
+    }
+
+    /// The match that starts at word `wi`, if any: its source byte span
+    /// and the index of the first word after it.
+    pub(crate) fn match_span_at(&self, text: &PreparedText, wi: usize) -> Option<(Span, usize)> {
+        // The parser guarantees a non-gap element, so a match consumes at
+        // least one word: end > wi.
+        let end = self.match_at(text, 0, wi)?;
+        let span = Span {
+            start: text.spans[wi].start,
+            end: text.spans[end - 1].end,
+        };
+        Some((span, end))
     }
 
     /// Finds all non-overlapping matches (leftmost, shortest-gap) and
@@ -348,13 +356,7 @@ impl Pattern {
         let mut out = Vec::new();
         let mut wi = 0;
         while wi < text.len() {
-            if let Some(end) = self.match_at(text, 0, wi) {
-                // A match may end at `wi` if it is all-gaps after `wi`; the
-                // parser guarantees a non-gap element, so end > wi.
-                let span = Span {
-                    start: text.spans[wi].start,
-                    end: text.spans[end - 1].end,
-                };
+            if let Some((span, end)) = self.match_span_at(text, wi) {
                 out.push(span);
                 wi = end;
             } else {
@@ -440,26 +442,20 @@ impl PatternSet {
         out
     }
 
-    /// All `(label, span)` matches in the text.
-    pub fn find_spans(&self, text: &PreparedText) -> Vec<(&str, Span)> {
-        self.find_spans_filtered(text, |_| true)
+    /// The label of pattern `i`, in insertion order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i >= self.len()`.
+    pub fn label(&self, i: usize) -> &str {
+        &self.patterns[i].0
     }
 
-    /// [`PatternSet::find_spans`] restricted to the patterns whose index
-    /// passes `keep`. A pattern that matches nowhere contributes no spans,
-    /// so any predicate that keeps every *matching* pattern (for example a
-    /// lossless [`crate::RuleMatcher`] pre-pass) yields exactly the
-    /// unfiltered result while skipping the scans that would find nothing.
-    pub fn find_spans_filtered(
-        &self,
-        text: &PreparedText,
-        keep: impl Fn(usize) -> bool,
-    ) -> Vec<(&str, Span)> {
+    /// All `(label, span)` matches in the text: every pattern's
+    /// [`Pattern::find_in`] spans, pattern after pattern.
+    pub fn find_spans(&self, text: &PreparedText) -> Vec<(&str, Span)> {
         let mut out = Vec::new();
-        for (i, (label, pattern)) in self.patterns.iter().enumerate() {
-            if !keep(i) {
-                continue;
-            }
+        for (label, pattern) in &self.patterns {
             for span in pattern.find_in(text) {
                 out.push((label.as_str(), span));
             }

@@ -7,9 +7,9 @@
 //! Jaccard and Levenshtein similarity over normalized titles, precomputed
 //! per title as a [`TitleKey`].
 
-use std::collections::BTreeSet;
+use std::cmp::Ordering;
 
-use crate::normalize::normalize;
+use crate::normalize::normalize_into;
 
 /// Levenshtein edit distance between two strings, by bytes.
 ///
@@ -150,9 +150,9 @@ fn decide_threshold(jaccard: f64, a: &str, b: &str, threshold: f64) -> Threshold
     }
 }
 
-/// A title's precomputed similarity key: its normalized token set and
-/// joined normalized form, computed once so repeated comparisons skip
-/// re-normalization.
+/// A title's precomputed similarity key: its joined normalized form and
+/// its distinct normalized tokens, computed once so repeated comparisons
+/// skip re-normalization.
 ///
 /// Titles are normalized (stopwords out, light stemming), then
 /// [`TitleKey::similarity`] blends token Jaccard and character-level
@@ -160,13 +160,18 @@ fn decide_threshold(jaccard: f64, a: &str, b: &str, threshold: f64) -> Threshold
 /// permutations, Levenshtein captures near-identical phrasing with small
 /// in-word edits. Normalization dominates the cost of a comparison, so
 /// callers build one key per title and compare keys.
+///
+/// The tokens are byte ranges into the joined form, sorted by token text,
+/// so a key makes two allocations however many words the title has, and
+/// the Jaccard intersection is a merge of two sorted lists.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct TitleKey {
-    /// Distinct normalized tokens (the Jaccard operand).
-    tokens: BTreeSet<String>,
     /// Normalized tokens joined with single spaces (the Levenshtein operand,
     /// identical to [`crate::normalized_key`] of the title).
     joined: String,
+    /// Byte ranges in `joined` of the distinct tokens (the Jaccard operand),
+    /// sorted by token text; of repeated tokens, the first occurrence.
+    tokens: Vec<(usize, usize)>,
 }
 
 impl TitleKey {
@@ -174,12 +179,15 @@ impl TitleKey {
     #[must_use]
     pub fn new(title: &str) -> Self {
         rememberr_obs::count("textkit.tokenize_calls", 1);
-        let normalized = normalize(title);
-        let joined = normalized.join(" ");
-        Self {
-            tokens: normalized.into_iter().collect(),
-            joined,
-        }
+        let mut joined = String::with_capacity(title.len());
+        let mut tokens = Vec::new();
+        normalize_into(title, &mut joined, |range| {
+            tokens.push((range.start, range.end));
+        });
+        let token = |&(start, end): &(usize, usize)| &joined[start..end];
+        tokens.sort_unstable_by(|a, b| token(a).cmp(token(b)).then(a.0.cmp(&b.0)));
+        tokens.dedup_by(|a, b| token(a) == token(b));
+        Self { joined, tokens }
     }
 
     /// The joined normalized form — byte-identical to
@@ -191,9 +199,57 @@ impl TitleKey {
     }
 
     /// The distinct normalized tokens (the Jaccard operand), sorted.
+    pub fn tokens(&self) -> impl ExactSizeIterator<Item = &str> + '_ {
+        self.tokens
+            .iter()
+            .map(|&(start, end)| &self.joined[start..end])
+    }
+
+    /// The fewest distinct tokens this key must share with another key for
+    /// their similarity to reach `threshold`: the least `o` with
+    /// `composite(o / n, 1.0) >= threshold` for this key's `n` tokens, in
+    /// the float expression [`TitleKey::similarity`] evaluates (`n + 1` if
+    /// no `o <= n` reaches it).
+    ///
+    /// The bound is exact in floating point. The computed Jaccard
+    /// `shared / union` is at most `shared / n`, since the union holds this
+    /// key's tokens and correctly rounded division is monotone in both
+    /// operands; the Levenshtein similarity is at most 1; and the
+    /// composite blend is monotone in both. A key with no tokens returns
+    /// 1: it shares none, and only another empty key can reach a threshold
+    /// above 0.4 with it, through the Jaccard of two empty sets, 1.
     #[must_use]
-    pub fn tokens(&self) -> &BTreeSet<String> {
-        &self.tokens
+    pub fn min_shared_tokens(&self, threshold: f64) -> usize {
+        let n = self.tokens.len();
+        if n == 0 {
+            return 1;
+        }
+        (0..=n)
+            .find(|&o| composite(o as f64 / n as f64, 1.0) >= threshold)
+            .unwrap_or(n + 1)
+    }
+
+    /// The number of distinct tokens the two keys share: a merge of the
+    /// two sorted token lists.
+    fn shared_tokens(&self, other: &Self) -> usize {
+        let (mut mine, mut theirs) = (self.tokens().peekable(), other.tokens().peekable());
+        let mut shared = 0;
+        while let (Some(a), Some(b)) = (mine.peek(), theirs.peek()) {
+            match a.cmp(b) {
+                Ordering::Less => {
+                    mine.next();
+                }
+                Ordering::Greater => {
+                    theirs.next();
+                }
+                Ordering::Equal => {
+                    shared += 1;
+                    mine.next();
+                    theirs.next();
+                }
+            }
+        }
+        shared
     }
 
     /// Composite title similarity in `[0, 1]` against another key, the
@@ -208,7 +264,7 @@ impl TitleKey {
     /// of the composite blend).
     #[must_use]
     pub fn jaccard(&self, other: &Self) -> f64 {
-        let inter = self.tokens.intersection(&other.tokens).count();
+        let inter = self.shared_tokens(other);
         let union = self.tokens.len() + other.tokens.len() - inter;
         if union == 0 {
             1.0
@@ -227,7 +283,7 @@ impl TitleKey {
     /// bit-for-bit identical to comparing [`TitleKey::similarity`] against
     /// `threshold`; `scored` reports whether the dynamic program ran.
     ///
-    /// Before the token-set intersection, the token counts alone may reject
+    /// Before the token-list merge, the token counts alone may reject
     /// the pair: `jaccard <= min(|A|, |B|) / max(|A|, |B|)`, and correctly
     /// rounded division is monotone in both operands, so the bound holds in
     /// floating point too. A pair it rejects also fails the first bound of
@@ -303,6 +359,29 @@ mod tests {
     }
 
     #[test]
+    fn min_shared_tokens_at_the_intra_document_threshold() {
+        let key = |n: usize| {
+            TitleKey::new(
+                &(0..n)
+                    .map(|i| format!("w{i}"))
+                    .collect::<Vec<_>>()
+                    .join(" "),
+            )
+        };
+        // composite(0, 1) = 0.4, so at 0.9 every non-empty key needs a
+        // shared token; five tokens need all five, six need five.
+        assert_eq!(key(0).min_shared_tokens(0.9), 1);
+        assert_eq!(key(1).min_shared_tokens(0.9), 1);
+        assert_eq!(key(5).min_shared_tokens(0.9), 5);
+        for n in 1..=64 {
+            let alpha = key(n).min_shared_tokens(0.9);
+            assert!((1..=n).contains(&alpha), "{n} tokens: {alpha}");
+        }
+        assert_eq!(key(3).min_shared_tokens(0.0), 0);
+        assert_eq!(key(3).min_shared_tokens(1.5), 4);
+    }
+
+    #[test]
     fn trimmed_bound_brackets_the_distance() {
         for (a, b) in [
             ("warm reset hang", "warm reset hang case"),
@@ -358,6 +437,50 @@ mod tests {
             prop_assert_eq!(fast.passes, full, "threshold {} on {:?} vs {:?}", threshold, a, b);
             let unbounded = decide_threshold(ka.jaccard(&kb), ka.joined(), kb.joined(), threshold);
             prop_assert_eq!(fast.scored, unbounded.scored, "{:?} vs {:?}", a, b);
+        }
+
+        /// The key's tokens are the sorted, deduplicated normalized words,
+        /// its joined form is the normalized key, and its Jaccard is
+        /// bit-identical to a `BTreeSet` intersection over those words.
+        #[test]
+        fn title_keys_match_the_set_oracle(
+            a in prop_oneof![vocab_title(), ".{0,40}"],
+            b in prop_oneof![vocab_title(), ".{0,40}"],
+        ) {
+            use std::collections::BTreeSet;
+
+            let (ka, kb) = (TitleKey::new(&a), TitleKey::new(&b));
+            let (sa, sb): (BTreeSet<String>, BTreeSet<String>) =
+                (crate::normalize(&a).into_iter().collect(), crate::normalize(&b).into_iter().collect());
+            prop_assert!(ka.tokens().eq(sa.iter().map(String::as_str)), "{:?}", a);
+            prop_assert_eq!(ka.joined(), crate::normalized_key(&a));
+            let inter = sa.intersection(&sb).count();
+            let union = sa.len() + sb.len() - inter;
+            let oracle = if union == 0 { 1.0 } else { inter as f64 / union as f64 };
+            prop_assert_eq!(ka.jaccard(&kb).to_bits(), oracle.to_bits(), "{:?} vs {:?}", a, b);
+        }
+
+        /// A pair that reaches the threshold shares at least
+        /// `min_shared_tokens` of each non-empty side, and one token fewer
+        /// would not reach it.
+        #[test]
+        fn passing_pairs_share_the_minimum_token_count(
+            (a, b, threshold) in titles_and_threshold(),
+        ) {
+            let (ka, kb) = (TitleKey::new(&a), TitleKey::new(&b));
+            for key in [&ka, &kb] {
+                let (n, alpha) = (key.tokens().len(), key.min_shared_tokens(threshold));
+                if n > 0 && alpha > 0 && alpha <= n {
+                    prop_assert!(composite((alpha - 1) as f64 / n as f64, 1.0) < threshold);
+                    prop_assert!(composite(alpha as f64 / n as f64, 1.0) >= threshold);
+                }
+                if n > 0 && ka.similarity_at_least(&kb, threshold).passes {
+                    prop_assert!(
+                        ka.shared_tokens(&kb) >= alpha,
+                        "{:?} vs {:?} at {}", a, b, threshold
+                    );
+                }
+            }
         }
 
         #[test]

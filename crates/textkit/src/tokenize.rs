@@ -39,12 +39,6 @@ impl Token<'_> {
     pub fn end(&self) -> usize {
         self.start + self.text.len()
     }
-
-    /// The token text lowercased (allocation-free for already-lower text is
-    /// not attempted; classification always works on owned lowercase forms).
-    pub fn lower(&self) -> String {
-        self.text.to_ascii_lowercase()
-    }
 }
 
 impl fmt::Display for Token<'_> {
@@ -107,6 +101,13 @@ pub fn tokenize(text: &str) -> Vec<Token<'_>> {
     // so per-document tokenization does one allocation, not a growth
     // series.
     let mut tokens = Vec::with_capacity(text.len() / 6 + 4);
+    scan(text, |token| tokens.push(token));
+    tokens
+}
+
+/// The one tokenizer loop behind [`tokenize`] and [`for_each_word`]: hands
+/// every token of `text` to `emit`, in order, without collecting them.
+fn scan<'a>(text: &'a str, mut emit: impl FnMut(Token<'a>)) {
     let bytes = text.as_bytes();
     let mut i = 0;
     while i < bytes.len() {
@@ -125,14 +126,14 @@ pub fn tokenize(text: &str) -> Vec<Token<'_>> {
             }
             let chunk = &text[start..end];
             if !chunk.is_empty() {
-                tokens.push(Token {
+                emit(Token {
                     kind: classify(chunk),
                     text: chunk,
                     start,
                 });
             }
             for (j, _) in text[end..i].char_indices() {
-                tokens.push(Token {
+                emit(Token {
                     kind: TokenKind::Punct,
                     text: &text[end + j..end + j + 1],
                     start: end + j,
@@ -141,7 +142,7 @@ pub fn tokenize(text: &str) -> Vec<Token<'_>> {
         } else {
             // One punctuation char (may be multi-byte UTF-8).
             let ch_len = text[i..].chars().next().map_or(1, |c| c.len_utf8());
-            tokens.push(Token {
+            emit(Token {
                 kind: TokenKind::Punct,
                 text: &text[i..i + ch_len],
                 start: i,
@@ -149,17 +150,24 @@ pub fn tokenize(text: &str) -> Vec<Token<'_>> {
             i += ch_len;
         }
     }
-    tokens
+}
+
+/// Hands the text of every word-like token (words, numbers, identifiers)
+/// of `text` to `word`, in order, as written.
+pub(crate) fn for_each_word<'a>(text: &'a str, mut word: impl FnMut(&'a str)) {
+    scan(text, |token| {
+        if token.kind != TokenKind::Punct {
+            word(token.text);
+        }
+    });
 }
 
 /// Returns only the word-like tokens (words, numbers, identifiers),
 /// lowercased — the form similarity metrics and patterns consume.
 pub fn word_tokens(text: &str) -> Vec<String> {
-    tokenize(text)
-        .into_iter()
-        .filter(|t| t.kind != TokenKind::Punct)
-        .map(|t| t.lower())
-        .collect()
+    let mut words = Vec::new();
+    for_each_word(text, |w| words.push(w.to_ascii_lowercase()));
+    words
 }
 
 #[cfg(test)]

@@ -1,8 +1,9 @@
 //! Equivalence of the indexed multi-pattern matcher and the per-pattern
 //! positional scan: for random DSL pattern libraries and random texts, the
 //! two must agree on `is_match`, the first match span, and the full span
-//! list of every pattern — and pruned patterns must genuinely never match
-//! (losslessness of anchor-based candidate generation).
+//! list of every pattern (`MatchSet::spans` against `Pattern::find_in`, so
+//! the anchor windows miss no match) — and pruned patterns must genuinely
+//! never match (losslessness of anchor-based candidate generation).
 
 use proptest::prelude::*;
 use rememberr_textkit::{Pattern, PreparedText, RuleMatcher};
@@ -61,7 +62,6 @@ proptest! {
         let matches = matcher.match_doc(&text);
         prop_assert_eq!(matches.evaluated + matches.pruned, count as u64);
 
-        let all = matcher.find_all(&text);
         for (id, pattern) in patterns.iter().enumerate() {
             // Oracle: the original per-pattern positional scan.
             let oracle_spans = pattern.find_in(&text);
@@ -77,8 +77,8 @@ proptest! {
                 "first span diverges for {}", pattern.source()
             );
             prop_assert_eq!(
-                &all[id],
-                &oracle_spans,
+                matches.spans(id),
+                oracle_spans.as_slice(),
                 "span list diverges for {}", pattern.source()
             );
         }

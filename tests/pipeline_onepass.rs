@@ -28,7 +28,7 @@ use rememberr_classify::{
 use rememberr_docgen::{CorpusSpec, SyntheticCorpus};
 use rememberr_extract::extract_corpus;
 use rememberr_model::{ErrataDocument, ErratumId, Vendor};
-use rememberr_textkit::{highlights, highlights_prepared_filtered};
+use rememberr_textkit::{highlights, highlights_matched};
 
 /// Every test mutates process-global state (worker count, obs counters),
 /// so they serialize on this lock. A failed test poisons it; the others
@@ -343,10 +343,8 @@ fn assist_highlights_equal_the_unfiltered_scan() {
         };
         for (k, rep) in db.unique_entries().into_iter().enumerate() {
             let oracle = highlights(&patterns, &rep.erratum.full_text());
-            let matches = arena.match_set(k, rules.matcher());
-            let filtered =
-                highlights_prepared_filtered(&patterns, arena.text(k), |id| matches.is_match(id));
-            assert_eq!(filtered, oracle, "{} at jobs={jobs}", rep.id());
+            let matched = highlights_matched(&patterns, &arena.match_set(k, rules.matcher()));
+            assert_eq!(matched, oracle, "{} at jobs={jobs}", rep.id());
 
             want.unique_errata += 1;
             want.total_highlights += oracle.len();
