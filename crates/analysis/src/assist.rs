@@ -109,12 +109,12 @@ mod tests {
     use rememberr_classify::{
         classify_database_analyzed, FourEyesConfig, HumanOracle, MatcherKind,
     };
-    use rememberr_docgen::{CorpusSpec, SyntheticCorpus};
+
+    use crate::fixtures::fixture;
 
     #[test]
     fn assist_finds_highlights_and_agrees_with_analyzed_path() {
-        let corpus = SyntheticCorpus::generate(&CorpusSpec::scaled(0.05));
-        let mut db = Database::from_documents(&corpus.structured);
+        let mut db = Database::from_documents(&fixture(0.05).corpus.structured);
         let rules = Rules::standard();
 
         // A fresh arena: the assist runs its own match passes.

@@ -13,74 +13,67 @@ use crate::util::unique_of;
 
 /// Figure 10: most frequent abstract triggers per vendor, as a percentage
 /// of the vendor's unique errata.
-///
-/// A 2×34 batch of facet counts, served by the database's shared
-/// [`rememberr::QueryIndex`] instead of rescanning the unique view per
-/// category.
 pub fn fig10_trigger_frequency(db: &Database, top: usize) -> Vec<(Vendor, BarChart)> {
-    let index = db.query_index();
-    Vendor::ALL
-        .iter()
-        .map(|&vendor| {
-            let vendor_uniques = Query::new().vendor(vendor).unique_only();
-            let total = vendor_uniques.count_indexed(index, db);
-            let mut chart =
-                BarChart::new(format!("Fig. 10 — Most frequent triggers ({vendor})"), "%");
-            for &trigger in Trigger::ALL {
-                let n = vendor_uniques
-                    .clone()
-                    .trigger(trigger)
-                    .count_indexed(index, db);
-                chart.push(trigger.code(), 100.0 * n as f64 / total.max(1) as f64);
-            }
-            chart.sort_desc();
-            chart.truncate(top);
-            (vendor, chart)
-        })
-        .collect()
+    facet_frequency(
+        db,
+        top,
+        "Fig. 10 — Most frequent triggers",
+        Trigger::ALL,
+        Trigger::code,
+        Query::trigger,
+    )
 }
 
 /// Figure 17: most frequent contexts per vendor (% of unique errata).
 pub fn fig17_context_frequency(db: &Database, top: usize) -> Vec<(Vendor, BarChart)> {
-    let index = db.query_index();
-    Vendor::ALL
-        .iter()
-        .map(|&vendor| {
-            let vendor_uniques = Query::new().vendor(vendor).unique_only();
-            let total = vendor_uniques.count_indexed(index, db);
-            let mut chart =
-                BarChart::new(format!("Fig. 17 — Most frequent contexts ({vendor})"), "%");
-            for &context in Context::ALL {
-                let n = vendor_uniques
-                    .clone()
-                    .context(context)
-                    .count_indexed(index, db);
-                chart.push(context.code(), 100.0 * n as f64 / total.max(1) as f64);
-            }
-            chart.sort_desc();
-            chart.truncate(top);
-            (vendor, chart)
-        })
-        .collect()
+    facet_frequency(
+        db,
+        top,
+        "Fig. 17 — Most frequent contexts",
+        Context::ALL,
+        Context::code,
+        Query::context,
+    )
 }
 
 /// Figure 18: most frequent observable effects per vendor (% of unique
 /// errata).
 pub fn fig18_effect_frequency(db: &Database, top: usize) -> Vec<(Vendor, BarChart)> {
+    facet_frequency(
+        db,
+        top,
+        "Fig. 18 — Most frequent effects",
+        Effect::ALL,
+        Effect::code,
+        Query::effect,
+    )
+}
+
+/// Figures 10, 17 and 18: the `top` most frequent `facets` per vendor, as a
+/// percentage of the vendor's unique errata, in a chart titled
+/// "`title` (vendor)".
+///
+/// A 2×N batch of facet counts, served by the database's shared
+/// [`rememberr::QueryIndex`] instead of rescanning the unique view per
+/// category.
+fn facet_frequency<F: Copy>(
+    db: &Database,
+    top: usize,
+    title: &str,
+    facets: &[F],
+    code: fn(&F) -> &'static str,
+    filter: fn(Query, F) -> Query,
+) -> Vec<(Vendor, BarChart)> {
     let index = db.query_index();
     Vendor::ALL
         .iter()
         .map(|&vendor| {
             let vendor_uniques = Query::new().vendor(vendor).unique_only();
             let total = vendor_uniques.count_indexed(index, db);
-            let mut chart =
-                BarChart::new(format!("Fig. 18 — Most frequent effects ({vendor})"), "%");
-            for &effect in Effect::ALL {
-                let n = vendor_uniques
-                    .clone()
-                    .effect(effect)
-                    .count_indexed(index, db);
-                chart.push(effect.code(), 100.0 * n as f64 / total.max(1) as f64);
+            let mut chart = BarChart::new(format!("{title} ({vendor})"), "%");
+            for facet in facets {
+                let n = filter(vendor_uniques.clone(), *facet).count_indexed(index, db);
+                chart.push(code(facet), 100.0 * n as f64 / total.max(1) as f64);
             }
             chart.sort_desc();
             chart.truncate(top);
@@ -247,25 +240,12 @@ pub fn fig16_feature_breakdown(db: &Database) -> MatrixChart {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rememberr_classify::{classify_database, FourEyesConfig, HumanOracle, Rules};
-    use rememberr_docgen::{CorpusSpec, SyntheticCorpus};
-
-    fn annotated_db(scale: f64) -> Database {
-        let corpus = SyntheticCorpus::generate(&CorpusSpec::scaled(scale));
-        let mut db = Database::from_documents(&corpus.structured);
-        classify_database(
-            &mut db,
-            &Rules::standard(),
-            HumanOracle::Simulated(&corpus.truth),
-            &FourEyesConfig::default(),
-        );
-        db
-    }
+    use crate::fixtures::fixture;
 
     #[test]
     fn fig10_power_and_config_dominate() {
-        let db = annotated_db(0.35);
-        for (_, chart) in fig10_trigger_frequency(&db, 5) {
+        let db = &fixture(0.35).db;
+        for (_, chart) in fig10_trigger_frequency(db, 5) {
             let labels: Vec<&str> = chart.rows.iter().map(|(l, _)| l.as_str()).collect();
             assert!(
                 labels.contains(&"Trg_CFG_wrg"),
@@ -280,16 +260,16 @@ mod tests {
 
     #[test]
     fn fig17_vm_guest_is_top_context() {
-        let db = annotated_db(0.35);
-        for (vendor, chart) in fig17_context_frequency(&db, 3) {
+        let db = &fixture(0.35).db;
+        for (vendor, chart) in fig17_context_frequency(db, 3) {
             assert_eq!(chart.rows[0].0, "Ctx_PRV_vmg", "{vendor}");
         }
     }
 
     #[test]
     fn fig18_registers_and_hangs_dominate() {
-        let db = annotated_db(0.35);
-        for (vendor, chart) in fig18_effect_frequency(&db, 4) {
+        let db = &fixture(0.35).db;
+        for (vendor, chart) in fig18_effect_frequency(db, 4) {
             let labels: Vec<&str> = chart.rows.iter().map(|(l, _)| l.as_str()).collect();
             assert!(labels.contains(&"Eff_CRP_reg"), "{vendor}: {labels:?}");
             assert!(labels.contains(&"Eff_HNG_hng"), "{vendor}: {labels:?}");
@@ -298,8 +278,8 @@ mod tests {
 
     #[test]
     fn fig11_matches_paper_shape() {
-        let db = annotated_db(0.5);
-        let analysis = fig11_trigger_counts(&db);
+        let db = &fixture(0.5).db;
+        let analysis = fig11_trigger_counts(db);
         assert!(
             (0.08..0.22).contains(&analysis.no_clear_trigger),
             "no-clear {}",
@@ -318,8 +298,8 @@ mod tests {
 
     #[test]
     fn fig13_mbr_absent_in_latest_generations() {
-        let db = annotated_db(0.5);
-        let matrix = fig13_class_evolution(&db);
+        let db = &fixture(0.5).db;
+        let matrix = fig13_class_evolution(db);
         let mbr_row = TriggerClass::Mbr.index();
         // Columns 14 and 15 are Core 11 and Core 12.
         assert_eq!(matrix.get(mbr_row, 14), 0.0);
@@ -331,8 +311,8 @@ mod tests {
 
     #[test]
     fn fig14_shares_sum_to_hundred_and_are_similar() {
-        let db = annotated_db(0.5);
-        let matrix = fig14_class_share(&db);
+        let db = &fixture(0.5).db;
+        let matrix = fig14_class_share(db);
         for col in 0..2 {
             let sum: f64 = (0..TriggerClass::ALL.len())
                 .map(|r| matrix.get(r, col))
@@ -352,8 +332,8 @@ mod tests {
 
     #[test]
     fn fig15_fig16_show_the_vendor_skews() {
-        let db = annotated_db(0.5);
-        let ext = fig15_external_breakdown(&db);
+        let db = &fixture(0.5).db;
+        let ext = fig15_external_breakdown(db);
         // System bus (HyperTransport) is AMD-heavy.
         let bus_row = TriggerClass::Ext
             .categories()
@@ -362,7 +342,7 @@ mod tests {
             .unwrap();
         assert!(ext.get(bus_row, 1) > ext.get(bus_row, 0));
 
-        let fea = fig16_feature_breakdown(&db);
+        let fea = fig16_feature_breakdown(db);
         // Tracing is Intel-heavy.
         let trc_row = TriggerClass::Fea
             .categories()

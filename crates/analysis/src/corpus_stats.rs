@@ -103,14 +103,12 @@ pub fn render_defect_report(report: &ExtractionReport) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rememberr_docgen::SyntheticCorpus;
+    use crate::fixtures::fixture;
     use rememberr_extract::extract_corpus;
 
     #[test]
     fn paper_corpus_headline_numbers() {
-        let corpus = SyntheticCorpus::paper();
-        let db = Database::from_documents(&corpus.structured);
-        let stats = corpus_stats(&db);
+        let stats = corpus_stats(&fixture(1.0).db);
         assert_eq!(
             stats.totals,
             vec![(Vendor::Intel, 2_057), (Vendor::Amd, 506)]
@@ -126,7 +124,7 @@ mod tests {
 
     #[test]
     fn defect_report_renders_counts() {
-        let corpus = SyntheticCorpus::paper();
+        let corpus = &fixture(1.0).corpus;
         let (_, report) =
             extract_corpus(corpus.rendered.iter().map(|r| (r.design, r.text.as_str()))).unwrap();
         let text = render_defect_report(&report);

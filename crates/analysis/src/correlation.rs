@@ -51,24 +51,11 @@ pub fn top_trigger_pairs(matrix: &MatrixChart, n: usize) -> Vec<(Trigger, Trigge
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rememberr_classify::{classify_database, FourEyesConfig, HumanOracle, Rules};
-    use rememberr_docgen::{CorpusSpec, SyntheticCorpus};
-
-    fn annotated_db() -> Database {
-        let corpus = SyntheticCorpus::generate(&CorpusSpec::scaled(0.5));
-        let mut db = Database::from_documents(&corpus.structured);
-        classify_database(
-            &mut db,
-            &Rules::standard(),
-            HumanOracle::Simulated(&corpus.truth),
-            &FourEyesConfig::default(),
-        );
-        db
-    }
+    use crate::fixtures::fixture;
 
     #[test]
     fn matrix_is_symmetric_with_zero_diagonal() {
-        let m = fig12_trigger_correlation(&annotated_db());
+        let m = fig12_trigger_correlation(&fixture(0.5).db);
         for i in 0..Trigger::ALL.len() {
             assert_eq!(m.get(i, i), 0.0);
             for j in 0..Trigger::ALL.len() {
@@ -79,7 +66,7 @@ mod tests {
 
     #[test]
     fn known_affinities_are_salient() {
-        let m = fig12_trigger_correlation(&annotated_db());
+        let m = fig12_trigger_correlation(&fixture(0.5).db);
         let cell = |a: Trigger, b: Trigger| m.get(a.index(), b.index());
         // Debug x VM transition outranks debug x floating point.
         assert!(
@@ -99,7 +86,7 @@ mod tests {
 
     #[test]
     fn top_pairs_are_sorted_and_unique() {
-        let m = fig12_trigger_correlation(&annotated_db());
+        let m = fig12_trigger_correlation(&fixture(0.5).db);
         let top = top_trigger_pairs(&m, 10);
         for pair in top.windows(2) {
             assert!(pair[0].2 >= pair[1].2);
@@ -113,7 +100,7 @@ mod tests {
     #[test]
     fn most_triggers_do_not_interact() {
         // Observation O8: the matrix is sparse.
-        let m = fig12_trigger_correlation(&annotated_db());
+        let m = fig12_trigger_correlation(&fixture(0.5).db);
         let n = Trigger::ALL.len();
         let nonzero = (0..n)
             .flat_map(|i| (0..n).map(move |j| (i, j)))

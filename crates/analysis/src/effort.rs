@@ -51,26 +51,19 @@ pub fn fig09_agreement(outcome: &FourEyesOutcome) -> SeriesChart {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rememberr::Database;
-    use rememberr_classify::{classify_database, FourEyesConfig, HumanOracle, Rules};
-    use rememberr_docgen::{CorpusSpec, SyntheticCorpus};
+    use crate::fixtures::fixture;
 
-    fn outcome() -> FourEyesOutcome {
-        let corpus = SyntheticCorpus::generate(&CorpusSpec::scaled(0.3));
-        let mut db = Database::from_documents(&corpus.structured);
-        classify_database(
-            &mut db,
-            &Rules::standard(),
-            HumanOracle::Simulated(&corpus.truth),
-            &FourEyesConfig::default(),
-        )
-        .four_eyes
-        .expect("simulated oracle")
+    fn outcome() -> &'static FourEyesOutcome {
+        fixture(0.3)
+            .run
+            .four_eyes
+            .as_ref()
+            .expect("simulated oracle")
     }
 
     #[test]
     fn fig08_is_cumulative_over_seven_steps() {
-        let chart = fig08_classification_steps(&outcome());
+        let chart = fig08_classification_steps(outcome());
         let points = &chart.series[0].1;
         assert_eq!(points.len(), 7);
         for pair in points.windows(2) {
@@ -82,18 +75,9 @@ mod tests {
     fn fig08_covers_every_unique_erratum() {
         // The paper's Figure 8 counts all classified errata, not only those
         // carrying human decisions.
-        let corpus = SyntheticCorpus::generate(&CorpusSpec::scaled(0.3));
-        let mut db = Database::from_documents(&corpus.structured);
-        let run = classify_database(
-            &mut db,
-            &Rules::standard(),
-            HumanOracle::Simulated(&corpus.truth),
-            &FourEyesConfig::default(),
-        );
-        let outcome = run.four_eyes.expect("simulated oracle");
         assert_eq!(
-            outcome.steps.last().unwrap().cumulative_errata,
-            db.unique_count()
+            outcome().steps.last().unwrap().cumulative_errata,
+            fixture(0.3).db.unique_count()
         );
     }
 
@@ -101,7 +85,7 @@ mod tests {
     fn fig09_agreement_is_generally_above_eighty() {
         // The paper: "the agreement percentage is generally above 80%".
         // Small steps are noisy, so allow one dip below 78%.
-        let chart = fig09_agreement(&outcome());
+        let chart = fig09_agreement(outcome());
         let agreement = &chart.series[0].1;
         let above = agreement.iter().filter(|(_, y)| *y > 78.0).count();
         assert!(above >= agreement.len() - 1, "{agreement:?}");

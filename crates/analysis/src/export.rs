@@ -98,21 +98,12 @@ pub fn export_csvs(report: &FullReport, dir: &Path) -> io::Result<Vec<String>> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rememberr::Database;
-    use rememberr_classify::{classify_database, FourEyesConfig, HumanOracle, Rules};
-    use rememberr_docgen::{CorpusSpec, SyntheticCorpus};
+    use crate::fixtures::fixture;
 
     #[test]
     fn export_writes_every_figure() {
-        let corpus = SyntheticCorpus::generate(&CorpusSpec::scaled(0.05));
-        let mut db = Database::from_documents(&corpus.structured);
-        let run = classify_database(
-            &mut db,
-            &Rules::standard(),
-            HumanOracle::Simulated(&corpus.truth),
-            &FourEyesConfig::default(),
-        );
-        let report = FullReport::build(&db, run.four_eyes.as_ref(), None);
+        let f = fixture(0.05);
+        let report = FullReport::build(&f.db, f.run.four_eyes.as_ref(), None);
 
         let dir =
             std::env::temp_dir().join(format!("rememberr-export-test-{}", std::process::id()));

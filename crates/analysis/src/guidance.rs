@@ -282,26 +282,13 @@ pub fn blackbox_guidance(db: &Database) -> BarChart {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rememberr_classify::{classify_database, FourEyesConfig, HumanOracle, Rules};
-    use rememberr_docgen::{CorpusSpec, SyntheticCorpus};
-
-    fn annotated_db() -> Database {
-        let corpus = SyntheticCorpus::generate(&CorpusSpec::scaled(0.3));
-        let mut db = Database::from_documents(&corpus.structured);
-        classify_database(
-            &mut db,
-            &Rules::standard(),
-            HumanOracle::Simulated(&corpus.truth),
-            &FourEyesConfig::default(),
-        );
-        db
-    }
+    use crate::fixtures::fixture;
 
     #[test]
     fn plan_covers_more_with_more_steps() {
-        let db = annotated_db();
-        let small = plan_campaign(&db, 2, 3, 3);
-        let large = plan_campaign(&db, 8, 3, 3);
+        let db = &fixture(0.3).db;
+        let small = plan_campaign(db, 2, 3, 3);
+        let large = plan_campaign(db, 8, 3, 3);
         assert!(large.covered >= small.covered);
         assert!(large.coverage() > 0.2, "{}", large.coverage());
         assert_eq!(small.steps.len(), 2);
@@ -309,8 +296,8 @@ mod tests {
 
     #[test]
     fn steps_report_monotone_progress() {
-        let db = annotated_db();
-        let plan = plan_campaign(&db, 6, 3, 4);
+        let db = &fixture(0.3).db;
+        let plan = plan_campaign(db, 6, 3, 4);
         let sum: usize = plan.steps.iter().map(|s| s.newly_detected).sum();
         assert_eq!(sum, plan.covered);
         // Greedy: the first step detects at least as much as any later one.
@@ -322,8 +309,8 @@ mod tests {
 
     #[test]
     fn first_step_exploits_hot_triggers() {
-        let db = annotated_db();
-        let plan = plan_campaign(&db, 1, 3, 4);
+        let db = &fixture(0.3).db;
+        let plan = plan_campaign(db, 1, 3, 4);
         let s = &plan.steps[0];
         // The hottest triggers (MSR configuration, power) should appear.
         assert!(
@@ -338,11 +325,11 @@ mod tests {
 
     #[test]
     fn observation_points_are_ranked() {
-        let db = annotated_db();
+        let db = &fixture(0.3).db;
         let applied: TriggerSet = [Trigger::ConfigRegister, Trigger::Throttling]
             .into_iter()
             .collect();
-        let chart = recommend_observation_points(&db, &applied);
+        let chart = recommend_observation_points(db, &applied);
         assert!(!chart.rows.is_empty());
         for pair in chart.rows.windows(2) {
             assert!(pair[0].1 >= pair[1].1);
@@ -351,8 +338,8 @@ mod tests {
 
     #[test]
     fn blackbox_guidance_ranks_power_and_config_high() {
-        let db = annotated_db();
-        let chart = blackbox_guidance(&db);
+        let db = &fixture(0.3).db;
+        let chart = blackbox_guidance(db);
         let top3: Vec<&str> = chart.rows[..3].iter().map(|(l, _)| l.as_str()).collect();
         assert!(
             top3.contains(&"Trg_POW") || top3.contains(&"Trg_CFG"),
@@ -362,8 +349,8 @@ mod tests {
 
     #[test]
     fn plan_renders() {
-        let db = annotated_db();
-        let plan = plan_campaign(&db, 2, 2, 2);
+        let db = &fixture(0.3).db;
+        let plan = plan_campaign(db, 2, 2, 2);
         let text = plan.render_text();
         assert!(text.contains("step  1"));
         assert!(text.contains("known bugs"));

@@ -83,16 +83,11 @@ pub fn fig03_heredity(db: &Database) -> HeredityAnalysis {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rememberr_docgen::SyntheticCorpus;
-
-    fn paper_db() -> Database {
-        let corpus = SyntheticCorpus::paper();
-        Database::from_documents(&corpus.structured)
-    }
+    use crate::fixtures::fixture;
 
     #[test]
     fn matrix_is_symmetric_with_dominant_diagonal() {
-        let analysis = fig03_heredity(&paper_db());
+        let analysis = fig03_heredity(&fixture(1.0).db);
         let m = &analysis.matrix;
         for i in 0..16 {
             for j in 0..16 {
@@ -104,7 +99,7 @@ mod tests {
 
     #[test]
     fn desktop_and_mobile_share_the_vast_majority() {
-        let analysis = fig03_heredity(&paper_db());
+        let analysis = fig03_heredity(&fixture(1.0).db);
         let m = &analysis.matrix;
         // Core 1 (D) is row 0, Core 1 (M) is row 1, etc.
         for gen in 0..5 {
@@ -120,13 +115,13 @@ mod tests {
 
     #[test]
     fn six_bugs_from_core1_to_core10() {
-        let analysis = fig03_heredity(&paper_db());
+        let analysis = fig03_heredity(&fixture(1.0).db);
         assert_eq!(analysis.core1_to_core10, 6);
     }
 
     #[test]
     fn gens_6_to_10_block_is_salient() {
-        let analysis = fig03_heredity(&paper_db());
+        let analysis = fig03_heredity(&fixture(1.0).db);
         let m = &analysis.matrix;
         // Documents 10..=13 are Core 6, 7/8, 8/9, 10.
         let in_block = m.get(10, 13);
@@ -141,7 +136,7 @@ mod tests {
     #[test]
     fn longest_span_reaches_core12() {
         // The Core 2 erratum resurfacing in Core 12 spans documents 2..15.
-        let analysis = fig03_heredity(&paper_db());
+        let analysis = fig03_heredity(&fixture(1.0).db);
         let (_, span) = analysis.longest_span.expect("spanning bugs exist");
         assert_eq!(span, Design::Intel12.index() - Design::Intel2D.index());
     }

@@ -25,12 +25,13 @@
 //! | Figure 17 | [`fig17_context_frequency`] |
 //! | Figure 18 | [`fig18_effect_frequency`] |
 //! | Figure 19 | [`fig19_msr_witnesses`] |
-//! | O1-O13    | [`observations`] |
+//! | O1-O13    | [`FullReport::observations`] |
 //! | Section IV-B2 "Rediscovery" | [`rediscovery_by_pair`] |
 //! | Section VI | [`plan_campaign`], [`recommend_observation_points`], [`blackbox_guidance`] |
 //! | extensions | [`dedup_threshold_sweep`], [`observation_budget_sweep`], [`trigger_budget_sweep`], [`export_csvs`] |
 //!
-//! [`FullReport::build`] computes everything in one pass.
+//! [`FullReport::build`] computes every figure once, then derives the
+//! observations from the figures it built.
 //!
 //! # Examples
 //!
@@ -62,6 +63,8 @@ mod corpus_stats;
 mod correlation;
 mod effort;
 mod export;
+#[cfg(test)]
+mod fixtures;
 mod guidance;
 mod heredity;
 mod msrfig;
@@ -89,7 +92,7 @@ pub use guidance::{
 };
 pub use heredity::{fig03_heredity, HeredityAnalysis};
 pub use msrfig::{fig19_msr_witnesses, MsrWitnessAnalysis};
-pub use observations::{observations, render_observations, Observation};
+pub use observations::{render_observations, Observation};
 pub use rediscovery::{
     rediscovery_by_pair, rediscovery_chart, rediscovery_stats, RediscoveryStats,
 };

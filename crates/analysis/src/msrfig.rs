@@ -64,24 +64,11 @@ pub fn fig19_msr_witnesses(db: &Database, top: usize) -> MsrWitnessAnalysis {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rememberr_classify::{classify_database, FourEyesConfig, HumanOracle, Rules};
-    use rememberr_docgen::{CorpusSpec, SyntheticCorpus};
-
-    fn annotated_db() -> Database {
-        let corpus = SyntheticCorpus::generate(&CorpusSpec::scaled(0.5));
-        let mut db = Database::from_documents(&corpus.structured);
-        classify_database(
-            &mut db,
-            &Rules::standard(),
-            HumanOracle::Simulated(&corpus.truth),
-            &FourEyesConfig::default(),
-        );
-        db
-    }
+    use crate::fixtures::fixture;
 
     #[test]
     fn mc_status_tops_both_vendors() {
-        let analysis = fig19_msr_witnesses(&annotated_db(), 5);
+        let analysis = fig19_msr_witnesses(&fixture(0.5).db, 5);
         for (vendor, chart) in &analysis.charts {
             assert!(!chart.rows.is_empty(), "{vendor}");
             assert_eq!(chart.rows[0].0, "MCx_STATUS", "{vendor}: {:?}", chart.rows);
@@ -89,8 +76,10 @@ mod tests {
     }
 
     #[test]
-    fn machine_check_witness_rate_in_paper_band() {
-        let analysis = fig19_msr_witnesses(&annotated_db(), 5);
+    fn machine_check_witness_rate_within_5_to_12_percent() {
+        // The paper's 7.1-8.5% band is not asserted: the paper-scale AMD
+        // rate is 6.8% (EXPERIMENTS.md, Fig. 19 row).
+        let analysis = fig19_msr_witnesses(&fixture(0.5).db, 5);
         for (vendor, rate) in &analysis.machine_check_witness {
             assert!((0.05..0.12).contains(rate), "{vendor}: {rate}");
         }
@@ -98,7 +87,7 @@ mod tests {
 
     #[test]
     fn ibs_registers_only_appear_for_amd() {
-        let analysis = fig19_msr_witnesses(&annotated_db(), 26);
+        let analysis = fig19_msr_witnesses(&fixture(0.5).db, 26);
         let intel_chart = &analysis.charts[0].1;
         assert!(intel_chart.rows.iter().all(|(l, _)| !l.starts_with("IBS_")));
         let amd_chart = &analysis.charts[1].1;

@@ -1,22 +1,22 @@
 //! The paper's thirteen observations (O1-O13), as measured predicates.
 //!
-//! Each observation is re-derived from the database; `holds` says whether
-//! the reproduced corpus supports it, and `evidence` carries the measured
-//! numbers for EXPERIMENTS.md.
+//! Each observation reads the figures [`FullReport::build`] has already
+//! built; only O2 scans the database (its disclosure dates). `holds` says
+//! whether the reproduced corpus supports the statement, and `evidence`
+//! carries the measured numbers for EXPERIMENTS.md.
 
 use rememberr::Database;
-use rememberr_model::{Design, TriggerClass};
+use rememberr_model::{Design, TriggerClass, Vendor};
 
-use crate::categories::{
-    fig10_trigger_frequency, fig13_class_evolution, fig14_class_share, fig17_context_frequency,
-    fig18_effect_frequency,
-};
-use crate::correlation::{fig12_trigger_correlation, top_trigger_pairs};
-use crate::heredity::fig03_heredity;
-use crate::msrfig::fig19_msr_witnesses;
-use crate::timeline::fig04_shared_set_timeline;
+use crate::chart::{BarChart, MatrixChart};
+use crate::corpus_stats::CorpusStats;
+use crate::correlation::top_trigger_pairs;
+use crate::heredity::HeredityAnalysis;
+use crate::msrfig::MsrWitnessAnalysis;
+use crate::report::FullReport;
+use crate::timeline::SharedSetTimeline;
 use crate::util::year_of;
-use crate::workfix::{fig06_workarounds, fig07_fixes};
+use crate::workfix::{FixAnalysis, WorkaroundAnalysis};
 
 /// One measured observation.
 #[derive(Debug, Clone, PartialEq)]
@@ -31,28 +31,41 @@ pub struct Observation {
     pub evidence: String,
 }
 
-/// Computes all thirteen observations over an annotated database.
-pub fn observations(db: &Database) -> Vec<Observation> {
+/// Derives all thirteen observations from a report's figures; `db` is the
+/// annotated database the report was built from.
+pub(crate) fn observations(report: &FullReport, db: &Database) -> Vec<Observation> {
     vec![
-        o1(db),
+        o1(&report.stats),
         o2(db),
-        o3(db),
-        o4(db),
-        o5(db),
-        o6(db),
-        o7(db),
-        o8(db),
-        o9(db),
-        o10(db),
-        o11(db),
-        o12(db),
-        o13(db),
+        o3(&report.fig03),
+        o4(&report.fig04),
+        o5(&report.fig06),
+        o6(&report.fig07),
+        o7(&report.fig10),
+        o8(&report.fig12),
+        o9(&report.fig13),
+        o10(&report.fig14),
+        o11(&report.fig17),
+        o12(&report.fig18),
+        o13(&report.fig19),
     ]
 }
 
-fn o1(db: &Database) -> Observation {
+/// The labels of a chart's first `n` rows. Rows are stable-sorted, so a
+/// prefix of a top-10 chart is the top-`n` chart.
+fn top_labels(chart: &BarChart, n: usize) -> Vec<&str> {
+    chart.rows.iter().take(n).map(|(l, _)| l.as_str()).collect()
+}
+
+fn o1(stats: &CorpusStats) -> Observation {
     // Entries per Intel document; the latest documents must not collapse.
-    let counts: Vec<usize> = Design::intel().map(|d| db.entries_for(d).count()).collect();
+    // `per_document` follows `Design::ALL`.
+    let counts: Vec<usize> = Design::ALL
+        .iter()
+        .zip(&stats.per_document)
+        .filter(|(d, _)| d.vendor() == Vendor::Intel)
+        .map(|(_, (_, n))| *n)
+        .collect();
     let mut sorted = counts.clone();
     sorted.sort_unstable();
     let median = sorted[sorted.len() / 2] as f64;
@@ -103,8 +116,7 @@ fn o2(db: &Database) -> Observation {
     }
 }
 
-fn o3(db: &Database) -> Observation {
-    let heredity = fig03_heredity(db);
+fn o3(heredity: &HeredityAnalysis) -> Observation {
     let longest = heredity.longest_span.map(|(_, s)| s).unwrap_or(0);
     Observation {
         id: 3,
@@ -118,8 +130,7 @@ fn o3(db: &Database) -> Observation {
     }
 }
 
-fn o4(db: &Database) -> Observation {
-    let shared = fig04_shared_set_timeline(db);
+fn o4(shared: &SharedSetTimeline) -> Observation {
     // Skip the first document (nothing precedes it).
     let later = &shared.known_before_release[1..];
     let avg: f64 = later.iter().map(|(_, f)| f).sum::<f64>() / later.len().max(1) as f64;
@@ -135,8 +146,7 @@ fn o4(db: &Database) -> Observation {
     }
 }
 
-fn o5(db: &Database) -> Observation {
-    let wk = fig06_workarounds(db);
+fn o5(wk: &WorkaroundAnalysis) -> Observation {
     let evidence = wk
         .no_workaround
         .iter()
@@ -151,8 +161,7 @@ fn o5(db: &Database) -> Observation {
     }
 }
 
-fn o6(db: &Database) -> Observation {
-    let fixes = fig07_fixes(db);
+fn o6(fixes: &FixAnalysis) -> Observation {
     Observation {
         id: 6,
         statement: "Bugs are rarely fixed.",
@@ -164,12 +173,11 @@ fn o6(db: &Database) -> Observation {
     }
 }
 
-fn o7(db: &Database) -> Observation {
-    let charts = fig10_trigger_frequency(db, 3);
+fn o7(fig10: &[(Vendor, BarChart)]) -> Observation {
     let mut holds = true;
     let mut evidence = String::new();
-    for (vendor, chart) in &charts {
-        let top: Vec<&str> = chart.rows.iter().map(|(l, _)| l.as_str()).collect();
+    for (vendor, chart) in fig10 {
+        let top = top_labels(chart, 3);
         holds &= top.contains(&"Trg_CFG_wrg")
             && (top.contains(&"Trg_POW_tht") || top.contains(&"Trg_POW_pwc"));
         evidence.push_str(&format!("{vendor} top3: {top:?}; "));
@@ -183,9 +191,8 @@ fn o7(db: &Database) -> Observation {
     }
 }
 
-fn o8(db: &Database) -> Observation {
-    let matrix = fig12_trigger_correlation(db);
-    let top = top_trigger_pairs(&matrix, 5);
+fn o8(matrix: &MatrixChart) -> Observation {
+    let top = top_trigger_pairs(matrix, 5);
     let n = rememberr_model::Trigger::ALL.len();
     let nonzero = (0..n)
         .flat_map(|i| (i + 1..n).map(move |j| (i, j)))
@@ -205,8 +212,7 @@ fn o8(db: &Database) -> Observation {
     }
 }
 
-fn o9(db: &Database) -> Observation {
-    let matrix = fig13_class_evolution(db);
+fn o9(matrix: &MatrixChart) -> Observation {
     let docs: Vec<Design> = Design::intel().collect();
     let mut all_needed_until_gen10 = true;
     let mut mbr_absent_late = true;
@@ -233,8 +239,7 @@ fn o9(db: &Database) -> Observation {
     }
 }
 
-fn o10(db: &Database) -> Observation {
-    let matrix = fig14_class_share(db);
+fn o10(matrix: &MatrixChart) -> Observation {
     let mut max_diff_core: f64 = 0.0;
     for class in TriggerClass::ALL {
         if matches!(class, TriggerClass::Ext | TriggerClass::Fea) {
@@ -259,9 +264,8 @@ fn o10(db: &Database) -> Observation {
     }
 }
 
-fn o11(db: &Database) -> Observation {
-    let charts = fig17_context_frequency(db, 1);
-    let holds = charts
+fn o11(fig17: &[(Vendor, BarChart)]) -> Observation {
+    let holds = fig17
         .iter()
         .all(|(_, c)| c.rows.first().is_some_and(|(l, _)| l == "Ctx_PRV_vmg"));
     Observation {
@@ -269,7 +273,7 @@ fn o11(db: &Database) -> Observation {
         statement: "Most errors occur in the context of hardware support for virtual machine \
                     guests.",
         holds,
-        evidence: charts
+        evidence: fig17
             .iter()
             .map(|(v, c)| format!("{v} top context: {:?}", c.rows.first()))
             .collect::<Vec<_>>()
@@ -277,12 +281,11 @@ fn o11(db: &Database) -> Observation {
     }
 }
 
-fn o12(db: &Database) -> Observation {
-    let charts = fig18_effect_frequency(db, 3);
+fn o12(fig18: &[(Vendor, BarChart)]) -> Observation {
     let mut holds = true;
     let mut evidence = String::new();
-    for (vendor, chart) in &charts {
-        let top: Vec<&str> = chart.rows.iter().map(|(l, _)| l.as_str()).collect();
+    for (vendor, chart) in fig18 {
+        let top = top_labels(chart, 3);
         holds &= top.contains(&"Eff_CRP_reg") && top.contains(&"Eff_HNG_hng");
         evidence.push_str(&format!("{vendor} top3: {top:?}; "));
     }
@@ -295,8 +298,7 @@ fn o12(db: &Database) -> Observation {
     }
 }
 
-fn o13(db: &Database) -> Observation {
-    let analysis = fig19_msr_witnesses(db, 1);
+fn o13(analysis: &MsrWitnessAnalysis) -> Observation {
     let holds = analysis
         .charts
         .iter()
@@ -334,25 +336,15 @@ pub fn render_observations(observations: &[Observation]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rememberr_classify::{classify_database, FourEyesConfig, HumanOracle, Rules};
-    use rememberr_docgen::SyntheticCorpus;
+    use crate::fixtures::fixture;
 
-    fn annotated_paper_db() -> Database {
-        let corpus = SyntheticCorpus::paper();
-        let mut db = Database::from_documents(&corpus.structured);
-        classify_database(
-            &mut db,
-            &Rules::standard(),
-            HumanOracle::Simulated(&corpus.truth),
-            &FourEyesConfig::default(),
-        );
-        db
+    fn paper_observations() -> Vec<Observation> {
+        FullReport::build(&fixture(1.0).db, None, None).observations
     }
 
     #[test]
     fn all_thirteen_observations_hold_on_the_paper_corpus() {
-        let db = annotated_paper_db();
-        let obs = observations(&db);
+        let obs = paper_observations();
         assert_eq!(obs.len(), 13);
         for o in &obs {
             assert!(
@@ -365,9 +357,7 @@ mod tests {
 
     #[test]
     fn render_includes_every_observation() {
-        let db = annotated_paper_db();
-        let obs = observations(&db);
-        let text = render_observations(&obs);
+        let text = render_observations(&paper_observations());
         for i in 1..=13 {
             assert!(text.contains(&format!("O{i} ")) || text.contains(&format!("O{i}  ")));
         }

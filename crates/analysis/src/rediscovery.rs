@@ -100,17 +100,12 @@ pub fn rediscovery_chart(db: &Database) -> BarChart {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rememberr_docgen::SyntheticCorpus;
-
-    fn paper_db() -> Database {
-        let corpus = SyntheticCorpus::paper();
-        Database::from_documents(&corpus.structured)
-    }
+    use crate::fixtures::fixture;
 
     #[test]
     fn stats_are_internally_consistent() {
-        let db = paper_db();
-        for (earlier, later, stats) in rediscovery_by_pair(&db) {
+        let db = &fixture(1.0).db;
+        for (earlier, later, stats) in rediscovery_by_pair(db) {
             assert_eq!(
                 stats.confirmed_at_release + stats.rediscovered_later,
                 stats.known_before_release,
@@ -123,8 +118,8 @@ mod tests {
     fn most_preknown_bugs_are_confirmed_at_release() {
         // O4's mechanism: forward-propagated bugs are usually listed in the
         // later document's first revision.
-        let db = paper_db();
-        let stats = rediscovery_stats(&db, Design::Intel6, Design::Intel7_8);
+        let db = &fixture(1.0).db;
+        let stats = rediscovery_stats(db, Design::Intel6, Design::Intel7_8);
         assert!(stats.known_before_release > 50);
         assert!(
             stats.confirmed_at_release > stats.rediscovered_later,
@@ -134,8 +129,8 @@ mod tests {
 
     #[test]
     fn chart_has_rows_for_sharing_pairs() {
-        let db = paper_db();
-        let chart = rediscovery_chart(&db);
+        let db = &fixture(1.0).db;
+        let chart = rediscovery_chart(db);
         assert!(!chart.rows.is_empty());
         for (_, pct) in &chart.rows {
             assert!((0.0..=100.0).contains(pct));

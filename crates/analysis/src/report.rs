@@ -1,4 +1,5 @@
-//! The full study report: every figure and table in one pass.
+//! The full study report: every figure and table in one pass, then the
+//! observations derived from them.
 
 use rememberr::Database;
 use rememberr_classify::FourEyesOutcome;
@@ -64,7 +65,7 @@ pub struct FullReport {
     pub fig18: Vec<(Vendor, BarChart)>,
     /// Figure 19.
     pub fig19: MsrWitnessAnalysis,
-    /// Observations O1-O13.
+    /// Observations O1-O13, derived from the figures above.
     pub observations: Vec<Observation>,
     /// The "errata in errata" report, if extraction ran.
     pub defects: Option<ExtractionReport>,
@@ -78,7 +79,8 @@ fn timed<T>(name: &'static str, build: impl FnOnce() -> T) -> T {
 }
 
 impl FullReport {
-    /// Computes every analysis over an annotated database.
+    /// Computes every figure over an annotated database, then derives the
+    /// observations from the figures.
     pub fn build(
         db: &Database,
         four_eyes: Option<&FourEyesOutcome>,
@@ -93,7 +95,7 @@ impl FullReport {
             (stats, fig02, fig03, fig04, fig05),
             (fig06, fig07, fig08, fig09, fig10, fig11),
             (fig12, fig13, fig14, fig15, fig16),
-            (fig17, fig18, fig19, observations),
+            (fig17, fig18, fig19),
         ) = rememberr_par::join4(
             || {
                 (
@@ -135,11 +137,10 @@ impl FullReport {
                     timed("analysis.fig17", || fig17_context_frequency(db, 10)),
                     timed("analysis.fig18", || fig18_effect_frequency(db, 10)),
                     timed("analysis.fig19", || fig19_msr_witnesses(db, 8)),
-                    timed("analysis.observations", || observations(db)),
                 )
             },
         );
-        Self {
+        let mut report = Self {
             stats,
             fig02,
             fig03,
@@ -159,9 +160,11 @@ impl FullReport {
             fig17,
             fig18,
             fig19,
-            observations,
+            observations: Vec::new(),
             defects,
-        }
+        };
+        report.observations = timed("analysis.observations", || observations(&report, db));
+        report
     }
 
     /// Renders the complete report as text.

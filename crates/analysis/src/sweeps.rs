@@ -104,27 +104,14 @@ pub fn trigger_budget_sweep(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rememberr_classify::{classify_database, FourEyesConfig, HumanOracle, Rules};
-    use rememberr_docgen::{CorpusSpec, SyntheticCorpus};
-
-    fn annotated_db() -> Database {
-        let corpus = SyntheticCorpus::generate(&CorpusSpec::scaled(0.2));
-        let mut db = Database::from_documents(&corpus.structured);
-        classify_database(
-            &mut db,
-            &Rules::standard(),
-            HumanOracle::Simulated(&corpus.truth),
-            &FourEyesConfig::default(),
-        );
-        db
-    }
+    use crate::fixtures::fixture;
 
     #[test]
     fn threshold_sweep_is_monotone_nondecreasing() {
         // Raising the threshold can only reject merges, so cluster counts
         // never decrease.
-        let db = annotated_db();
-        let chart = dedup_threshold_sweep(&db, 10);
+        let db = &fixture(0.2).db;
+        let chart = dedup_threshold_sweep(db, 10);
         for (_, points) in &chart.series {
             for pair in points.windows(2) {
                 assert!(pair[0].1 <= pair[1].1, "{pair:?}");
@@ -134,8 +121,8 @@ mod tests {
 
     #[test]
     fn threshold_sweep_brackets_the_exact_strategy() {
-        let db = annotated_db();
-        let chart = dedup_threshold_sweep(&db, 4);
+        let db = &fixture(0.2).db;
+        let chart = dedup_threshold_sweep(db, 4);
         let totals = &chart.series[1].1;
         // Threshold 0 merges every body-identical pair; threshold 1 merges
         // only similarity-1 pairs; the default lies between.
@@ -147,8 +134,8 @@ mod tests {
 
     #[test]
     fn observation_budget_shows_diminishing_returns() {
-        let db = annotated_db();
-        let chart = observation_budget_sweep(&db, 5, 3, 6);
+        let db = &fixture(0.2).db;
+        let chart = observation_budget_sweep(db, 5, 3, 6);
         let points = &chart.series[0].1;
         for pair in points.windows(2) {
             assert!(pair[1].1 >= pair[0].1 - 1e-9, "coverage must not drop");
@@ -159,8 +146,8 @@ mod tests {
 
     #[test]
     fn trigger_budget_grows_coverage() {
-        let db = annotated_db();
-        let chart = trigger_budget_sweep(&db, 5, 4, 4);
+        let db = &fixture(0.2).db;
+        let chart = trigger_budget_sweep(db, 5, 4, 4);
         let points = &chart.series[0].1;
         assert!(points.last().unwrap().1 > points.first().unwrap().1);
     }

@@ -192,20 +192,15 @@ pub fn fig05_latency(db: &Database) -> LatencyAnalysis {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rememberr_docgen::{CorpusSpec, SyntheticCorpus};
-
-    fn db(scale: f64) -> Database {
-        let corpus = SyntheticCorpus::generate(&CorpusSpec::scaled(scale));
-        Database::from_documents(&corpus.structured)
-    }
+    use crate::fixtures::fixture;
 
     #[test]
     fn fig02_has_one_series_per_nonempty_document() {
-        let db = db(0.1);
-        let intel = fig02_disclosure_timeline(&db, Vendor::Intel);
+        let db = &fixture(0.1).db;
+        let intel = fig02_disclosure_timeline(db, Vendor::Intel);
         assert!(intel.series.len() <= 16);
         assert!(!intel.series.is_empty());
-        let amd = fig02_disclosure_timeline(&db, Vendor::Amd);
+        let amd = fig02_disclosure_timeline(db, Vendor::Amd);
         assert!(amd.series.len() <= 12);
         // Cumulative series end at the document's entry count.
         for (name, points) in &intel.series {
@@ -219,9 +214,9 @@ mod tests {
 
     #[test]
     fn fig02_series_are_nondecreasing() {
-        let db = db(0.1);
+        let db = &fixture(0.1).db;
         for vendor in Vendor::ALL {
-            let chart = fig02_disclosure_timeline(&db, vendor);
+            let chart = fig02_disclosure_timeline(db, vendor);
             for (_, points) in &chart.series {
                 for pair in points.windows(2) {
                     assert!(pair[0].0 <= pair[1].0);
@@ -233,9 +228,7 @@ mod tests {
 
     #[test]
     fn fig04_counts_104_on_paper_corpus() {
-        let corpus = SyntheticCorpus::paper();
-        let db = Database::from_documents(&corpus.structured);
-        let shared = fig04_shared_set_timeline(&db);
+        let shared = fig04_shared_set_timeline(&fixture(1.0).db);
         assert_eq!(shared.shared_bugs, 104);
         assert_eq!(shared.chart.series.len(), 4);
         // O4: most shared bugs were known before the subsequent documents'
@@ -250,9 +243,7 @@ mod tests {
 
     #[test]
     fn fig05_finds_both_latency_kinds() {
-        let corpus = SyntheticCorpus::paper();
-        let db = Database::from_documents(&corpus.structured);
-        let latency = fig05_latency(&db);
+        let latency = fig05_latency(&fixture(1.0).db);
         assert!(latency.forward > 100, "forward {}", latency.forward);
         assert!(latency.backward > 10, "backward {}", latency.backward);
         assert!(

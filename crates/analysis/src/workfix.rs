@@ -105,16 +105,11 @@ pub fn fig07_fixes(db: &Database) -> FixAnalysis {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rememberr_docgen::SyntheticCorpus;
-
-    fn paper_db() -> Database {
-        let corpus = SyntheticCorpus::paper();
-        Database::from_documents(&corpus.structured)
-    }
+    use crate::fixtures::fixture;
 
     #[test]
     fn fig06_no_workaround_rates_match_paper() {
-        let analysis = fig06_workarounds(&paper_db());
+        let analysis = fig06_workarounds(&fixture(1.0).db);
         let intel = analysis.no_workaround[0].1;
         let amd = analysis.no_workaround[1].1;
         assert!((intel - 0.359).abs() < 0.05, "Intel {intel}");
@@ -123,7 +118,7 @@ mod tests {
 
     #[test]
     fn fig06_percentages_sum_to_hundred() {
-        let analysis = fig06_workarounds(&paper_db());
+        let analysis = fig06_workarounds(&fixture(1.0).db);
         for (vendor, chart) in &analysis.charts {
             let sum: f64 = chart.rows.iter().map(|(_, v)| v).sum();
             assert!((sum - 100.0).abs() < 1e-6, "{vendor}: {sum}");
@@ -134,7 +129,7 @@ mod tests {
     fn fig06_documentation_fixes_are_negligible() {
         // The paper: documentation fixes are < 0.5% of all errata. Per
         // vendor the count is single-digit, so assert on the combined rate.
-        let db = paper_db();
+        let db = &fixture(1.0).db;
         let uniques = db.unique_entries();
         let docfix = uniques
             .iter()
@@ -146,7 +141,7 @@ mod tests {
 
     #[test]
     fn fig07_bugs_are_rarely_fixed() {
-        let analysis = fig07_fixes(&paper_db());
+        let analysis = fig07_fixes(&fixture(1.0).db);
         assert!(
             analysis.fixed_fraction < 0.25,
             "{}",
@@ -157,7 +152,7 @@ mod tests {
 
     #[test]
     fn fig07_recent_intel_trend_toward_fixing() {
-        let analysis = fig07_fixes(&paper_db());
+        let analysis = fig07_fixes(&fixture(1.0).db);
         let m = &analysis.matrix;
         let rate = |row: usize| {
             let fixed = m.get(row, 0) + m.get(row, 1);
@@ -173,11 +168,11 @@ mod tests {
 
     #[test]
     fn fig07_rows_cover_document_uniques() {
-        let db = paper_db();
-        let analysis = fig07_fixes(&db);
+        let db = &fixture(1.0).db;
+        let analysis = fig07_fixes(db);
         for (row, &design) in Design::ALL.iter().enumerate() {
             let total: f64 = (0..4).map(|c| analysis.matrix.get(row, c)).sum();
-            let uniques = crate::util::keys_in_document(&db, design).len();
+            let uniques = crate::util::keys_in_document(db, design).len();
             assert_eq!(total as usize, uniques, "{design}");
         }
     }

@@ -2,7 +2,7 @@
 //! matchers produce byte-identical classified database JSON and identical
 //! `DecisionStats` on the full 28-document paper corpus, at every worker
 //! count — while the indexed path pays for at least 10× fewer positional
-//! pattern evaluations.
+//! pattern evaluations, on the corpus and on a single erratum.
 //!
 //! This is the correctness contract of the indexed multi-pattern matcher:
 //! anchor-token pruning and single-pass snippet extraction are throughput
@@ -17,11 +17,12 @@ use std::sync::{Mutex, MutexGuard};
 
 use rememberr::{save, Database, DedupStrategy};
 use rememberr_classify::{
-    classify_database_analyzed, DecisionStats, FourEyesConfig, HumanOracle, MatcherKind, Rules,
+    classify_database_analyzed, classify_erratum_with, DecisionStats, FourEyesConfig, HumanOracle,
+    MatcherKind, Rules,
 };
 use rememberr_docgen::{CorpusSpec, GroundTruth, SyntheticCorpus};
 use rememberr_extract::extract_corpus;
-use rememberr_model::ErrataDocument;
+use rememberr_model::{Design, ErrataDocument, Erratum, ErratumId};
 
 static GATE: Mutex<()> = Mutex::new(());
 
@@ -174,4 +175,38 @@ fn obs_counters_report_classify_effort() {
     rememberr_obs::reset();
     assert!(counters.contains("classify.pattern_evals"), "{counters}");
     assert!(counters.contains("classify.patterns_pruned"), "{counters}");
+}
+
+#[test]
+fn indexed_matcher_prunes_most_of_the_library() {
+    let _gate = exclusive();
+    let e = Erratum {
+        id: ErratumId::new(Design::Intel6, 1),
+        title: "T".to_string(),
+        description: "After a warm reset is applied the processor may hang.".to_string(),
+        implications: String::new(),
+        workaround: "None identified.".to_string(),
+        status: "No fix planned.".to_string(),
+    };
+    let rules = Rules::standard();
+    rememberr_obs::reset();
+    rememberr_obs::enable();
+    let _ = classify_erratum_with(&rules, &e, MatcherKind::Indexed);
+    let indexed = rememberr_obs::snapshot();
+    rememberr_obs::reset();
+    let _ = classify_erratum_with(&rules, &e, MatcherKind::Exhaustive);
+    let exhaustive = rememberr_obs::snapshot();
+    rememberr_obs::disable();
+    rememberr_obs::reset();
+
+    let indexed_evals = indexed.counters["classify.pattern_evals"];
+    let exhaustive_evals = exhaustive.counters["classify.pattern_evals"];
+    let pruned = indexed.counters["classify.patterns_pruned"];
+    let library = rules.matcher().len() as u64;
+    assert_eq!(indexed_evals + pruned, library);
+    assert!(
+        indexed_evals * 10 <= exhaustive_evals,
+        "indexed {indexed_evals} vs exhaustive {exhaustive_evals} evals"
+    );
+    assert!(!exhaustive.counters.contains_key("classify.patterns_pruned"));
 }

@@ -3,7 +3,7 @@
 //! deduplication, and classification.
 
 use rememberr::Database;
-use rememberr_analysis::{observations, render_observations};
+use rememberr_analysis::{render_observations, FullReport};
 use rememberr_classify::{classify_database, FourEyesConfig, HumanOracle, Rules};
 use rememberr_docgen::SyntheticCorpus;
 use rememberr_extract::extract_corpus;
@@ -26,7 +26,7 @@ fn all_observations_hold_after_the_full_pipeline() {
         &FourEyesConfig::default(),
     );
 
-    let obs = observations(&db);
+    let obs = FullReport::build(&db, None, None).observations;
     let failing: Vec<String> = obs
         .iter()
         .filter(|o| !o.holds)
