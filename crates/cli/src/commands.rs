@@ -356,9 +356,10 @@ pub fn cmd_serve(args: &ParsedArgs) -> CmdResult {
 /// `rememberr profile [--scale F] [--seed N] [--jobs N]`
 ///
 /// Runs the full in-process pipeline (generate → extract → dedup →
-/// classify → analyze) with profiling on and prints a per-stage
-/// self/child-time table plus per-worker utilization. Combine with
-/// `--trace-out FILE` to also capture the Chrome trace of the same run.
+/// classify → analyze → binary snapshot save and load, in memory) with
+/// profiling on and prints a per-stage self/child-time table plus
+/// per-worker utilization. Combine with `--trace-out FILE` to also
+/// capture the Chrome trace of the same run.
 pub fn cmd_profile(args: &ParsedArgs) -> CmdResult {
     let spec = corpus_spec(args)?;
     let scale: f64 = args.get_parsed("scale", 1.0)?;
@@ -392,6 +393,15 @@ pub fn cmd_profile(args: &ParsedArgs) -> CmdResult {
     drop(assist);
     let report = FullReport::build(&db, run.four_eyes.as_ref(), Some(defects));
     drop(report);
+    // Round-trip the database through an in-memory binary snapshot: every
+    // reader after ingest (the CLI, `serve`) reaches it that way, so
+    // persistence belongs in the table.
+    let mut snapshot = Vec::new();
+    save_as(&db, &mut snapshot, SnapshotFormat::Binary).map_err(|e| e.to_string())?;
+    let reloaded = load(snapshot.as_slice()).map_err(|e| e.to_string())?;
+    if reloaded != db {
+        return Err("the reloaded snapshot differs from the built database".to_string());
+    }
 
     // Clone rather than take: `--trace-out` still exports the same spans
     // after this command returns.
@@ -585,10 +595,10 @@ OBSERVABILITY (any command):
 
 PROFILE:
   rememberr profile runs the full in-process pipeline (generate ->
-  extract -> dedup -> classify -> analyze; one corpus-analysis arena
-  over the unique errata feeds classify and the highlighting assist)
-  with profiling on and prints a per-stage
-  self/child-time table, the deterministic effort counters
+  extract -> dedup -> classify -> analyze -> binary snapshot save and
+  load in memory; one corpus-analysis arena over the unique errata feeds
+  classify and the highlighting assist) with profiling on and prints a
+  per-stage self/child-time table, the deterministic effort counters
   (extract.title_comparisons, corpus.docs_analyzed,
   textkit.tokenize_calls, textkit.match_doc_calls), per-worker
   utilization, and the busy-time imbalance ratio. Combine with
@@ -599,10 +609,12 @@ SNAPSHOTS (extract, classify):
                        on-disk database format (default: jsonl). \"jsonl\"
                        is the line-oriented interchange format and the
                        correctness oracle; \"binary\" is the
-                       rememberr-bin/v1 columnar format (string table +
+                       rememberr-bin/v2 columnar format (string table +
                        checksummed sections) that loads several times
                        faster. Every reader sniffs the format from the
-                       file's magic bytes, so --db accepts either.
+                       file's magic bytes, so --db accepts either. A
+                       rememberr-bin/v1 file is refused; rewrite it with
+                       extract or classify.
 
 SERVE:
   rememberr serve loads the snapshot once (JSONL or binary, sniffed),

@@ -411,6 +411,18 @@ fn profile_prints_stage_table_and_worker_utilization() {
     assert!(text.contains("dedup.assign_keys"), "{text}");
     assert!(text.contains("classify.database"), "{text}");
     assert!(text.contains("analysis.full_report"), "{text}");
+    // The in-memory binary snapshot round trip: a row for each direction
+    // and for its string table, chunk pass and checksum.
+    let rows: Vec<&str> = text
+        .lines()
+        .filter_map(|l| l.split_whitespace().next())
+        .collect();
+    for direction in ["persist.save", "persist.load"] {
+        for child in ["", ".string_table", ".chunk_pass", ".checksum"] {
+            let row = format!("{direction}{child}");
+            assert!(rows.contains(&row.as_str()), "no {row} row: {text}");
+        }
+    }
     // The deterministic effort counters of the ingest run.
     assert!(text.contains("corpus analysis (deterministic):"), "{text}");
     assert!(text.contains("extract.title_comparisons"), "{text}");

@@ -72,6 +72,17 @@ impl Database {
         Self::default()
     }
 
+    /// A database that takes ownership of already-keyed `entries`, with the
+    /// dedup statistics of the run that keyed them; the loaders build
+    /// through it so decoded entries are moved in, not copied.
+    pub(crate) fn from_parts(entries: Vec<DbEntry>, dedup_stats: DedupStats) -> Self {
+        Self {
+            entries,
+            dedup_stats,
+            ..Self::default()
+        }
+    }
+
     /// Builds a database from structured documents and runs the default
     /// duplicate keying.
     ///
@@ -97,11 +108,7 @@ impl Database {
     ) -> Self {
         let mut entries = build_entries(documents);
         let dedup_stats = assign_keys_with(&mut entries, strategy, candidates);
-        Self {
-            entries,
-            dedup_stats,
-            ..Self::default()
-        }
+        Self::from_parts(entries, dedup_stats)
     }
 
     /// [`Database::from_documents_opts`] followed by
@@ -177,13 +184,6 @@ impl Database {
             !self.index.is_built() && !self.clusters.is_built(),
             "database mutation left a built query index or cluster table behind"
         );
-    }
-
-    /// Restores dedup statistics (used when loading a persisted database).
-    pub(crate) fn restore_dedup_stats(&mut self, stats: DedupStats) {
-        self.invalidate_derived();
-        self.dedup_stats = stats;
-        self.debug_assert_derived_invalidated();
     }
 
     /// Entries listed by a given design's document.
@@ -491,17 +491,12 @@ mod tests {
         let key = db.unique_entries()[0].key.unwrap();
         let last_key = db.unique_entries().last().unwrap().key;
         let extra = db.entries()[0].clone();
-        let stats = db.dedup_stats();
         let all_keys: HashMap<UniqueKey, Annotation> = db
             .unique_entries()
             .iter()
             .map(|e| (e.key.unwrap(), annotation.clone()))
             .collect();
         vec![
-            (
-                "restore_dedup_stats",
-                Box::new(move |db| db.restore_dedup_stats(stats)),
-            ),
             (
                 "entry_mut",
                 // Moves the entry into the last cluster.

@@ -3,12 +3,15 @@
 //! The open-sourced RemembERR database ships as structured records; the
 //! JSONL flavor writes one JSON object per entry plus a header record, so
 //! the database survives round trips and can be consumed by external
-//! tooling. The binary flavor ([`crate::persist_bin`], `rememberr-bin/v1`)
+//! tooling. The binary flavor ([`crate::persist_bin`], `rememberr-bin/v2`)
 //! trades that interchangeability for load speed: a deduplicated string
-//! table plus columnar entry chunks, decoded in one buffered pass with no
-//! per-record text parsing. JSONL stays the interchange format and the
+//! table plus columnar entry chunks under word-at-a-time section
+//! checksums, decoded in one buffered pass with no per-record text
+//! parsing; the table's strings are borrowed from the read buffer, so each
+//! field's text is copied once. JSONL stays the interchange format and the
 //! correctness oracle; [`load`] sniffs the magic bytes so callers never
-//! need to know which flavor a file holds.
+//! need to know which flavor a file holds. A `rememberr-bin/v1` snapshot
+//! is refused as [`PersistError::UnsupportedVersion`].
 
 use std::fmt;
 use std::io::{BufRead, BufReader, BufWriter, Read, Write};
@@ -39,7 +42,7 @@ pub enum SnapshotFormat {
     /// One JSON object per line — the interchange format and oracle.
     #[default]
     Jsonl,
-    /// `rememberr-bin/v1` columnar sections — the fast-load format.
+    /// `rememberr-bin/v2` columnar sections — the fast-load format.
     Binary,
 }
 
@@ -303,10 +306,7 @@ fn load_jsonl<R: Read>(reader: R) -> Result<Database, PersistError> {
     }
     rememberr_obs::count("persist.records_read", entries.len() as u64);
     rememberr_obs::count("persist.bytes_read", bytes);
-    let mut db = Database::new();
-    db.extend(entries);
-    db.restore_dedup_stats(header.dedup);
-    Ok(db)
+    Ok(Database::from_parts(entries, header.dedup))
 }
 
 #[cfg(test)]

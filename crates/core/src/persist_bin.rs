@@ -1,4 +1,4 @@
-//! Binary columnar snapshots: the `rememberr-bin/v1` format.
+//! Binary columnar snapshots: the `rememberr-bin/v2` format.
 //!
 //! Layout (all integers little-endian):
 //!
@@ -11,8 +11,8 @@
 //!   entries  — chunk count u32, then per chunk length u64 + a columnar
 //!              block of `chunk size` entries (field-major columns of
 //!              fixed-width values and u32 string-table ids)
-//!   checksum — one FNV-1a 64 hash per preceding section payload, in
-//!              section order
+//!   checksum — one 64-bit word digest (see `digest`) per preceding
+//!              section payload, in section order
 //! ```
 //!
 //! Strings never repeat on disk: every textual field (titles,
@@ -20,7 +20,13 @@
 //! descriptions, fixed-in steppings) is a `u32` id into the table, which
 //! collapses the corpus' heavy repetition of facet phrasing. Load is one
 //! buffered read of the whole stream followed by columnar decoding — no
-//! per-record text parsing.
+//! per-record text parsing. Save hashes each field's text once, while
+//! building the table, and records the field's id for the chunk encoder;
+//! load borrows the table's strings from the read buffer, so each field's
+//! text is copied once, into the entry that owns it.
+//!
+//! Version 2 differs from version 1 only in the checksum digest; a
+//! version-1 snapshot is refused with [`PersistError::UnsupportedVersion`].
 //!
 //! Both directions fan out over [`rememberr_par::par_map`] in
 //! input-ordered chunks of [`CHUNK_ENTRIES`] entries. The string table is
@@ -28,7 +34,7 @@
 //! so the bytes produced are identical at every worker count; decoding
 //! concatenates chunk results in input order, so the database is too.
 
-use std::collections::HashMap;
+use std::collections::hash_map::{Entry, HashMap};
 use std::io::Write;
 
 use rememberr_model::{Annotation, MsrRef, WireError, WireReader, WireWriter};
@@ -46,73 +52,111 @@ pub(crate) const MAGIC: [u8; 4] = *b"RMBR";
 pub const BIN_FORMAT: &str = "rememberr-bin";
 
 /// Version written after the magic; bump on any layout change.
-pub const BIN_VERSION: u32 = 1;
+pub const BIN_VERSION: u32 = 2;
 
 /// Entries per columnar chunk — the unit of parallel encode/decode.
 pub(crate) const CHUNK_ENTRIES: usize = 256;
 
-/// FNV-1a 64-bit hash; the section checksum. Dependency-free and fast
-/// enough that verification is a vanishing fraction of load time.
-fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut hash = 0xcbf2_9ce4_8422_2325u64;
-    for &byte in bytes {
-        hash ^= u64::from(byte);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+/// Odd multiplier of the section digest.
+const DIGEST_K: u64 = 0x9E37_79B9_7F4A_7C15;
+
+/// The section checksum: a word-at-a-time 64-bit digest. The state starts
+/// at the payload length; each little-endian `u64` word (a partial last
+/// word zero-padded) is folded in as `h = (h ^ w) * K; h ^= h >> 29`. Every
+/// step is a bijection of the state, so changing any one word always
+/// changes the digest, and the length seed separates payloads that differ
+/// only by trailing zero bytes. Like any unkeyed checksum it detects
+/// accidents, not forgeries.
+fn digest(bytes: &[u8]) -> u64 {
+    fn fold(h: u64, word: u64) -> u64 {
+        let h = (h ^ word).wrapping_mul(DIGEST_K);
+        h ^ (h >> 29)
     }
-    hash
+    let mut words = bytes.chunks_exact(8);
+    let mut h = (&mut words).fold(bytes.len() as u64, |h, word| {
+        fold(h, u64::from_le_bytes(word.try_into().expect("8 bytes")))
+    });
+    let tail = words.remainder();
+    if !tail.is_empty() {
+        let mut last = [0u8; 8];
+        last[..tail.len()].copy_from_slice(tail);
+        h = fold(h, u64::from_le_bytes(last));
+    }
+    h
 }
 
-/// The deduplicated string table: unique strings in first-occurrence
-/// order plus the id lookup used during encoding.
+/// The deduplicated string table, plus the id of every textual field in
+/// the order [`StringTable::build`] walked them, so encoding never hashes
+/// a field a second time.
 struct StringTable<'a> {
+    /// Unique strings in first-occurrence order.
     strings: Vec<&'a str>,
-    ids: HashMap<&'a str, u32>,
+    /// Every field's id, entry by entry, in column order.
+    ids: Vec<u32>,
+    /// Where each entry's ids start in `ids`, plus the end of the last.
+    starts: Vec<usize>,
 }
 
 impl<'a> StringTable<'a> {
     /// Interns every textual field of every entry, walking entries in
     /// database order and fields in column order so the table is a pure
-    /// function of the database.
+    /// function of the database. Each field costs one probe of a map sized
+    /// up front for every field.
     fn build(entries: &'a [DbEntry]) -> Self {
+        let field_count: usize = entries.iter().map(|e| text_fields(e).count()).sum();
+        let mut by_text: HashMap<&'a str, u32> = HashMap::with_capacity(field_count);
         let mut table = StringTable {
             strings: Vec::new(),
-            ids: HashMap::new(),
+            ids: Vec::with_capacity(field_count),
+            starts: Vec::with_capacity(entries.len() + 1),
         };
         for entry in entries {
-            table.intern(&entry.erratum.title);
-            table.intern(&entry.erratum.description);
-            table.intern(&entry.erratum.implications);
-            table.intern(&entry.erratum.workaround);
-            table.intern(&entry.erratum.status);
-            if let Some(fixed_in) = &entry.fixed_in {
-                table.intern(fixed_in);
-            }
-            if let Some(annotation) = &entry.annotation {
-                for text in &annotation.concrete_triggers {
-                    table.intern(text);
-                }
-                for text in &annotation.concrete_contexts {
-                    table.intern(text);
-                }
-                for text in &annotation.concrete_effects {
-                    table.intern(text);
-                }
+            table.starts.push(table.ids.len());
+            for text in text_fields(entry) {
+                let id = match by_text.entry(text) {
+                    Entry::Occupied(slot) => *slot.get(),
+                    Entry::Vacant(slot) => {
+                        let id = u32::try_from(table.strings.len()).expect("string table fits u32");
+                        table.strings.push(text);
+                        *slot.insert(id)
+                    }
+                };
+                table.ids.push(id);
             }
         }
+        table.starts.push(table.ids.len());
         table
     }
 
-    fn intern(&mut self, text: &'a str) {
-        if !self.ids.contains_key(text) {
-            let id = u32::try_from(self.strings.len()).expect("string table fits u32");
-            self.strings.push(text);
-            self.ids.insert(text, id);
-        }
+    /// The string-table ids of entry `index`'s textual fields, in the
+    /// order [`text_fields`] yields them.
+    fn fields(&self, index: usize) -> &[u32] {
+        &self.ids[self.starts[index]..self.starts[index + 1]]
     }
+}
 
-    fn id(&self, text: &str) -> u32 {
-        self.ids[text]
-    }
+/// An entry's textual fields in column order: the five erratum texts, the
+/// fixed-in stepping if any, then the annotation's concrete trigger,
+/// context and effect descriptions.
+fn text_fields(entry: &DbEntry) -> impl Iterator<Item = &str> {
+    let e = &entry.erratum;
+    let concrete = entry.annotation.iter().flat_map(|a| {
+        a.concrete_triggers
+            .iter()
+            .chain(&a.concrete_contexts)
+            .chain(&a.concrete_effects)
+    });
+    [
+        &e.title,
+        &e.description,
+        &e.implications,
+        &e.workaround,
+        &e.status,
+    ]
+    .into_iter()
+    .chain(&entry.fixed_in)
+    .chain(concrete)
+    .map(String::as_str)
 }
 
 /// Writes the database as a binary snapshot.
@@ -122,7 +166,6 @@ impl<'a> StringTable<'a> {
 /// Returns [`PersistError::Io`] on write failure.
 pub(crate) fn save_binary<W: Write>(db: &Database, mut writer: W) -> Result<(), PersistError> {
     let entries = db.entries();
-    let table = StringTable::build(entries);
 
     let stats = db.dedup_stats();
     let mut header = WireWriter::with_capacity(44);
@@ -133,34 +176,50 @@ pub(crate) fn save_binary<W: Write>(db: &Database, mut writer: W) -> Result<(), 
     header.put_u64(stats.cascade_merges as u64);
     header.put_u32(CHUNK_ENTRIES as u32);
 
-    let mut strings = WireWriter::with_capacity(table.strings.iter().map(|s| s.len() + 4).sum());
-    strings.put_u32(table.strings.len() as u32);
-    for text in &table.strings {
-        strings.put_u32(text.len() as u32);
-        strings.put_bytes(text.as_bytes());
-    }
+    let (table, strings) = {
+        let _span = rememberr_obs::span!("persist.save.string_table");
+        let table = StringTable::build(entries);
+        let mut strings =
+            WireWriter::with_capacity(4 + table.strings.iter().map(|s| s.len() + 4).sum::<usize>());
+        strings.put_u32(table.strings.len() as u32);
+        for text in &table.strings {
+            strings.put_u32(text.len() as u32);
+            strings.put_bytes(text.as_bytes());
+        }
+        (table, strings)
+    };
 
     // Fan the columnar encoding out in input-ordered chunks; the table is
     // frozen, so every worker count produces the same bytes.
     let chunks: Vec<&[DbEntry]> = entries.chunks(CHUNK_ENTRIES).collect();
-    let encoded = rememberr_par::par_map(&chunks, |chunk| encode_chunk(chunk, &table));
-    let mut entry_section =
-        WireWriter::with_capacity(4 + encoded.iter().map(|c| c.len() + 8).sum::<usize>());
-    entry_section.put_u32(encoded.len() as u32);
-    for chunk in &encoded {
-        entry_section.put_u64(chunk.len() as u64);
-        entry_section.put_bytes(chunk);
-    }
+    let entry_section = {
+        let _span = rememberr_obs::span!("persist.save.chunk_pass");
+        let encoded = rememberr_par::par_map_indexed(&chunks, |index, chunk| {
+            encode_chunk(chunk, index * CHUNK_ENTRIES, &table)
+        });
+        let mut entry_section =
+            WireWriter::with_capacity(4 + encoded.iter().map(|c| c.len() + 8).sum::<usize>());
+        entry_section.put_u32(encoded.len() as u32);
+        for chunk in &encoded {
+            entry_section.put_u64(chunk.len() as u64);
+            entry_section.put_bytes(chunk);
+        }
+        entry_section
+    };
 
     let sections = [
         header.as_bytes(),
         strings.as_bytes(),
         entry_section.as_bytes(),
     ];
-    let mut checksums = WireWriter::with_capacity(sections.len() * 8);
-    for payload in sections {
-        checksums.put_u64(fnv1a64(payload));
-    }
+    let checksums = {
+        let _span = rememberr_obs::span!("persist.save.checksum");
+        let mut checksums = WireWriter::with_capacity(sections.len() * 8);
+        for payload in sections {
+            checksums.put_u64(digest(payload));
+        }
+        checksums
+    };
 
     let mut bytes_written = (MAGIC.len() + 4) as u64;
     writer.write_all(&MAGIC)?;
@@ -181,8 +240,9 @@ pub(crate) fn save_binary<W: Write>(db: &Database, mut writer: W) -> Result<(), 
 
 /// One columnar chunk: a count, then field-major columns. Optional
 /// columns (key, fixed-in, annotation) are a presence bitmap followed by
-/// the present values in entry order.
-fn encode_chunk(entries: &[DbEntry], table: &StringTable<'_>) -> Vec<u8> {
+/// the present values in entry order. `first` is the database index of
+/// the chunk's first entry, which locates its field ids in `table`.
+fn encode_chunk(entries: &[DbEntry], first: usize, table: &StringTable<'_>) -> Vec<u8> {
     let mut w = WireWriter::with_capacity(entries.len() * 48);
     w.put_u32(entries.len() as u32);
     for e in entries {
@@ -191,16 +251,11 @@ fn encode_chunk(entries: &[DbEntry], table: &StringTable<'_>) -> Vec<u8> {
     for e in entries {
         w.put_u32(e.erratum.id.number);
     }
-    let text_columns: [fn(&DbEntry) -> &str; 5] = [
-        |e| &e.erratum.title,
-        |e| &e.erratum.description,
-        |e| &e.erratum.implications,
-        |e| &e.erratum.workaround,
-        |e| &e.erratum.status,
-    ];
-    for field in text_columns {
-        for e in entries {
-            w.put_u32(table.id(field(e)));
+    let fields = |k: usize| table.fields(first + k);
+    // The five erratum text columns are each entry's first five fields.
+    for column in 0..5 {
+        for k in 0..entries.len() {
+            w.put_u32(fields(k)[column]);
         }
     }
     for e in entries {
@@ -219,33 +274,37 @@ fn encode_chunk(entries: &[DbEntry], table: &StringTable<'_>) -> Vec<u8> {
         }
     }
     put_bitmap(&mut w, entries, |e| e.fixed_in.is_some());
-    for e in entries {
-        if let Some(fixed_in) = &e.fixed_in {
-            w.put_u32(table.id(fixed_in));
+    for (k, e) in entries.iter().enumerate() {
+        if e.fixed_in.is_some() {
+            w.put_u32(fields(k)[5]);
         }
     }
     put_bitmap(&mut w, entries, |e| e.annotation.is_some());
-    for e in entries {
+    for (k, e) in entries.iter().enumerate() {
         if let Some(annotation) = &e.annotation {
-            encode_annotation(&mut w, annotation, table);
+            let concrete = &fields(k)[5 + usize::from(e.fixed_in.is_some())..];
+            encode_annotation(&mut w, annotation, concrete);
         }
     }
     w.into_bytes()
 }
 
-fn encode_annotation(w: &mut WireWriter, a: &Annotation, table: &StringTable<'_>) {
+/// `concrete` holds the ids of the annotation's concrete trigger, context
+/// and effect descriptions, in that order.
+fn encode_annotation(w: &mut WireWriter, a: &Annotation, concrete: &[u32]) {
     w.put(&a.triggers);
     w.put(&a.contexts);
     w.put(&a.effects);
     w.put_u8(u8::from(a.complex_conditions));
+    let mut ids = concrete.iter();
     for list in [
         &a.concrete_triggers,
         &a.concrete_contexts,
         &a.concrete_effects,
     ] {
         w.put_u32(list.len() as u32);
-        for text in list {
-            w.put_u32(table.id(text));
+        for id in ids.by_ref().take(list.len()) {
+            w.put_u32(*id);
         }
     }
     w.put_u32(a.msrs.len() as u32);
@@ -314,22 +373,25 @@ pub(crate) fn load_binary(bytes: &[u8]) -> Result<Database, PersistError> {
         return Err(corrupt("trailing bytes after checksum section"));
     }
 
-    let mut cr = WireReader::new(checksums);
-    for (name, payload) in [
-        ("header", header),
-        ("string table", strings_payload),
-        ("entries", entries_payload),
-    ] {
-        let want = cr.take_u64("section checksum")?;
-        let got = fnv1a64(payload);
-        if got != want {
-            return Err(corrupt(format!(
-                "checksum mismatch in {name} section: stored {want:#018x}, computed {got:#018x}"
-            )));
+    {
+        let _span = rememberr_obs::span!("persist.load.checksum");
+        let mut cr = WireReader::new(checksums);
+        for (name, payload) in [
+            ("header", header),
+            ("string table", strings_payload),
+            ("entries", entries_payload),
+        ] {
+            let want = cr.take_u64("section checksum")?;
+            let got = digest(payload);
+            if got != want {
+                return Err(corrupt(format!(
+                    "checksum mismatch in {name} section: stored {want:#018x}, computed {got:#018x}"
+                )));
+            }
         }
-    }
-    if !cr.is_done() {
-        return Err(corrupt("oversized checksum section"));
+        if !cr.is_done() {
+            return Err(corrupt("oversized checksum section"));
+        }
     }
 
     let mut hr = WireReader::new(header);
@@ -349,38 +411,34 @@ pub(crate) fn load_binary(bytes: &[u8]) -> Result<Database, PersistError> {
         return Err(corrupt("oversized header section"));
     }
 
-    let mut sr = WireReader::new(strings_payload);
-    let string_count = sr.take_u32("string count")? as usize;
-    let mut strings = Vec::with_capacity(capacity(string_count, sr.remaining(), 4));
-    for _ in 0..string_count {
-        let len = sr.take_u32("string length")? as usize;
-        let raw = sr.take_bytes(len, "string bytes")?;
-        let text = std::str::from_utf8(raw).map_err(|_| corrupt("string table is not UTF-8"))?;
-        strings.push(text.to_string());
-    }
-    if !sr.is_done() {
-        return Err(corrupt("trailing bytes in string table"));
-    }
+    let strings = {
+        let _span = rememberr_obs::span!("persist.load.string_table");
+        decode_strings(strings_payload)?
+    };
 
-    let mut er = WireReader::new(entries_payload);
-    let chunk_count = er.take_u32("chunk count")? as usize;
-    let mut chunk_slices = Vec::with_capacity(capacity(chunk_count, er.remaining(), 8));
-    for _ in 0..chunk_count {
-        let len = er.take_u64("chunk length")? as usize;
-        chunk_slices.push(er.take_bytes(len, "entry chunk")?);
-    }
-    if !er.is_done() {
-        return Err(corrupt("trailing bytes in entries section"));
-    }
+    let (entries, chunk_count) = {
+        let _span = rememberr_obs::span!("persist.load.chunk_pass");
+        let mut er = WireReader::new(entries_payload);
+        let chunk_count = er.take_u32("chunk count")? as usize;
+        let mut chunk_slices = Vec::with_capacity(capacity(chunk_count, er.remaining(), 8));
+        for _ in 0..chunk_count {
+            let len = er.take_u64("chunk length")? as usize;
+            chunk_slices.push(er.take_bytes(len, "entry chunk")?);
+        }
+        if !er.is_done() {
+            return Err(corrupt("trailing bytes in entries section"));
+        }
 
-    // Decode chunks in parallel; concatenation in input order keeps the
-    // database identical at every worker count.
-    let decoded = rememberr_par::par_map(&chunk_slices, |chunk| decode_chunk(chunk, &strings));
-    let mut entries =
-        Vec::with_capacity(capacity(expected, entries_payload.len(), MIN_ENTRY_BYTES));
-    for chunk in decoded {
-        entries.extend(chunk?);
-    }
+        // Decode chunks in parallel; concatenation in input order keeps
+        // the database identical at every worker count.
+        let decoded = rememberr_par::par_map(&chunk_slices, |chunk| decode_chunk(chunk, &strings));
+        let mut entries =
+            Vec::with_capacity(capacity(expected, entries_payload.len(), MIN_ENTRY_BYTES));
+        for chunk in decoded {
+            entries.extend(chunk?);
+        }
+        (entries, chunk_count)
+    };
     if entries.len() != expected {
         return Err(PersistError::Truncated {
             expected,
@@ -392,11 +450,24 @@ pub(crate) fn load_binary(bytes: &[u8]) -> Result<Database, PersistError> {
     rememberr_obs::count("persist.bytes_read", bytes.len() as u64);
     rememberr_obs::count("persist.bin.strings", strings.len() as u64);
     rememberr_obs::count("persist.bin.chunks", chunk_count as u64);
+    Ok(Database::from_parts(entries, stats))
+}
 
-    let mut db = Database::new();
-    db.extend(entries);
-    db.restore_dedup_stats(stats);
-    Ok(db)
+/// The string table's strings, borrowed from the snapshot bytes and
+/// checked as UTF-8 once each.
+fn decode_strings(payload: &[u8]) -> Result<Vec<&str>, PersistError> {
+    let mut sr = WireReader::new(payload);
+    let string_count = sr.take_u32("string count")? as usize;
+    let mut strings = Vec::with_capacity(capacity(string_count, sr.remaining(), 4));
+    for _ in 0..string_count {
+        let len = sr.take_u32("string length")? as usize;
+        let raw = sr.take_bytes(len, "string bytes")?;
+        strings.push(std::str::from_utf8(raw).map_err(|_| corrupt("string table is not UTF-8"))?);
+    }
+    if !sr.is_done() {
+        return Err(corrupt("trailing bytes in string table"));
+    }
+    Ok(strings)
 }
 
 fn take_section<'a>(r: &mut WireReader<'a>, name: &'static str) -> Result<&'a [u8], PersistError> {
@@ -405,7 +476,7 @@ fn take_section<'a>(r: &mut WireReader<'a>, name: &'static str) -> Result<&'a [u
         .map_err(|_| corrupt(format!("truncated {name} section")))
 }
 
-fn decode_chunk(bytes: &[u8], strings: &[String]) -> Result<Vec<DbEntry>, PersistError> {
+fn decode_chunk(bytes: &[u8], strings: &[&str]) -> Result<Vec<DbEntry>, PersistError> {
     let mut r = WireReader::new(bytes);
     let count = r.take_u32("chunk entry count")? as usize;
     let designs: Vec<rememberr_model::Design> = take_column(&mut r, count)?;
@@ -472,7 +543,7 @@ fn decode_chunk(bytes: &[u8], strings: &[String]) -> Result<Vec<DbEntry>, Persis
     Ok(entries)
 }
 
-fn decode_annotation(r: &mut WireReader<'_>, strings: &[String]) -> Result<Annotation, WireError> {
+fn decode_annotation(r: &mut WireReader<'_>, strings: &[&str]) -> Result<Annotation, WireError> {
     let triggers = r.take()?;
     let contexts = r.take()?;
     let effects = r.take()?;
@@ -492,14 +563,11 @@ fn decode_annotation(r: &mut WireReader<'_>, strings: &[String]) -> Result<Annot
         list.reserve(capacity(len, r.remaining(), 4));
         for _ in 0..len {
             let id = r.take_u32("concrete description id")?;
-            let text = strings
-                .get(id as usize)
-                .ok_or(WireError::InvalidValue {
-                    what: "string id",
-                    value: u64::from(id),
-                })?
-                .clone();
-            list.push(text);
+            let text = strings.get(id as usize).ok_or(WireError::InvalidValue {
+                what: "string id",
+                value: u64::from(id),
+            })?;
+            list.push(text.to_string());
         }
     }
     let [concrete_triggers, concrete_contexts, concrete_effects] = lists;
@@ -554,10 +622,10 @@ fn take_bitmap(
         .collect())
 }
 
-fn resolve(strings: &[String], id: u32) -> Result<&str, PersistError> {
+fn resolve<'a>(strings: &[&'a str], id: u32) -> Result<&'a str, PersistError> {
     strings
         .get(id as usize)
-        .map(String::as_str)
+        .copied()
         .ok_or_else(|| corrupt(format!("string id {id} out of range ({})", strings.len())))
 }
 
@@ -593,10 +661,7 @@ mod tests {
                 e.fixed_in = Some(format!("stepping {}", i % 5));
             }
         }
-        let mut db = Database::new();
-        db.extend(entries);
-        db.restore_dedup_stats(stats);
-        db
+        Database::from_parts(entries, stats)
     }
 
     fn binary_bytes(db: &Database) -> Vec<u8> {
@@ -661,6 +726,46 @@ mod tests {
     }
 
     #[test]
+    fn recorded_ids_are_each_fields_first_occurrence_id() {
+        let db = annotated_db(0.1);
+        let table = StringTable::build(db.entries());
+        let mut first_seen: Vec<&str> = Vec::new();
+        for (index, entry) in db.entries().iter().enumerate() {
+            let texts: Vec<&str> = text_fields(entry).collect();
+            let ids = table.fields(index);
+            assert_eq!(ids.len(), texts.len(), "entry {index}");
+            for (text, &id) in texts.into_iter().zip(ids) {
+                let want = match first_seen.iter().position(|seen| *seen == text) {
+                    Some(at) => at,
+                    None => {
+                        first_seen.push(text);
+                        first_seen.len() - 1
+                    }
+                };
+                assert_eq!(id as usize, want, "entry {index}, field {text:?}");
+            }
+        }
+        assert_eq!(table.strings, first_seen);
+    }
+
+    #[test]
+    fn digest_catches_any_one_word_change_and_trailing_zeros() {
+        let payload: Vec<u8> = (0..45u8).collect();
+        let base = digest(&payload);
+        for at in [0, 7, 8, 31, 40, 44] {
+            let mut flipped = payload.clone();
+            flipped[at] ^= 0x01;
+            assert_ne!(digest(&flipped), base, "flip at {at}");
+        }
+        let mut padded = payload.clone();
+        for _ in 0..8 {
+            padded.push(0);
+            assert_ne!(digest(&padded), base, "{} zero bytes", padded.len() - 45);
+        }
+        assert_ne!(digest(&[]), digest(&[0]));
+    }
+
+    #[test]
     fn rejects_bad_magic() {
         let db = annotated_db(0.03);
         let mut bytes = binary_bytes(&db);
@@ -678,11 +783,14 @@ mod tests {
     fn rejects_wrong_version() {
         let db = annotated_db(0.03);
         let mut bytes = binary_bytes(&db);
-        bytes[4] = 99;
-        assert!(matches!(
-            load(bytes.as_slice()),
-            Err(PersistError::UnsupportedVersion(99))
-        ));
+        assert_eq!(bytes[4..8], BIN_VERSION.to_le_bytes());
+        for version in [1u32, 99] {
+            bytes[4..8].copy_from_slice(&version.to_le_bytes());
+            assert!(matches!(
+                load(bytes.as_slice()),
+                Err(PersistError::UnsupportedVersion(v)) if v == version
+            ));
+        }
     }
 
     #[test]
@@ -722,7 +830,7 @@ mod tests {
         let header_payload = bytes[16..16 + header_len].to_vec();
         let checksum_pos = bytes.len() - 24;
         bytes[checksum_pos..checksum_pos + 8]
-            .copy_from_slice(&fnv1a64(&header_payload).to_le_bytes());
+            .copy_from_slice(&digest(&header_payload).to_le_bytes());
         assert!(matches!(
             load(bytes.as_slice()),
             Err(PersistError::Truncated { expected, found })

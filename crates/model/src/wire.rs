@@ -1,12 +1,13 @@
 //! Stable binary wire encoding for the model's component types.
 //!
-//! The binary snapshot format (`rememberr-bin/v1`, implemented in
+//! The binary snapshot format (`rememberr-bin/v2`, implemented in
 //! `crates/core`) persists database entries as columns of fixed-width
 //! values plus ids into a deduplicated string table. The string-free
 //! component types encode here, in a *stable field order* that is part of
 //! the on-disk format: adding, removing, or reordering a field of any
 //! `WireEncode` type is a format change and must bump the snapshot
-//! version.
+//! version. (Version 2 changed only the section checksum; every encoding
+//! here is as version 1 had it.)
 //!
 //! Conventions:
 //!

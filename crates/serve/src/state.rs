@@ -177,6 +177,40 @@ mod tests {
         assert!(state.reload().is_err());
         assert_eq!(state.snapshot().generation, 1);
         std::fs::remove_dir_all(dir).ok();
+
+        // The live binary snapshot overwritten with a damaged copy: the
+        // reload names the cause and generation 1 keeps serving.
+        type Damage = fn(&mut [u8]);
+        let cases: [(&str, Damage, &str); 2] = [
+            (
+                "checksum",
+                // The last byte of the entries section, just before the
+                // checksum section's u64 length and three u64 digests.
+                |bytes| bytes[bytes.len() - 33] ^= 0x01,
+                "checksum mismatch in entries section",
+            ),
+            (
+                "version-1",
+                |bytes| bytes[4..8].copy_from_slice(&1u32.to_le_bytes()),
+                "unsupported format version 1",
+            ),
+        ];
+        for (tag, damage, cause) in cases {
+            let dir = tempdir(&format!("reload-{tag}"));
+            let path = write_snapshot(&dir, SnapshotFormat::Binary);
+            let state = ServeState::boot(path.clone()).unwrap();
+            let entries = state.snapshot().db.len();
+            let mut bytes = std::fs::read(&path).unwrap();
+            damage(&mut bytes);
+            std::fs::write(&path, bytes).unwrap();
+            let err = state.reload().map(|_| ()).unwrap_err();
+            assert!(err.contains(cause), "{tag}: {err}");
+            let serving = state.snapshot();
+            assert_eq!(serving.generation, 1, "{tag}");
+            assert_eq!(serving.db.len(), entries, "{tag}");
+            assert_eq!(serving.format, SnapshotFormat::Binary, "{tag}");
+            std::fs::remove_dir_all(dir).ok();
+        }
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Binary snapshot correctness: the `rememberr-bin/v1` columnar format
+//! Binary snapshot correctness: the `rememberr-bin/v2` columnar format
 //! must be an invisible throughput knob. A binary roundtrip reproduces
 //! the database the JSONL oracle reproduces, re-exported JSONL after a
 //! binary roundtrip is byte-identical to JSONL written directly, the
@@ -369,7 +369,7 @@ fn binary_snapshot() -> &'static [u8] {
     BYTES.get_or_init(|| snapshot(annotated_db(), SnapshotFormat::Binary))
 }
 
-/// Section indices of the `rememberr-bin/v1` layout.
+/// Section indices of the `rememberr-bin/v2` layout.
 const HEADER: usize = 0;
 const STRINGS: usize = 1;
 const ENTRIES: usize = 2;
@@ -388,10 +388,17 @@ fn section_ranges(bytes: &[u8]) -> Vec<std::ops::Range<usize>> {
     ranges
 }
 
-/// FNV-1a 64, the format's section checksum.
-fn fnv1a64(bytes: &[u8]) -> u64 {
-    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |hash, &byte| {
-        (hash ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3)
+/// The format's section checksum, written out independently of the
+/// library: the state starts at the payload length, and each
+/// little-endian `u64` word, the last one zero-padded, is folded in as
+/// `h = (h ^ w) * K; h ^= h >> 29`.
+fn digest(bytes: &[u8]) -> u64 {
+    const K: u64 = 0x9E37_79B9_7F4A_7C15;
+    bytes.chunks(8).fold(bytes.len() as u64, |h, word| {
+        let mut padded = [0u8; 8];
+        padded[..word.len()].copy_from_slice(word);
+        let h = (h ^ u64::from_le_bytes(padded)).wrapping_mul(K);
+        h ^ (h >> 29)
     })
 }
 
@@ -409,9 +416,106 @@ fn forge(bytes: &[u8], section: usize, offset: usize, value: &[u8]) -> Vec<u8> {
 /// Re-stamps the stored checksum of `section` to match its payload.
 fn restamp(bytes: &mut [u8], section: usize) {
     let ranges = section_ranges(bytes);
-    let sum = fnv1a64(&bytes[ranges[section].clone()]);
+    let sum = digest(&bytes[ranges[section].clone()]);
     let slot = ranges[CHECKSUMS].start + 8 * section;
     bytes[slot..slot + 8].copy_from_slice(&sum.to_le_bytes());
+}
+
+/// Section names as the loader's checksum errors spell them.
+const SECTION_NAMES: [&str; CHECKSUMS] = ["header", "string table", "entries"];
+
+#[test]
+fn stored_checksums_are_the_v2_digest_of_each_section() {
+    let bytes = binary_snapshot();
+    assert_eq!(bytes[4..8], 2u32.to_le_bytes(), "version word");
+    let ranges = section_ranges(bytes);
+    for section in 0..CHECKSUMS {
+        let slot = ranges[CHECKSUMS].start + 8 * section;
+        let stored = u64::from_le_bytes(bytes[slot..slot + 8].try_into().unwrap());
+        assert_eq!(
+            stored,
+            digest(&bytes[ranges[section].clone()]),
+            "{} section",
+            SECTION_NAMES[section]
+        );
+    }
+}
+
+#[test]
+fn version_1_snapshots_are_refused() {
+    let mut bytes = binary_snapshot().to_vec();
+    bytes[4..8].copy_from_slice(&1u32.to_le_bytes());
+    assert!(matches!(
+        load(bytes.as_slice()),
+        Err(PersistError::UnsupportedVersion(1))
+    ));
+}
+
+/// Asserts that `bytes` fails to load with a checksum mismatch in
+/// `section`.
+fn assert_checksum_rejects(bytes: &[u8], section: usize, what: &str) {
+    let name = SECTION_NAMES[section];
+    match load(bytes) {
+        Err(PersistError::Corrupt(msg))
+            if msg.contains(&format!("checksum mismatch in {name} section")) => {}
+        other => panic!(
+            "{what} in the {name} section: expected a checksum error, got {:?}",
+            other.map(|db| db.len())
+        ),
+    }
+}
+
+#[test]
+fn one_flipped_byte_fails_its_sections_checksum() {
+    let bytes = binary_snapshot();
+    let ranges = section_ranges(bytes);
+    for section in 0..CHECKSUMS {
+        let len = ranges[section].len();
+        // Sampled offsets through the payload, then every byte of its last
+        // word, which is partial unless the length is a multiple of 8.
+        let last_word = (len - 1) / 8 * 8;
+        let mut offsets = vec![0, 1, len / 3, len / 2, 2 * len / 3];
+        offsets.extend(last_word..len);
+        assert!(
+            section != HEADER || !len.is_multiple_of(8),
+            "the header's last word is partial"
+        );
+        for offset in offsets {
+            for mask in [0x01u8, 0x80] {
+                let mut flipped = bytes.to_vec();
+                flipped[ranges[section].start + offset] ^= mask;
+                assert_checksum_rejects(
+                    &flipped,
+                    section,
+                    &format!("flip {mask:#04x} at {offset}"),
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn trailing_zero_bytes_change_the_digest() {
+    let bytes = binary_snapshot();
+    for section in 0..CHECKSUMS {
+        for zeros in 1..=8 {
+            // The section grows by `zeros` zero bytes and its length prefix
+            // says so; the stored checksum is the original one.
+            let ranges = section_ranges(bytes);
+            let range = ranges[section].clone();
+            let mut padded = bytes[..range.end].to_vec();
+            padded.extend(std::iter::repeat_n(0u8, zeros));
+            padded.extend_from_slice(&bytes[range.end..]);
+            let len = (range.len() + zeros) as u64;
+            padded[range.start - 8..range.start].copy_from_slice(&len.to_le_bytes());
+            assert_checksum_rejects(&padded, section, &format!("{zeros} appended zero bytes"));
+        }
+    }
+    // And for the digest on its own: all-zero payloads of every length up
+    // to two words digest differently.
+    let digests: std::collections::HashSet<u64> =
+        (0..=16).map(|len| digest(&vec![0u8; len])).collect();
+    assert_eq!(digests.len(), 17);
 }
 
 #[test]
