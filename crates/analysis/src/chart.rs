@@ -261,19 +261,6 @@ impl MatrixChart {
         }
         out
     }
-
-    /// The `n` largest cells as `(row label, col label, value)`.
-    pub fn top_cells(&self, n: usize) -> Vec<(&str, &str, f64)> {
-        let mut all: Vec<(&str, &str, f64)> = Vec::new();
-        for (row_label, row) in self.row_labels.iter().zip(&self.cells) {
-            for (col_label, &v) in self.col_labels.iter().zip(row) {
-                all.push((row_label, col_label, v));
-            }
-        }
-        all.sort_by(|a, b| b.2.partial_cmp(&a.2).unwrap_or(std::cmp::Ordering::Equal));
-        all.truncate(n);
-        all
-    }
 }
 
 fn csv_escape(s: &str) -> String {
@@ -353,8 +340,6 @@ mod tests {
         *m.get_mut(0, 1) = 5.0;
         *m.get_mut(1, 0) = 2.0;
         assert_eq!(m.get(0, 1), 5.0);
-        let top = m.top_cells(1);
-        assert_eq!(top[0], ("r1", "c2", 5.0));
         assert!(m.render_text().contains("r1"));
         let csv = m.to_csv();
         assert!(csv.contains("r1,c2,5"));

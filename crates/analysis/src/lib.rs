@@ -28,7 +28,7 @@
 //! | O1-O13    | [`FullReport::observations`] |
 //! | Section IV-B2 "Rediscovery" | [`rediscovery_by_pair`] |
 //! | Section VI | [`plan_campaign`], [`recommend_observation_points`], [`blackbox_guidance`] |
-//! | extensions | [`dedup_threshold_sweep`], [`observation_budget_sweep`], [`trigger_budget_sweep`], [`export_csvs`] |
+//! | extensions | [`export_csvs`] |
 //!
 //! [`FullReport::build`] computes every figure once, then derives the
 //! observations from the figures it built.
@@ -71,7 +71,6 @@ mod msrfig;
 mod observations;
 mod rediscovery;
 mod report;
-mod sweeps;
 mod timeline;
 mod util;
 mod workfix;
@@ -97,7 +96,6 @@ pub use rediscovery::{
     rediscovery_by_pair, rediscovery_chart, rediscovery_stats, RediscoveryStats,
 };
 pub use report::FullReport;
-pub use sweeps::{dedup_threshold_sweep, observation_budget_sweep, trigger_budget_sweep};
 pub use timeline::{
     fig02_disclosure_timeline, fig04_shared_set_timeline, fig05_latency, LatencyAnalysis,
     SharedSetTimeline, GEN6_TO_10_DOCS,

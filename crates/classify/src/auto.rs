@@ -50,22 +50,11 @@ fn rule_fired_counter(category: Category) -> &'static str {
     }
 }
 
-/// Classifies one erratum-category pair.
-pub fn decide(rules: &Rules, text: &PreparedText, category: Category) -> Decision {
-    if rules.strong_for(category).any(|p| p.is_match(text)) {
-        Decision::AutoRelevant
-    } else if rules.weak_for(category).any(|p| p.is_match(text)) {
-        Decision::NeedsHuman
-    } else {
-        Decision::AutoIrrelevant
-    }
-}
-
 /// Prepares the classification text of an erratum (all prose fields).
 ///
 /// The prepared text takes ownership of the joined prose, so snippet
 /// extraction slices the same allocation instead of rebuilding it.
-pub fn prepare(erratum: &Erratum) -> PreparedText {
+fn prepare(erratum: &Erratum) -> PreparedText {
     PreparedText::from_string(erratum.full_text())
 }
 
@@ -412,11 +401,8 @@ mod tests {
     #[test]
     fn strong_match_wins_over_weak() {
         let e = erratum("A warm reset is applied.", "T");
-        let rules = Rules::standard();
-        let text = prepare(&e);
-        assert_eq!(
-            decide(&rules, &text, Category::Trigger(Trigger::Reset)),
-            Decision::AutoRelevant
-        );
+        let out = classify_erratum(&Rules::standard(), &e);
+        assert!(out.annotation.triggers.contains(Trigger::Reset));
+        assert!(!out.needs_human.contains(&Category::Trigger(Trigger::Reset)));
     }
 }

@@ -42,8 +42,8 @@ mod rules;
 
 pub use agreement::{cohens_kappa, percent_agreement};
 pub use auto::{
-    classify_erratum, classify_erratum_with, classify_prepared_with, decide, prepare,
-    AutoClassification, Decision, MatcherKind,
+    classify_erratum, classify_erratum_with, classify_prepared_with, AutoClassification, Decision,
+    MatcherKind,
 };
 pub use foureyes::{
     run_four_eyes, run_four_eyes_over, FourEyesConfig, FourEyesOutcome, HumanItem, Resolution,

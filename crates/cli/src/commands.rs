@@ -5,6 +5,7 @@
 //! spawning processes.
 
 use std::fs;
+use std::io::{BufRead, BufReader};
 use std::path::{Path, PathBuf};
 
 use rememberr::{load, save_as, Database, DedupStrategy, Query, SnapshotFormat};
@@ -491,11 +492,20 @@ pub fn cmd_stats(args: &ParsedArgs) -> CmdResult {
             (snap, None)
         }
         (None, Some(path)) => {
-            let line = describe_snapshot_file(path)?;
+            // Sniff from the reader that decodes, so a file renamed over
+            // `path` cannot lend this line its format and the load its entries.
+            let file = fs::File::open(path).map_err(|e| format!("{path}: {e}"))?;
+            let size = file.metadata().map_err(|e| format!("{path}: {e}"))?.len();
+            let mut reader = BufReader::new(file);
+            let head = reader.fill_buf().map_err(|e| format!("{path}: {e}"))?;
+            let format = SnapshotFormat::sniff(head);
             rememberr_obs::enable();
-            let db = read_db(args)?;
+            let db = load(reader).map_err(|e| format!("{path}: {e}"))?;
             let snap = rememberr_obs::snapshot();
-            let line = format!("{line}, {} entries\n\n", db.len());
+            let line = format!(
+                "snapshot: {format} format, {size} bytes, {} entries\n\n",
+                db.len()
+            );
             drop(db);
             (snap, Some(line))
         }
@@ -506,27 +516,6 @@ pub fn cmd_stats(args: &ParsedArgs) -> CmdResult {
         db_line.unwrap_or_default(),
         render_snapshot(&snapshot)
     ))
-}
-
-/// One line naming a snapshot file's format (sniffed from its magic, the
-/// same dispatch `load` uses) and its size on disk.
-fn describe_snapshot_file(path: &str) -> Result<String, String> {
-    use std::io::Read as _;
-    let mut file = fs::File::open(path).map_err(|e| format!("{path}: {e}"))?;
-    let size = file.metadata().map_err(|e| format!("{path}: {e}"))?.len();
-    let mut head = [0u8; 4];
-    let mut got = 0;
-    while got < head.len() {
-        match file
-            .read(&mut head[got..])
-            .map_err(|e| format!("{path}: {e}"))?
-        {
-            0 => break,
-            n => got += n,
-        }
-    }
-    let format = SnapshotFormat::sniff(&head[..got]);
-    Ok(format!("snapshot: {format} format, {size} bytes"))
 }
 
 /// Renders a metrics snapshot as aligned text.

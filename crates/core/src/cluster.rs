@@ -4,8 +4,9 @@
 //! per cluster which entries and designs share a bug. Answering each such
 //! question with a scan of the whole entry list makes a figure quadratic in
 //! the corpus; [`ClusterTable`] answers it with a binary search instead.
-//! [`crate::Database`] builds the table lazily on first use and drops it on
-//! every mutation, exactly like the query index.
+//! [`crate::Database`] builds the table lazily on first use and keeps it for
+//! its lifetime: the table reads only keys, disclosure dates and erratum
+//! ids, and annotation, the one mutation, changes none of them.
 
 use std::collections::HashMap;
 

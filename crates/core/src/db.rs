@@ -2,9 +2,7 @@
 
 use std::collections::HashMap;
 
-use rememberr_model::{Annotation, Design, ErrataDocument, ErratumId, UniqueKey, Vendor};
-use serde::{DeError, Deserialize, Serialize, Value};
-
+use rememberr_model::{Annotation, Design, ErrataDocument, UniqueKey, Vendor};
 use rememberr_textkit::AnalyzedCorpus;
 
 use crate::cluster::ClusterTable;
@@ -13,6 +11,14 @@ use crate::entry::DbEntry;
 use crate::index::{DerivedCell, QueryIndex};
 
 /// The annotated, keyed errata database — the paper's primary artifact.
+///
+/// The pipeline builds a database once from the documents, annotates it
+/// once through [`Database::annotate_keys`], and only reads it after that.
+///
+/// Identity (equality, and what [`crate::save`] writes) is the entries
+/// plus dedup statistics; the cached query index and cluster table are
+/// derived acceleration structures and never part of it — see the manual
+/// `PartialEq` impl below.
 ///
 /// # Examples
 ///
@@ -25,10 +31,6 @@ use crate::index::{DerivedCell, QueryIndex};
 /// assert_eq!(db.len(), corpus.truth.grand_total());
 /// assert!(db.unique_count() <= db.len());
 /// ```
-/// Identity (equality, serialization) is the entries plus dedup
-/// statistics; the cached query index and cluster table are derived
-/// acceleration structures and never part of either — see the manual
-/// `PartialEq`/`Serialize`/`Deserialize` impls below.
 #[derive(Debug, Clone, Default)]
 pub struct Database {
     entries: Vec<DbEntry>,
@@ -40,29 +42,6 @@ pub struct Database {
 impl PartialEq for Database {
     fn eq(&self, other: &Self) -> bool {
         (&self.entries, &self.dedup_stats) == (&other.entries, &other.dedup_stats)
-    }
-}
-
-impl Serialize for Database {
-    fn to_value(&self) -> Value {
-        Value::Object(vec![
-            ("entries".to_string(), self.entries.to_value()),
-            ("dedup_stats".to_string(), self.dedup_stats.to_value()),
-        ])
-    }
-}
-
-impl Deserialize for Database {
-    fn from_value(value: &Value) -> Result<Self, DeError> {
-        if value.as_object().is_none() {
-            return Err(DeError::mismatch("object", value));
-        }
-        let field = |name: &str| value.get(name).ok_or_else(|| DeError::missing(name));
-        Ok(Database {
-            entries: field("entries").and_then(Vec::<DbEntry>::from_value)?,
-            dedup_stats: field("dedup_stats").and_then(DedupStats::from_value)?,
-            ..Database::default()
-        })
     }
 }
 
@@ -156,34 +135,20 @@ impl Database {
     }
 
     /// The query index for this database, built lazily on first use and
-    /// cached until the next mutation (every `&mut self` method
-    /// invalidates it). Safe to call from concurrent readers: one builds,
-    /// the rest share the result.
+    /// cached until [`Database::annotate_keys`] changes the annotations it
+    /// indexes. Safe to call from concurrent readers: one builds, the rest
+    /// share the result.
     pub fn query_index(&self) -> &QueryIndex {
         self.index.get_or_build(|| QueryIndex::build(self))
     }
 
-    /// The cluster table, cached beside the query index under the same
-    /// rules: built lazily, shared by concurrent readers, dropped by every
-    /// mutator.
+    /// The cluster table, cached beside the query index: built lazily and
+    /// shared by concurrent readers. It reads only keys, disclosure dates
+    /// and erratum ids, which nothing changes after construction, so it is
+    /// built at most once per database.
     fn clusters(&self) -> &ClusterTable {
         self.clusters
             .get_or_build(|| ClusterTable::build(&self.entries))
-    }
-
-    /// Drops the derived caches; every `&mut self` method calls it first.
-    fn invalidate_derived(&mut self) {
-        self.index.invalidate();
-        self.clusters.invalidate();
-    }
-
-    /// Debug guard every `&mut self` mutator ends with: a mutation that
-    /// leaves a built cache behind would serve stale results.
-    fn debug_assert_derived_invalidated(&self) {
-        debug_assert!(
-            !self.index.is_built() && !self.clusters.is_built(),
-            "database mutation left a built query index or cluster table behind"
-        );
     }
 
     /// Entries listed by a given design's document.
@@ -191,44 +156,17 @@ impl Database {
         self.entries.iter().filter(move |e| e.design() == design)
     }
 
-    /// Looks up an entry by identifier (first match for collided numbers).
-    pub fn entry(&self, id: ErratumId) -> Option<&DbEntry> {
-        self.entries.iter().find(|e| e.id() == id)
-    }
-
-    /// Mutable lookup, for attaching annotations.
-    pub fn entry_mut(&mut self, id: ErratumId) -> Option<&mut DbEntry> {
-        self.invalidate_derived();
-        self.debug_assert_derived_invalidated();
-        self.entries.iter_mut().find(|e| e.id() == id)
-    }
-
-    /// Attaches an annotation to every entry of the cluster containing `id`.
-    ///
-    /// Returns the number of entries annotated (0 if the id is unknown).
-    /// Name-collision identifiers resolve to the first matching entry's
-    /// cluster; use [`Database::annotate_key`] for unambiguous addressing.
-    pub fn annotate_cluster(&mut self, id: ErratumId, annotation: Annotation) -> usize {
-        match self.entry(id).and_then(|e| e.key) {
-            Some(key) => self.annotate_key(key, annotation),
-            None => 0,
-        }
-    }
-
-    /// Attaches an annotation to every entry with the given unique key.
-    ///
-    /// Returns the number of entries annotated.
-    pub fn annotate_key(&mut self, key: UniqueKey, annotation: Annotation) -> usize {
-        self.annotate_keys(&HashMap::from([(key, annotation)]))
-    }
-
     /// Attaches `annotations[key]` to every entry keyed `key`, for all keys
     /// at once, in one pass over the entries. Entries whose key has no
     /// annotation are left as they are.
     ///
+    /// This is the database's only mutation. It drops the query index,
+    /// which indexes annotations, and keeps the cluster table, which reads
+    /// none.
+    ///
     /// Returns the number of entries annotated.
     pub fn annotate_keys(&mut self, annotations: &HashMap<UniqueKey, Annotation>) -> usize {
-        self.invalidate_derived();
+        self.index.invalidate();
         let mut n = 0;
         for e in &mut self.entries {
             if let Some(annotation) = e.key.and_then(|key| annotations.get(&key)) {
@@ -236,7 +174,6 @@ impl Database {
                 n += 1;
             }
         }
-        self.debug_assert_derived_invalidated();
         n
     }
 
@@ -271,24 +208,6 @@ impl Database {
         self.entries.iter().filter(|e| e.vendor() == vendor).count()
     }
 
-    /// Merges another database into this one and re-runs duplicate keying
-    /// over the combined entries (cross-database duplicates cluster
-    /// together; annotations and provenance are preserved).
-    ///
-    /// Returns the new dedup statistics. This is how a future corpus — say,
-    /// a new generation's errata document — joins an existing database, the
-    /// extension path the paper's Section VII describes.
-    pub fn merge(&mut self, other: Database, strategy: DedupStrategy) -> DedupStats {
-        self.invalidate_derived();
-        self.entries.extend(other.entries);
-        for entry in &mut self.entries {
-            entry.key = None;
-        }
-        self.dedup_stats = assign_keys_with(&mut self.entries, strategy, CandidateGen::default());
-        self.debug_assert_derived_invalidated();
-        self.dedup_stats
-    }
-
     /// All entries of the cluster containing `key`, in entry order.
     pub fn cluster(&self, key: UniqueKey) -> impl Iterator<Item = &DbEntry> {
         self.clusters().members(key).map(|pos| &self.entries[pos])
@@ -318,14 +237,25 @@ fn build_entries(documents: &[ErrataDocument]) -> Vec<DbEntry> {
     entries
 }
 
-impl Extend<DbEntry> for Database {
-    /// Extends the database with pre-keyed entries. Dedup statistics are
-    /// not recomputed; call [`crate::assign_keys`] afterwards if needed.
-    fn extend<I: IntoIterator<Item = DbEntry>>(&mut self, iter: I) {
-        self.invalidate_derived();
-        self.entries.extend(iter);
-        self.debug_assert_derived_invalidated();
+/// Annotates each true bug's cluster with the bug's true labels. A bug's
+/// cluster is the one holding the first entry that carries the bug's first
+/// listed id, so of two bugs listed under one id, the later bug's labels
+/// win.
+///
+/// Returns the number of entries annotated.
+#[cfg(test)]
+pub(crate) fn annotate_from_truth(
+    db: &mut Database,
+    truth: &rememberr_docgen::GroundTruth,
+) -> usize {
+    let mut annotations = HashMap::new();
+    for bug in &truth.bugs {
+        let id = bug.occurrences[0].id();
+        if let Some(key) = db.entries.iter().find(|e| e.id() == id).and_then(|e| e.key) {
+            annotations.insert(key, bug.profile.annotation.clone());
+        }
     }
+    db.annotate_keys(&annotations)
 }
 
 #[cfg(test)]
@@ -397,22 +327,6 @@ mod tests {
     }
 
     #[test]
-    fn annotate_cluster_spreads_to_all_members() {
-        let (_, mut db) = small_db();
-        // Find a multi-entry cluster.
-        let key = db
-            .unique_entries()
-            .iter()
-            .map(|e| e.key.unwrap())
-            .find(|&k| db.cluster(k).count() >= 2)
-            .expect("a shared bug exists");
-        let id = db.cluster(key).next().unwrap().id();
-        let n = db.annotate_cluster(id, Annotation::new());
-        assert!(n >= 2);
-        assert!(db.cluster(key).all(|e| e.annotation.is_some()));
-    }
-
-    #[test]
     fn cluster_designs_are_sorted_unique() {
         let (_, db) = small_db();
         for rep in db.unique_entries() {
@@ -422,40 +336,6 @@ mod tests {
                 assert!(pair[0].index() < pair[1].index());
             }
         }
-    }
-
-    #[test]
-    fn merging_split_corpora_recovers_the_whole() {
-        // Build the database from two halves of the corpus and merge: the
-        // cluster structure must match building it in one shot.
-        let corpus = SyntheticCorpus::generate(&CorpusSpec::scaled(0.1));
-        let (first, second) = corpus.structured.split_at(14);
-        let mut a = Database::from_documents(first);
-        let b = Database::from_documents(second);
-        let whole = Database::from_documents(&corpus.structured);
-
-        let stats = a.merge(b, crate::dedup::DedupStrategy::default());
-        assert_eq!(a.len(), whole.len());
-        assert_eq!(stats.clusters, whole.unique_count());
-        for vendor in Vendor::ALL {
-            assert_eq!(
-                a.unique_count_for(vendor),
-                whole.unique_count_for(vendor),
-                "{vendor}"
-            );
-        }
-    }
-
-    #[test]
-    fn merge_preserves_annotations() {
-        let corpus = SyntheticCorpus::generate(&CorpusSpec::scaled(0.05));
-        let (first, second) = corpus.structured.split_at(14);
-        let mut a = Database::from_documents(first);
-        let id = a.entries()[0].id();
-        a.annotate_cluster(id, Annotation::new());
-        let b = Database::from_documents(second);
-        a.merge(b, crate::dedup::DedupStrategy::default());
-        assert!(a.entry(id).unwrap().annotation.is_some());
     }
 
     #[test]
@@ -472,83 +352,37 @@ mod tests {
         let first = db.query_index() as *const _;
         assert_eq!(first, db.query_index() as *const _, "second read is cached");
 
-        // Annotating rebuilds the index with the new annotation visible.
+        // Annotating rebuilds the index with the new annotations visible.
         let before = crate::Query::new().annotated_only().count(&db);
-        let id = corpus.truth.bugs[0].occurrences[0].id();
-        let n = db.annotate_cluster(id, corpus.truth.bugs[0].profile.annotation.clone());
+        let n = annotate_from_truth(&mut db, &corpus.truth);
         assert!(n >= 1);
         let q = crate::Query::new().annotated_only();
         assert_eq!(q.count_indexed(db.query_index(), &db), before + n);
         assert_eq!(q.count_indexed(db.query_index(), &db), q.count(&db));
     }
 
-    type Mutation = Box<dyn FnOnce(&mut Database)>;
-
-    /// Every `&mut self` mutator, each applied once to `db`'s first entry
-    /// or first cluster.
-    fn every_mutation(db: &Database, annotation: Annotation) -> Vec<(&'static str, Mutation)> {
-        let id = db.entries()[0].id();
-        let key = db.unique_entries()[0].key.unwrap();
-        let last_key = db.unique_entries().last().unwrap().key;
-        let extra = db.entries()[0].clone();
-        let all_keys: HashMap<UniqueKey, Annotation> = db
-            .unique_entries()
-            .iter()
-            .map(|e| (e.key.unwrap(), annotation.clone()))
-            .collect();
-        vec![
-            (
-                "entry_mut",
-                // Moves the entry into the last cluster.
-                Box::new(move |db| {
-                    db.entry_mut(id).unwrap().key = last_key;
-                }),
-            ),
-            ("annotate_cluster", {
-                let annotation = annotation.clone();
-                Box::new(move |db| {
-                    let _ = db.annotate_cluster(id, annotation);
-                })
-            }),
-            (
-                "annotate_key",
-                Box::new(move |db| {
-                    let _ = db.annotate_key(key, annotation);
-                }),
-            ),
-            (
-                "annotate_keys",
-                Box::new(move |db| {
-                    let _ = db.annotate_keys(&all_keys);
-                }),
-            ),
-            ("extend", Box::new(move |db| db.extend([extra]))),
-            (
-                "merge",
-                Box::new(move |db| {
-                    let _ = db.merge(Database::new(), crate::dedup::DedupStrategy::default());
-                }),
-            ),
-        ]
+    /// Addresses of `entries`, so a check can tell the very same entries
+    /// from equal copies.
+    fn addresses(entries: Vec<&DbEntry>) -> Vec<*const DbEntry> {
+        entries.into_iter().map(|e| e as *const DbEntry).collect()
     }
 
     #[test]
-    fn every_mutation_path_invalidates_the_query_index() {
-        let (corpus, db) = small_db();
-        let annotation = corpus.truth.bugs[0].profile.annotation.clone();
-        for (name, mutate) in every_mutation(&db, annotation) {
-            let mut db = db.clone();
-            let _ = db.query_index();
-            let _ = db.unique_entries();
-            assert!(db.index.is_built(), "{name}: index built before mutation");
-            assert!(
-                db.clusters.is_built(),
-                "{name}: table built before mutation"
-            );
-            mutate(&mut db);
-            assert!(!db.index.is_built(), "{name} left a built index cached");
-            assert!(!db.clusters.is_built(), "{name} left a built table cached");
-        }
+    fn annotate_keys_drops_the_index_and_keeps_the_cluster_table() {
+        let (corpus, mut db) = small_db();
+        let _ = db.query_index();
+        let representatives = addresses(db.unique_entries());
+        assert!(db.index.is_built() && db.clusters.is_built());
+        annotate_from_truth(&mut db, &corpus.truth);
+        assert!(
+            !db.index.is_built(),
+            "annotate_keys left a stale index cached"
+        );
+        assert!(
+            db.clusters.is_built(),
+            "annotate_keys dropped the cluster table"
+        );
+        assert_eq!(addresses(db.unique_entries()), representatives);
     }
 
     #[test]
@@ -627,9 +461,6 @@ mod tests {
     /// address, so the table must pick the very same entries, not equal
     /// copies.
     fn assert_clusters_match_oracle(db: &Database, when: &str) {
-        let addresses = |entries: Vec<&DbEntry>| -> Vec<*const DbEntry> {
-            entries.into_iter().map(|e| e as *const DbEntry).collect()
-        };
         assert_eq!(
             addresses(db.unique_entries()),
             addresses(oracle::unique_entries(db)),
@@ -654,36 +485,23 @@ mod tests {
     }
 
     /// The cluster table of one docgen corpus agrees with the oracle after
-    /// dedup and before and after every mutator. Seeds docgen cannot build
-    /// a corpus from check nothing.
+    /// dedup, and again after `annotate_keys`, which keeps the table built
+    /// by the first check. Seeds docgen cannot build a corpus from check
+    /// nothing.
     fn check_cluster_table(seed: u64, scale: f64) {
         let mut spec = CorpusSpec::scaled(scale);
         spec.seed = seed;
         let Ok(corpus) = SyntheticCorpus::try_generate(&spec) else {
             return;
         };
-        let db = Database::from_documents(&corpus.structured);
+        let mut db = Database::from_documents(&corpus.structured);
         assert_clusters_match_oracle(&db, "after dedup");
-        let annotation = corpus.truth.bugs[0].profile.annotation.clone();
-        for (name, mutate) in every_mutation(&db, annotation) {
-            let mut db = db.clone();
-            assert_clusters_match_oracle(&db, &format!("before {name}"));
-            mutate(&mut db);
-            assert_clusters_match_oracle(&db, &format!("after {name}"));
-        }
-
-        // A merge that re-keys two halves of the corpus together.
-        let half = corpus.structured.len() / 2;
-        let mut merged = Database::from_documents(&corpus.structured[..half]);
-        assert_clusters_match_oracle(&merged, "before merging halves");
-        let other = Database::from_documents(&corpus.structured[half..]);
-        merged.merge(other, crate::dedup::DedupStrategy::default());
-        assert_clusters_match_oracle(&merged, "after merging halves");
+        annotate_from_truth(&mut db, &corpus.truth);
+        assert_clusters_match_oracle(&db, "after annotate_keys");
     }
 
     proptest::proptest! {
-        // Each case generates a corpus and checks every cluster sixteen
-        // times over, so keep the count small.
+        // Each case generates a corpus, so keep the count small.
         #![proptest_config(proptest::prelude::ProptestConfig::with_cases(8))]
 
         #[test]
@@ -700,14 +518,15 @@ mod tests {
         let (_, db) = small_db();
         let clone = db.clone();
         let _ = db.query_index();
-        // Building the index changes neither equality nor serialization.
+        let _ = db.unique_entries();
+        // Building the caches changes neither equality nor what a save
+        // writes.
         assert_eq!(db, clone);
-        assert_eq!(
-            serde_json::to_string(&db).unwrap(),
-            serde_json::to_string(&clone).unwrap()
-        );
-        let back: Database = serde_json::from_str(&serde_json::to_string(&db).unwrap()).unwrap();
-        assert_eq!(back.entries(), db.entries());
-        assert_eq!(back.dedup_stats(), db.dedup_stats());
+        let jsonl = |db: &Database| {
+            let mut out = Vec::new();
+            crate::save(db, &mut out).unwrap();
+            out
+        };
+        assert_eq!(jsonl(&db), jsonl(&clone));
     }
 }

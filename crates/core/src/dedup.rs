@@ -30,35 +30,24 @@ use serde::{DeError, Deserialize, Serialize, Value};
 use crate::entry::DbEntry;
 
 /// Intel deduplication strategy.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum DedupStrategy {
     /// Only exact (normalized) title matches are merged — misses the
     /// near-duplicate pairs the study found manually.
     ExactTitleOnly,
-    /// Exact title matches plus the similarity cascade with the given
-    /// threshold (the paper-equivalent configuration uses
-    /// [`DEFAULT_SIMILARITY_THRESHOLD`]).
-    SimilarityCascade {
-        /// Minimum composite title similarity for a candidate pair.
-        threshold: f64,
-    },
+    /// Exact title matches plus the similarity cascade at
+    /// [`SIMILARITY_THRESHOLD`]: the paper-equivalent configuration.
+    #[default]
+    SimilarityCascade,
 }
 
-/// Threshold used by the paper-equivalent configuration.
+/// Minimum composite title similarity for the cascade to merge a pair.
 ///
 /// Candidates are generated by *body identity* (identical problem text), so
 /// the threshold's role is to reject pathological coincidences, not to rank
 /// free-form pairs; near-duplicate titles with very short normalized keys
 /// can score as low as ~0.55.
-pub const DEFAULT_SIMILARITY_THRESHOLD: f64 = 0.5;
-
-impl Default for DedupStrategy {
-    fn default() -> Self {
-        DedupStrategy::SimilarityCascade {
-            threshold: DEFAULT_SIMILARITY_THRESHOLD,
-        }
-    }
-}
+pub const SIMILARITY_THRESHOLD: f64 = 0.5;
 
 /// How the similarity cascade decides each pair of same-description
 /// entries.
@@ -257,7 +246,7 @@ pub fn assign_keys_with(
     // decided independently, then merges apply in deterministic pair order.
     // `dedup.comparisons_made` counts full edit-distance evaluations — a
     // pure function of the input and `candidates`, not of scheduling.
-    if let DedupStrategy::SimilarityCascade { threshold } = strategy {
+    if strategy == DedupStrategy::SimilarityCascade {
         let _span = rememberr_obs::span!("dedup.cascade");
         // Pairs by identical description text: this is the cheap, reliable
         // surrogate for "all other fields are identical". Groups are kept in
@@ -280,9 +269,9 @@ pub fn assign_keys_with(
         let key = |i: usize| title_keys[i].as_ref().expect("cascade entry is Intel");
         let checks: Vec<ThresholdCheck> =
             rememberr_par::par_map(&pairs, |&(a, b)| match candidates {
-                CandidateGen::Bounded => key(a).similarity_at_least(key(b), threshold),
+                CandidateGen::Bounded => key(a).similarity_at_least(key(b), SIMILARITY_THRESHOLD),
                 CandidateGen::Exhaustive => ThresholdCheck {
-                    passes: key(a).similarity(key(b)) >= threshold,
+                    passes: key(a).similarity(key(b)) >= SIMILARITY_THRESHOLD,
                     scored: true,
                 },
             });

@@ -197,6 +197,7 @@ pub fn evaluate_classification(db: &Database, truth: &GroundTruth) -> Classifica
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::db::annotate_from_truth;
     use crate::dedup::DedupStrategy;
     use rememberr_docgen::{CorpusSpec, SyntheticCorpus};
 
@@ -242,9 +243,7 @@ mod tests {
     fn perfect_annotations_score_one() {
         let corpus = SyntheticCorpus::generate(&CorpusSpec::scaled(0.05));
         let mut db = Database::from_documents(&corpus.structured);
-        for bug in &corpus.truth.bugs {
-            db.annotate_cluster(bug.occurrences[0].id(), bug.profile.annotation.clone());
-        }
+        annotate_from_truth(&mut db, &corpus.truth);
         let eval = evaluate_classification(&db, &corpus.truth);
         assert!(eval.compared_entries > 0);
         assert_eq!(eval.overall.fp, 0);
@@ -258,9 +257,12 @@ mod tests {
         let mut db = Database::from_documents(&corpus.structured);
         // Annotate everything with an empty annotation: all true categories
         // become false negatives.
-        for bug in &corpus.truth.bugs {
-            db.annotate_cluster(bug.occurrences[0].id(), Default::default());
-        }
+        let empty: HashMap<UniqueKey, _> = db
+            .unique_entries()
+            .iter()
+            .map(|rep| (rep.key.unwrap(), Default::default()))
+            .collect();
+        db.annotate_keys(&empty);
         let eval = evaluate_classification(&db, &corpus.truth);
         assert_eq!(eval.overall.fp, 0);
         assert!(eval.overall.fn_ > 0);

@@ -247,15 +247,13 @@ impl<T> DerivedCell<T> {
         self.0.get_or_init(build)
     }
 
-    /// Drops any built value; the next reader rebuilds. Called by every
-    /// database mutator.
+    /// Drops any built value; the next reader rebuilds.
     pub(crate) fn invalidate(&mut self) {
         self.0 = OnceLock::new();
     }
 
-    /// Whether a value is currently cached. Mutators debug-assert this is
-    /// false after invalidating — a mutation that leaves a built cache
-    /// behind would serve stale results.
+    /// Whether a value is currently cached.
+    #[cfg(test)]
     pub(crate) fn is_built(&self) -> bool {
         self.0.get().is_some()
     }
@@ -549,18 +547,20 @@ mod tests {
         use rememberr_model::{Date, Erratum, ErratumId, Provenance};
         let empty = Database::new();
         let index = QueryIndex::build(&empty);
-        let mut db = Database::new();
-        db.extend([DbEntry::new(
-            Erratum {
-                id: ErratumId::new(Design::Intel6, 1),
-                title: "T".into(),
-                description: "D".into(),
-                implications: String::new(),
-                workaround: "None identified.".into(),
-                status: "No fix planned.".into(),
-            },
-            Provenance::from_revision_log(1, Date::new(2016, 6, 15).unwrap()),
-        )]);
+        let db = Database::from_parts(
+            vec![DbEntry::new(
+                Erratum {
+                    id: ErratumId::new(Design::Intel6, 1),
+                    title: "T".into(),
+                    description: "D".into(),
+                    implications: String::new(),
+                    workaround: "None identified.".into(),
+                    status: "No fix planned.".into(),
+                },
+                Provenance::from_revision_log(1, Date::new(2016, 6, 15).unwrap()),
+            )],
+            Default::default(),
+        );
         let _ = Query::new().run_indexed(&index, &db);
     }
 }

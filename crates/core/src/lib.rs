@@ -13,7 +13,9 @@
 //! * **queries** ([`Query`]) over entries or unique bugs, served by
 //!   posting-list intersection ([`QueryIndex`]) with the full scan
 //!   ([`Query::run`]) kept as the correctness oracle the tests use;
-//! * **persistence** ([`save`]/[`load`], JSON Lines);
+//! * **persistence** ([`save`]/[`save_as`]/[`load`]): JSON Lines, the
+//!   interchange format, and the `rememberr-bin` binary snapshot, the
+//!   fast-load format;
 //! * **evaluation** against the synthetic corpus's ground truth
 //!   ([`evaluate_dedup`], [`evaluate_classification`]) — something the
 //!   original study could not do.
@@ -47,8 +49,7 @@ mod query;
 
 pub use db::Database;
 pub use dedup::{
-    assign_keys, assign_keys_with, CandidateGen, DedupStats, DedupStrategy,
-    DEFAULT_SIMILARITY_THRESHOLD,
+    assign_keys, assign_keys_with, CandidateGen, DedupStats, DedupStrategy, SIMILARITY_THRESHOLD,
 };
 pub use entry::DbEntry;
 pub use evaluate::{

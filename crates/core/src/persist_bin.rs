@@ -698,8 +698,7 @@ mod tests {
             CHUNK_ENTRIES + 1,
             full.len().min(2 * CHUNK_ENTRIES),
         ] {
-            let mut db = Database::new();
-            db.extend(full.entries()[..count].to_vec());
+            let db = Database::from_parts(full.entries()[..count].to_vec(), DedupStats::default());
             let back = load(binary_bytes(&db).as_slice()).unwrap();
             assert_eq!(back, db, "count {count}");
         }

@@ -13,9 +13,9 @@
 //!
 //! let corpus = SyntheticCorpus::generate(&CorpusSpec::scaled(0.05));
 //! let mut db = Database::from_documents(&corpus.structured);
+//! # let key = db.unique_entries()[0].key.unwrap();
 //! # let ann = corpus.truth.bugs[0].profile.annotation.clone();
-//! # let id = corpus.truth.bugs[0].occurrences[0].id();
-//! # db.annotate_cluster(id, ann);
+//! # db.annotate_keys(&std::collections::HashMap::from([(key, ann)]));
 //! let hits = Query::new()
 //!     .vendor(Vendor::Intel)
 //!     .unique_only()
@@ -314,9 +314,7 @@ mod tests {
     }
 
     fn db_with(entries: Vec<DbEntry>) -> Database {
-        let mut db = Database::new();
-        db.extend(entries);
-        db
+        Database::from_parts(entries, Default::default())
     }
 
     #[test]
@@ -422,9 +420,7 @@ mod tests {
 
         let corpus = SyntheticCorpus::generate(&CorpusSpec::scaled(0.08));
         let mut db = Database::from_documents(&corpus.structured);
-        for bug in &corpus.truth.bugs {
-            db.annotate_cluster(bug.occurrences[0].id(), bug.profile.annotation.clone());
-        }
+        crate::db::annotate_from_truth(&mut db, &corpus.truth);
         let after = Date::new(2016, 1, 1).unwrap();
         let before = Date::new(2019, 6, 1).unwrap();
         let queries = vec![

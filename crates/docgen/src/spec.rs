@@ -309,22 +309,6 @@ impl CorpusSpec {
         }
     }
 
-    /// Unique-bug target for a vendor.
-    pub fn unique_for(&self, vendor: Vendor) -> usize {
-        match vendor {
-            Vendor::Intel => self.intel_unique,
-            Vendor::Amd => self.amd_unique,
-        }
-    }
-
-    /// Total-entry target for a vendor.
-    pub fn total_for(&self, vendor: Vendor) -> usize {
-        match vendor {
-            Vendor::Intel => self.intel_total,
-            Vendor::Amd => self.amd_total,
-        }
-    }
-
     /// Grand total of erratum entries (paper: 2,563).
     pub fn grand_total(&self) -> usize {
         self.intel_total + self.amd_total

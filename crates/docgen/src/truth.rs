@@ -151,11 +151,6 @@ impl GroundTruth {
             .filter(|b| b.occurrences.iter().any(|o| o.id() == id))
             .collect()
     }
-
-    /// Bugs listed by the given design.
-    pub fn bugs_in(&self, design: Design) -> impl Iterator<Item = &TrueBug> {
-        self.bugs.iter().filter(move |b| b.affects(design))
-    }
 }
 
 #[cfg(test)]

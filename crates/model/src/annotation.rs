@@ -4,7 +4,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::catset::{ContextSet, EffectSet, TriggerSet};
 use crate::msr::MsrRef;
-use crate::taxonomy::{ContextClass, EffectClass, TriggerClass};
+use crate::taxonomy::TriggerClass;
 
 /// The RemembERR annotation of one erratum.
 ///
@@ -80,22 +80,6 @@ impl Annotation {
     /// Trigger classes represented in this annotation, in table order.
     pub fn trigger_classes(&self) -> Vec<TriggerClass> {
         let mut classes: Vec<TriggerClass> = self.triggers.iter().map(|t| t.class()).collect();
-        classes.sort_unstable();
-        classes.dedup();
-        classes
-    }
-
-    /// Context classes represented in this annotation, in table order.
-    pub fn context_classes(&self) -> Vec<ContextClass> {
-        let mut classes: Vec<ContextClass> = self.contexts.iter().map(|c| c.class()).collect();
-        classes.sort_unstable();
-        classes.dedup();
-        classes
-    }
-
-    /// Effect classes represented in this annotation, in table order.
-    pub fn effect_classes(&self) -> Vec<EffectClass> {
-        let mut classes: Vec<EffectClass> = self.effects.iter().map(|e| e.class()).collect();
         classes.sort_unstable();
         classes.dedup();
         classes

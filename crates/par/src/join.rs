@@ -1,4 +1,4 @@
-//! Two-to-four-way fork-join for heterogeneous independent computations.
+//! Two- and four-way fork-join for heterogeneous independent computations.
 
 /// Runs `fa` and `fb` concurrently and returns both results.
 ///
@@ -35,24 +35,6 @@ where
             Err(payload) => std::panic::resume_unwind(payload),
         }
     })
-}
-
-/// Three-way [`join`].
-///
-/// # Panics
-///
-/// Propagates a panic from any closure.
-pub fn join3<A, B, C, FA, FB, FC>(fa: FA, fb: FB, fc: FC) -> (A, B, C)
-where
-    A: Send,
-    B: Send,
-    C: Send,
-    FA: FnOnce() -> A + Send,
-    FB: FnOnce() -> B + Send,
-    FC: FnOnce() -> C + Send,
-{
-    let (a, (b, c)) = join(fa, || join(fb, fc));
-    (a, b, c)
 }
 
 /// Four-way [`join`].

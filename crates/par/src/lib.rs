@@ -52,7 +52,7 @@
 mod join;
 mod map;
 
-pub use join::{join, join3, join4};
+pub use join::{join, join4};
 pub use map::{par_map, par_map_indexed};
 
 use std::num::NonZeroUsize;
@@ -67,12 +67,6 @@ static JOBS: AtomicUsize = AtomicUsize::new(0);
 /// The CLI calls this from `--jobs N`; benches sweep it.
 pub fn set_jobs(jobs: Option<NonZeroUsize>) {
     JOBS.store(jobs.map_or(0, NonZeroUsize::get), Ordering::Relaxed);
-}
-
-/// The explicitly pinned worker count, if any.
-#[must_use]
-pub fn configured_jobs() -> Option<NonZeroUsize> {
-    NonZeroUsize::new(JOBS.load(Ordering::Relaxed))
 }
 
 /// The effective worker count: the pinned value, or the number of available
@@ -108,10 +102,11 @@ pub(crate) mod tests {
     fn jobs_pin_and_auto_round_trip() {
         let _gate = exclusive(Some(3));
         assert_eq!(jobs(), 3);
-        assert_eq!(configured_jobs(), NonZeroUsize::new(3));
         set_jobs(None);
-        assert!(configured_jobs().is_none());
-        assert!(jobs() >= 1);
+        assert_eq!(
+            jobs(),
+            std::thread::available_parallelism().map_or(1, NonZeroUsize::get)
+        );
     }
 
     #[test]

@@ -13,7 +13,7 @@
 //! to publish.
 
 use std::fs::File;
-use std::io::BufReader;
+use std::io::{BufRead, BufReader};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
@@ -35,19 +35,18 @@ pub struct LoadedSnapshot {
 }
 
 /// Loads and indexes a snapshot file, sniffing its format.
+///
+/// The file is opened once and the format is sniffed from the same buffered
+/// reader that decodes it, so a snapshot renamed over `path` mid-load
+/// cannot give the generation one file's format and another's database.
 pub fn load_snapshot(path: &Path, generation: u64) -> Result<LoadedSnapshot, String> {
     let file = File::open(path).map_err(|e| format!("{}: {e}", path.display()))?;
-    let head = {
-        use std::io::Read;
-        let mut head = [0u8; 16];
-        let mut file = &file;
-        let n = file.read(&mut head).map_err(|e| e.to_string())?;
-        head[..n].to_vec()
-    };
-    let format = SnapshotFormat::sniff(&head);
-    let file = File::open(path).map_err(|e| format!("{}: {e}", path.display()))?;
-    let db =
-        rememberr::load(BufReader::new(file)).map_err(|e| format!("{}: {e}", path.display()))?;
+    let mut reader = BufReader::new(file);
+    let head = reader
+        .fill_buf()
+        .map_err(|e| format!("{}: {e}", path.display()))?;
+    let format = SnapshotFormat::sniff(head);
+    let db = rememberr::load(reader).map_err(|e| format!("{}: {e}", path.display()))?;
     let _ = db.query_index();
     Ok(LoadedSnapshot {
         db,

@@ -4,7 +4,7 @@
 //! regular expressions to emphasize parts of the errata descriptions
 //! relevant to a given category". This module reproduces that tool: given a
 //! [`PatternSet`] keyed by category labels, it produces merged, labelled
-//! highlight spans and can render them as plain-text markup or ANSI color.
+//! highlight spans and can render them as plain-text markup.
 
 use std::collections::BTreeMap;
 
@@ -94,8 +94,7 @@ fn merge(mut raw: Vec<(Span, &str)>) -> Vec<Highlight> {
 
 /// Renders highlights as inline markup: `[label1,label2|matched text]`.
 ///
-/// This is the reviewable form used in reports and tests; terminals get
-/// [`render_ansi`].
+/// This is the reviewable form used in reports and tests.
 pub fn render_markup(text: &str, highlights: &[Highlight]) -> String {
     let mut out = String::with_capacity(text.len() + highlights.len() * 16);
     let mut pos = 0;
@@ -106,21 +105,6 @@ pub fn render_markup(text: &str, highlights: &[Highlight]) -> String {
         out.push('|');
         out.push_str(&text[h.span.start..h.span.end]);
         out.push(']');
-        pos = h.span.end;
-    }
-    out.push_str(&text[pos..]);
-    out
-}
-
-/// Renders highlights with ANSI reverse-video escapes for terminals.
-pub fn render_ansi(text: &str, highlights: &[Highlight]) -> String {
-    let mut out = String::with_capacity(text.len() + highlights.len() * 8);
-    let mut pos = 0;
-    for h in highlights {
-        out.push_str(&text[pos..h.span.start]);
-        out.push_str("\x1b[7m");
-        out.push_str(&text[h.span.start..h.span.end]);
-        out.push_str("\x1b[0m");
         pos = h.span.end;
     }
     out.push_str(&text[pos..]);
@@ -174,20 +158,11 @@ mod tests {
     }
 
     #[test]
-    fn ansi_rendering_wraps_matches() {
-        let text = "may hang";
-        let hs = highlights(&demo_patterns(), text);
-        let rendered = render_ansi(text, &hs);
-        assert!(rendered.contains("\x1b[7mhang\x1b[0m"));
-    }
-
-    #[test]
     fn no_matches_returns_text_verbatim() {
         let text = "nothing interesting here";
         let hs = highlights(&demo_patterns(), text);
         assert!(hs.is_empty());
         assert_eq!(render_markup(text, &hs), text);
-        assert_eq!(render_ansi(text, &hs), text);
     }
 
     #[test]

@@ -64,7 +64,7 @@ mod wrap;
 
 pub use corpus::AnalyzedCorpus;
 pub use highlight::{
-    highlights, highlights_matched, highlights_prepared, render_ansi, render_markup, Highlight,
+    highlights, highlights_matched, highlights_prepared, render_markup, Highlight,
 };
 pub use intern::Interner;
 pub use matcher::{MatchSet, RuleMatcher};

@@ -213,8 +213,8 @@ impl PreparedText {
     /// # Panics
     ///
     /// Panics if the span does not lie on byte boundaries of this text —
-    /// spans returned by [`Pattern::find_in`] / [`Pattern::first_match_in`]
-    /// on the same prepared text always do.
+    /// spans returned by [`Pattern::find_in`] on the same prepared text
+    /// always do.
     pub fn snippet(&self, span: Span) -> &str {
         &self.source[span.start..span.end]
     }
@@ -326,15 +326,6 @@ impl Pattern {
     /// The compiled elements (for same-crate multi-pattern indexing).
     pub(crate) fn elems(&self) -> &[Elem] {
         &self.elems
-    }
-
-    /// Finds the first (leftmost, shortest-gap) match and returns its
-    /// source byte span.
-    ///
-    /// Equivalent to `find_in(text).first().copied()` without materializing
-    /// the remaining matches.
-    pub fn first_match_in(&self, text: &PreparedText) -> Option<Span> {
-        (0..text.len()).find_map(|wi| self.match_span_at(text, wi).map(|(span, _)| span))
     }
 
     /// The match that starts at word `wi`, if any: its source byte span
@@ -581,15 +572,9 @@ mod tests {
         let text = PreparedText::from_string("a Warm Reset occurs".to_string());
         assert_eq!(text.source(), "a Warm Reset occurs");
         let p = Pattern::parse("warm reset").unwrap();
-        let span = p.first_match_in(&text).unwrap();
-        assert_eq!(text.snippet(span), "Warm Reset");
-        assert_eq!(p.find_in(&text).first().copied(), Some(span));
-    }
-
-    #[test]
-    fn first_match_is_none_without_a_match() {
-        let p = Pattern::parse("usb").unwrap();
-        assert_eq!(p.first_match_in(&prep("no bus here")), None);
+        let spans = p.find_in(&text);
+        assert_eq!(spans.len(), 1);
+        assert_eq!(text.snippet(spans[0]), "Warm Reset");
     }
 
     #[test]
