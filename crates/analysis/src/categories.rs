@@ -64,15 +64,14 @@ fn facet_frequency<F: Copy>(
     code: fn(&F) -> &'static str,
     filter: fn(Query, F) -> Query,
 ) -> Vec<(Vendor, BarChart)> {
-    let index = db.query_index();
     Vendor::ALL
         .iter()
         .map(|&vendor| {
             let vendor_uniques = Query::new().vendor(vendor).unique_only();
-            let total = vendor_uniques.count_indexed(index, db);
+            let total = vendor_uniques.count(db);
             let mut chart = BarChart::new(format!("{title} ({vendor})"), "%");
             for facet in facets {
-                let n = filter(vendor_uniques.clone(), *facet).count_indexed(index, db);
+                let n = filter(vendor_uniques.clone(), *facet).count(db);
                 chart.push(code(facet), 100.0 * n as f64 / total.max(1) as f64);
             }
             chart.sort_desc();

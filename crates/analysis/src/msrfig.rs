@@ -21,7 +21,6 @@ pub struct MsrWitnessAnalysis {
 pub fn fig19_msr_witnesses(db: &Database, top: usize) -> MsrWitnessAnalysis {
     let mut charts = Vec::new();
     let mut machine_check_witness = Vec::new();
-    let index = db.query_index();
     for &vendor in &Vendor::ALL {
         // Per-name counts are a 2×26 facet batch on the shared index; the
         // machine-check disjunction below (MCx_STATUS *or* MCx_ADDR per
@@ -35,7 +34,7 @@ pub fn fig19_msr_witnesses(db: &Database, top: usize) -> MsrWitnessAnalysis {
             "%",
         );
         for name in MsrName::ALL {
-            let n = vendor_uniques.clone().msr(name).count_indexed(index, db);
+            let n = vendor_uniques.clone().msr(name).count(db);
             if n > 0 {
                 chart.push(name.text(), 100.0 * n as f64 / total as f64);
             }

@@ -18,19 +18,15 @@ pub struct WorkaroundAnalysis {
 /// Figure 6: suggested workarounds of errata by category (identical errata
 /// merged).
 pub fn fig06_workarounds(db: &Database) -> WorkaroundAnalysis {
-    let index = db.query_index();
     let mut charts = Vec::new();
     let mut no_workaround = Vec::new();
     for &vendor in &Vendor::ALL {
         let vendor_uniques = Query::new().vendor(vendor).unique_only();
-        let total = vendor_uniques.count_indexed(index, db).max(1);
+        let total = vendor_uniques.count(db).max(1);
         let mut chart = BarChart::new(format!("Fig. 6 — Workarounds by category ({vendor})"), "%");
         let mut none = 0usize;
         for category in WorkaroundCategory::ALL {
-            let n = vendor_uniques
-                .clone()
-                .workaround(category)
-                .count_indexed(index, db);
+            let n = vendor_uniques.clone().workaround(category).count(db);
             if category == WorkaroundCategory::None {
                 none = n;
             }
@@ -86,16 +82,12 @@ pub fn fig07_fixes(db: &Database) -> FixAnalysis {
         }
     }
 
-    let index = db.query_index();
-    let uniques = Query::new().unique_only().count_indexed(index, db);
-    let fixed = Query::new()
-        .fix(FixStatus::Fixed)
-        .unique_only()
-        .count_indexed(index, db)
+    let uniques = Query::new().unique_only().count(db);
+    let fixed = Query::new().fix(FixStatus::Fixed).unique_only().count(db)
         + Query::new()
             .fix(FixStatus::FixPlanned)
             .unique_only()
-            .count_indexed(index, db);
+            .count(db);
     FixAnalysis {
         matrix,
         fixed_fraction: fixed as f64 / uniques.max(1) as f64,

@@ -6,21 +6,6 @@ use rememberr_textkit::{MatchSet, PreparedText};
 
 use crate::rules::Rules;
 
-/// The outcome of the relevance filter for one erratum-category pair.
-///
-/// The paper reduces `1128 x 60 = 67,680` per-human decisions to 2,064 by
-/// filtering pairs that are "clearly relevant" or "clearly irrelevant" with
-/// conservative regular expressions; only the rest needs human judgement.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum Decision {
-    /// A strong rule matched: the category applies.
-    AutoRelevant,
-    /// No rule matched at all: the category does not apply.
-    AutoIrrelevant,
-    /// Only a weak cue matched: a human must decide.
-    NeedsHuman,
-}
-
 /// How the rule library is matched against an erratum.
 ///
 /// Both matchers produce byte-identical classifications (annotations,
@@ -64,7 +49,7 @@ fn prepare(erratum: &Erratum) -> PreparedText {
 pub struct AutoClassification {
     /// Annotation from auto-relevant categories only.
     pub annotation: Annotation,
-    /// Categories whose decision is [`Decision::NeedsHuman`].
+    /// Categories only a weak cue matched: a human must decide them.
     pub needs_human: Vec<Category>,
     /// Total number of pairs auto-decided (relevant + irrelevant).
     pub auto_decided: usize,

@@ -5,8 +5,10 @@
 //! * [`Rules`] — the pattern library (strong rules classify automatically,
 //!   weak cues defer to humans), also powering the syntax-highlighting
 //!   assist;
-//! * [`classify_erratum`] / [`Decision`] — the relevance filter that cut
-//!   67,680 decisions per human down to 2,064;
+//! * [`classify_erratum`] — the relevance filter that cut 67,680 decisions
+//!   per human down to 2,064: a strong rule decides a category relevant,
+//!   no match decides it irrelevant, and a weak cue alone leaves it to a
+//!   human ([`AutoClassification::needs_human`]);
 //! * [`run_four_eyes`] — the two-annotators-plus-discussion simulation
 //!   whose step reports regenerate Figures 8 and 9;
 //! * [`classify_database`] — the end-to-end pipeline attaching annotations
@@ -42,7 +44,7 @@ mod rules;
 
 pub use agreement::{cohens_kappa, percent_agreement};
 pub use auto::{
-    classify_erratum, classify_erratum_with, classify_prepared_with, AutoClassification, Decision,
+    classify_erratum, classify_erratum_with, classify_prepared_with, AutoClassification,
     MatcherKind,
 };
 pub use foureyes::{

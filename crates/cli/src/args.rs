@@ -3,8 +3,10 @@
 use std::collections::BTreeMap;
 use std::fmt;
 
-/// A parsed command line: the subcommand, `--key value` options, and
-/// repeated/flag options.
+use rememberr::Query;
+
+/// A parsed command line: the subcommand, `--key value` options, flags,
+/// and the query parameters.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct ParsedArgs {
     /// The subcommand (first positional argument).
@@ -12,8 +14,10 @@ pub struct ParsedArgs {
     /// Single-valued options. Repeating one with the same value is
     /// harmless; contradictory repeats are rejected at parse time.
     pub options: BTreeMap<String, String>,
-    /// Multi-valued options, in order of appearance.
-    pub multi: BTreeMap<String, Vec<String>>,
+    /// The query parameters (`--vendor intel`, `--unique`) in order of
+    /// appearance, for [`Query::from_params`], which owns their names,
+    /// values and repeat rules. A flag's value is empty.
+    pub query: Vec<(String, String)>,
     /// Boolean flags.
     pub flags: Vec<String>,
 }
@@ -52,15 +56,12 @@ impl fmt::Display for ArgsError {
 
 impl std::error::Error for ArgsError {}
 
-/// Option names that may repeat (collected into `multi`).
-const MULTI_OPTIONS: &[&str] = &["trigger", "context", "effect"];
+/// Option names that are boolean flags (no value), besides the query's.
+const FLAG_OPTIONS: &[&str] = &["no-humans", "help", "trace"];
 
-/// Option names that are boolean flags (no value).
-const FLAG_OPTIONS: &[&str] = &["unique", "annotated", "no-humans", "help", "trace"];
-
-/// Single-valued option names understood by at least one command.
-/// Anything else is rejected up front, so a typo fails with usage text
-/// instead of being silently ignored.
+/// Single-valued option names understood by at least one command, besides
+/// the query parameters. Anything else is rejected up front, so a typo
+/// fails with usage text instead of being silently ignored.
 const VALUE_OPTIONS: &[&str] = &[
     "out",
     "scale",
@@ -69,16 +70,6 @@ const VALUE_OPTIONS: &[&str] = &[
     "db",
     "truth",
     "csv-dir",
-    "vendor",
-    "design",
-    "trigger-class",
-    "msr",
-    "workaround",
-    "fix",
-    "after",
-    "before",
-    "min-triggers",
-    "limit",
     "steps",
     "triggers",
     "effects",
@@ -119,18 +110,21 @@ where
             return Err(ArgsError::UnexpectedPositional(arg));
         };
         let key = key.to_string();
+        let query_flag = Query::param_is_flag(&key);
         if FLAG_OPTIONS.contains(&key.as_str()) {
             parsed.flags.push(key);
+        } else if query_flag == Some(true) {
+            parsed.query.push((key, String::new()));
         } else {
-            if !MULTI_OPTIONS.contains(&key.as_str()) && !VALUE_OPTIONS.contains(&key.as_str()) {
+            if query_flag.is_none() && !VALUE_OPTIONS.contains(&key.as_str()) {
                 return Err(ArgsError::UnknownOption(key));
             }
             let value = iter
                 .next()
                 .filter(|v| !v.starts_with("--"))
                 .ok_or_else(|| ArgsError::MissingValue(key.clone()))?;
-            if MULTI_OPTIONS.contains(&key.as_str()) {
-                parsed.multi.entry(key).or_default().push(value);
+            if query_flag.is_some() {
+                parsed.query.push((key, value));
             } else if let Some(previous) = parsed.options.get(&key) {
                 if previous != &value {
                     return Err(ArgsError::ConflictingValues(key, previous.clone(), value));
@@ -163,9 +157,9 @@ impl ParsedArgs {
         }
     }
 
-    /// All values of a repeatable option.
-    pub fn get_multi(&self, key: &str) -> &[String] {
-        self.multi.get(key).map(Vec::as_slice).unwrap_or(&[])
+    /// The query parameters as `(name, value)` pairs, in order.
+    pub fn query_params(&self) -> impl Iterator<Item = (&str, &str)> {
+        self.query.iter().map(|(k, v)| (k.as_str(), v.as_str()))
     }
 
     /// True if the flag was given.
@@ -211,8 +205,14 @@ mod tests {
         .unwrap();
         assert_eq!(parsed.command, "query");
         assert_eq!(parsed.get("db"), Some("db.jsonl"));
-        assert_eq!(parsed.get_multi("trigger").len(), 2);
-        assert!(parsed.has_flag("unique"));
+        assert_eq!(
+            parsed.query_params().collect::<Vec<_>>(),
+            [
+                ("trigger", "Trg_EXT_rst"),
+                ("trigger", "Trg_EXT_pci"),
+                ("unique", "")
+            ]
+        );
         assert!(!parsed.has_flag("no-humans"));
     }
 
@@ -321,29 +321,46 @@ mod tests {
             "--annotated",
         ])
         .unwrap();
-        assert_eq!(parsed.get("design"), Some("Core 6"));
-        assert_eq!(parsed.get("trigger-class"), Some("Trg_EXT"));
-        assert_eq!(parsed.get("msr"), Some("MCx_STATUS"));
-        assert_eq!(parsed.get("workaround"), Some("bios"));
-        assert_eq!(parsed.get("fix"), Some("fixed"));
-        assert_eq!(parsed.get("after"), Some("2016-01-01"));
-        assert_eq!(parsed.get("before"), Some("2019-06-01"));
-        assert!(parsed.has_flag("annotated"));
+        assert_eq!(parsed.get("db"), Some("db.jsonl"));
+        assert_eq!(
+            parsed.query_params().collect::<Vec<_>>(),
+            [
+                ("design", "Core 6"),
+                ("trigger-class", "Trg_EXT"),
+                ("msr", "MCx_STATUS"),
+                ("workaround", "bios"),
+                ("fix", "fixed"),
+                ("after", "2016-01-01"),
+                ("before", "2019-06-01"),
+                ("annotated", "")
+            ]
+        );
+        assert!(Query::from_params(parsed.query_params(), "--").is_ok());
     }
 
     #[test]
     fn conflicting_duplicate_options_are_rejected() {
-        let err = parse(["query", "--vendor", "intel", "--vendor", "amd"]).unwrap_err();
+        let err = parse(["query", "--db", "a.jsonl", "--db", "b.jsonl"]).unwrap_err();
         assert_eq!(
             err,
-            ArgsError::ConflictingValues("vendor".into(), "intel".into(), "amd".into())
+            ArgsError::ConflictingValues("db".into(), "a.jsonl".into(), "b.jsonl".into())
         );
-        assert!(err.to_string().contains("--vendor"));
+        assert!(err.to_string().contains("--db"));
         assert!(err.to_string().contains("conflicting"));
+        // Query options reach the query's parser in order, which refuses
+        // the same contradiction in the CLI's spelling.
+        let parsed = parse(["query", "--vendor", "intel", "--vendor", "amd"]).unwrap();
+        let err = Query::from_params(parsed.query_params(), "--").unwrap_err();
+        assert!(err.contains("--vendor"), "{err}");
+        assert!(err.contains("conflicting"), "{err}");
         // Repeating the same value is harmless; repeatable facets still
         // repeat freely.
         let parsed = parse([
             "query",
+            "--db",
+            "a.jsonl",
+            "--db",
+            "a.jsonl",
             "--vendor",
             "intel",
             "--vendor",
@@ -351,10 +368,11 @@ mod tests {
             "--effect",
             "Eff_HNG_hng",
             "--effect",
-            "Eff_USB_usb",
+            "Eff_EXT_usb",
         ])
         .unwrap();
-        assert_eq!(parsed.get("vendor"), Some("intel"));
-        assert_eq!(parsed.get_multi("effect").len(), 2);
+        assert_eq!(parsed.get("db"), Some("a.jsonl"));
+        assert!(Query::from_params(parsed.query_params(), "--").is_ok());
+        assert_eq!(parsed.query.len(), 4);
     }
 }

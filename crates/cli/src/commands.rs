@@ -14,11 +14,9 @@ use rememberr_classify::{
     classify_database, classify_database_analyzed, FourEyesConfig, HumanOracle, Rules,
 };
 use rememberr_docgen::{CorpusSpec, GroundTruth, SyntheticCorpus};
-use rememberr_extract::{extract_corpus, extract_document};
-use rememberr_model::{
-    parse_fix, parse_vendor, parse_workaround, Context, Date, Design, Effect, MsrName, Trigger,
-    TriggerClass,
-};
+use rememberr_extract::extract_corpus;
+use rememberr_model::Design;
+use rememberr_serve::router::{render_query_body, DEFAULT_LIMIT};
 
 use crate::args::ParsedArgs;
 
@@ -37,7 +35,7 @@ pub fn cmd_generate(args: &ParsedArgs) -> CmdResult {
     let corpus = try_generate(&corpus_spec(args)?)?;
     fs::create_dir_all(&out).map_err(|e| format!("cannot create {}: {e}", out.display()))?;
     for rendered in &corpus.rendered {
-        let path = out.join(format!("{}.txt", rendered.design.reference()));
+        let path = document_path(&out, rendered.design);
         fs::write(&path, &rendered.text)
             .map_err(|e| format!("cannot write {}: {e}", path.display()))?;
     }
@@ -49,6 +47,12 @@ pub fn cmd_generate(args: &ParsedArgs) -> CmdResult {
         corpus.total_errata(),
         out.display()
     ))
+}
+
+/// Where a corpus directory keeps one design's rendered document:
+/// `<reference>.txt`.
+fn document_path(dir: &Path, design: Design) -> PathBuf {
+    dir.join(format!("{}.txt", design.reference()))
 }
 
 /// The corpus specification `--scale F` (in `(0, 1]`, default 1: the
@@ -85,32 +89,26 @@ pub fn cmd_extract(args: &ParsedArgs) -> CmdResult {
         .into();
     let format: SnapshotFormat = args.get_parsed("snapshot-format", SnapshotFormat::default())?;
 
-    // Read the page streams sequentially (I/O), then fan the CPU-heavy
-    // parsing out across workers; results come back in input (Design::ALL)
-    // order, so the database is identical at every worker count, and the
-    // first failing document (in that order) wins deterministically.
-    let mut inputs: Vec<(Design, PathBuf, String)> = Vec::new();
+    // Read the page streams sequentially (I/O), in Design::ALL order;
+    // `extract_corpus` fans the parsing out and reports the first failing
+    // document in that order, which maps back to the file it came from.
+    let mut inputs: Vec<(Design, String)> = Vec::new();
     for design in Design::ALL {
-        let path = docs_dir.join(format!("{}.txt", design.reference()));
+        let path = document_path(&docs_dir, design);
         if !path.exists() {
             continue;
         }
         let text = fs::read_to_string(&path).map_err(|e| format!("{}: {e}", path.display()))?;
-        inputs.push((design, path, text));
+        inputs.push((design, text));
     }
     if inputs.is_empty() {
         return Err(format!("no documents found in {}", docs_dir.display()));
     }
-    let extracted = rememberr_par::par_map(&inputs, |(design, path, text)| {
-        extract_document(*design, text).map_err(|e| format!("{}: {e}", path.display()))
-    });
-    let mut documents = Vec::with_capacity(inputs.len());
-    let mut defect_total = 0usize;
-    for result in extracted {
-        let extracted = result?;
-        defect_total += extracted.report.total();
-        documents.push(extracted.document);
-    }
+    let corpus = inputs.iter().map(|(design, text)| (*design, text.as_str()));
+    let (documents, defects) = extract_corpus(corpus).map_err(|e| {
+        let path = document_path(&docs_dir, e.design);
+        format!("{}: {}", path.display(), e.error)
+    })?;
 
     let db = Database::from_documents(&documents);
     write_db(&db, &out, format)?;
@@ -119,7 +117,7 @@ pub fn cmd_extract(args: &ParsedArgs) -> CmdResult {
         documents.len(),
         db.len(),
         db.unique_count(),
-        defect_total,
+        defects.total(),
         out.display()
     ))
 }
@@ -177,87 +175,18 @@ pub fn cmd_report(args: &ParsedArgs) -> CmdResult {
     Ok(report.render_text())
 }
 
-/// `rememberr query --db DB.jsonl [--vendor intel|amd] [--design NAME]
-/// [--trigger CODE]... [--trigger-class CODE] [--context CODE]...
-/// [--effect CODE]... [--msr NAME] [--workaround CAT] [--fix STATUS]
-/// [--after YYYY-MM-DD] [--before YYYY-MM-DD] [--min-triggers N]
-/// [--unique] [--annotated] [--limit N]`
+/// `rememberr query --db DB.jsonl [QUERY OPTIONS]` (see [`usage`])
+///
+/// Prints the body `GET /query` serves for the same parameters: the
+/// options go through [`Query::from_params`], the parser the server uses,
+/// before the snapshot is read.
 pub fn cmd_query(args: &ParsedArgs) -> CmdResult {
+    let (query, limit) = Query::from_params(args.query_params(), "--")?;
     let db = read_db(args)?;
-    let mut query = Query::new();
-    if let Some(vendor) = args.get("vendor") {
-        query = query.vendor(parse_vendor(vendor)?);
-    }
-    if let Some(design) = args.get("design") {
-        let design: Design = design.parse().map_err(|_| {
-            format!("unknown design {design:?} (label like \"Core 6\" or reference)")
-        })?;
-        query = query.design(design);
-    }
-    for code in args.get_multi("trigger") {
-        let trigger: Trigger = code
-            .parse()
-            .map_err(|_| format!("unknown trigger code {code:?}"))?;
-        query = query.trigger(trigger);
-    }
-    if let Some(code) = args.get("trigger-class") {
-        let class: TriggerClass = code
-            .parse()
-            .map_err(|_| format!("unknown trigger class {code:?}"))?;
-        query = query.trigger_class(class);
-    }
-    for code in args.get_multi("context") {
-        let context: Context = code
-            .parse()
-            .map_err(|_| format!("unknown context code {code:?}"))?;
-        query = query.context(context);
-    }
-    for code in args.get_multi("effect") {
-        let effect: Effect = code
-            .parse()
-            .map_err(|_| format!("unknown effect code {code:?}"))?;
-        query = query.effect(effect);
-    }
-    if let Some(name) = args.get("msr") {
-        let msr: MsrName = name
-            .parse()
-            .map_err(|_| format!("unknown MSR name {name:?}"))?;
-        query = query.msr(msr);
-    }
-    if let Some(text) = args.get("workaround") {
-        query = query.workaround(parse_workaround(text)?);
-    }
-    if let Some(text) = args.get("fix") {
-        query = query.fix(parse_fix(text)?);
-    }
-    if let Some(text) = args.get("after") {
-        query = query.disclosed_after(parse_date("after", text)?);
-    }
-    if let Some(text) = args.get("before") {
-        query = query.disclosed_before(parse_date("before", text)?);
-    }
-    let min: usize = args.get_parsed("min-triggers", 0)?;
-    if min > 0 {
-        query = query.min_triggers(min);
-    }
-    if args.has_flag("unique") {
-        query = query.unique_only();
-    }
-    if args.has_flag("annotated") {
-        query = query.annotated_only();
-    }
-
-    let hits = query.run_indexed(db.query_index(), &db);
-    let mut out = format!("{} matching errata\n", hits.len());
-    for entry in hits.iter().take(args.get_parsed("limit", 20usize)?) {
-        out.push_str(&format!(
-            "{}  {}  [{}]\n",
-            entry.id(),
-            entry.erratum.title,
-            entry.provenance.disclosure_date
-        ));
-    }
-    Ok(out)
+    Ok(render_query_body(
+        &query.run(&db),
+        limit.unwrap_or(DEFAULT_LIMIT),
+    ))
 }
 
 /// `rememberr campaign --db DB.jsonl [--steps N] [--triggers N] [--effects N]`
@@ -659,11 +588,6 @@ pub fn run(args: &ParsedArgs) -> CmdResult {
         "help" => Ok(usage()),
         other => Err(format!("unknown command {other:?}\n\n{}", usage())),
     }
-}
-
-fn parse_date(option: &str, text: &str) -> Result<Date, String> {
-    text.parse()
-        .map_err(|_| format!("invalid value for --{option}: {text:?} (expected YYYY-MM-DD)"))
 }
 
 fn read_db(args: &ParsedArgs) -> Result<Database, String> {

@@ -212,6 +212,39 @@ fn unbuildable_corpora_fail_with_one_line_and_no_panic() {
 }
 
 #[test]
+fn extract_names_the_file_of_a_broken_document() {
+    let dir = tmp("broken-corpus");
+    let db = tmp("broken-db.jsonl");
+    let out = run(&[
+        "generate",
+        "--out",
+        dir.to_str().unwrap(),
+        "--scale",
+        "0.02",
+    ]);
+    assert!(out.status.success(), "{}", stderr(&out));
+    let reference = rememberr_model::Design::ALL[3].reference();
+    let broken = dir.join(format!("{reference}.txt"));
+    fs::write(&broken, "not an errata document\n").unwrap();
+    let out = run(&[
+        "extract",
+        "--docs",
+        dir.to_str().unwrap(),
+        "--out",
+        db.to_str().unwrap(),
+    ]);
+    let err = stderr(&out);
+    assert_eq!(out.status.code(), Some(1), "{err}");
+    assert!(
+        err.starts_with(&format!("error: {}: ", broken.display())),
+        "{err}"
+    );
+    assert_eq!(err.lines().count(), 1, "{err}");
+    assert!(!db.exists(), "no database is written");
+    let _ = fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn jobs_runs_are_byte_identical() {
     let dir = tmp("jobs-corpus");
     let out = run(&[

@@ -358,7 +358,8 @@ mod tests {
         assert!(n >= 1);
         let q = crate::Query::new().annotated_only();
         assert_eq!(q.count_indexed(db.query_index(), &db), before + n);
-        assert_eq!(q.count_indexed(db.query_index(), &db), q.count(&db));
+        let annotated = db.entries().iter().filter(|e| e.annotation.is_some());
+        assert_eq!(q.count(&db), annotated.count());
     }
 
     /// Addresses of `entries`, so a check can tell the very same entries

@@ -1,10 +1,9 @@
 //! Indexed query serving: per-database posting lists and a selectivity
-//! planner.
+//! planner, the one engine every [`crate::Query`] runs on.
 //!
-//! [`crate::Query::run`] is an `O(entries)` scan per query; every analysis
-//! figure is ultimately a batch of facet queries, so at scale the scan is
-//! the last unindexed hot loop in the serving path. [`QueryIndex`] makes
-//! those batches cheap:
+//! Every analysis figure is a batch of facet queries, and every served
+//! request is one. A scan would cost `O(entries)` per query; [`QueryIndex`]
+//! makes each cost its most selective facet:
 //!
 //! * **Posting lists** — for every equality facet a query supports
 //!   (vendor, design, workaround, fix, trigger, trigger class, context,
@@ -23,11 +22,13 @@
 //!   and falls back to [`crate::Query::matches`] only for residual
 //!   predicates the index cannot decide (`min_triggers`).
 //!
-//! The scan ([`crate::Query::run`]) stays in the library as the
-//! correctness oracle the equivalence suites check the planner against:
-//! the index is a throughput knob, never a semantics knob. Results come
-//! back in exactly the order the scan produces (entry order, or
-//! representative key order under `unique_only`).
+//! The equivalence suites (`tests/query_engine.rs`, the `query.rs` unit
+//! tests and `serve_e2e.rs`) each keep a scan oracle of their own, a
+//! filter with [`crate::Query::matches`] over every entry or every
+//! representative, and check the planner against it: the index is a
+//! throughput knob, never a semantics knob. Results come back in the
+//! order that scan produces (entry order, or representative key order
+//! under `unique_only`).
 //!
 //! Observability: building emits the `query.build_index` span; execution
 //! emits `query.execute` plus the counters `query.entries_scanned`
@@ -129,9 +130,10 @@ fn slot<T: PartialEq + Copy>(all: &[T], value: T) -> usize {
 /// Immutable per-database query index: posting lists for every equality
 /// facet, a date-sorted position array, and the unique-representative view.
 ///
-/// Build one with [`QueryIndex::build`] or let the database cache it via
-/// [`Database::query_index`]; serve queries with
-/// [`crate::Query::run_indexed`] / [`crate::Query::count_indexed`].
+/// The database caches one ([`Database::query_index`]), and
+/// [`crate::Query::run`] / [`crate::Query::count`] answer from it;
+/// [`QueryIndex::build`] builds one for [`crate::Query::run_indexed`] /
+/// [`crate::Query::count_indexed`].
 ///
 /// # Examples
 ///
@@ -280,8 +282,8 @@ impl<T> fmt::Debug for DerivedCell<T> {
     }
 }
 
-/// Runs `query` through the index, returning entries in the same order the
-/// scan produces.
+/// Runs `query` through the index, returning entries in entry order, or in
+/// representative key order for a `unique_only` query.
 pub(crate) fn execute<'db>(
     query: &Query,
     index: &QueryIndex,
@@ -290,7 +292,7 @@ pub(crate) fn execute<'db>(
     let _span = rememberr_obs::span!("query.execute");
     let mut positions = matching_positions(query, index, db);
     if query.unique_only {
-        // Scan order for unique queries is representative key order.
+        // Unique queries answer in representative key order.
         positions.sort_unstable_by_key(|&p| index.unique_rank[p as usize]);
     }
     let entries = db.entries();
@@ -441,8 +443,8 @@ fn matching_positions(query: &Query, index: &QueryIndex, db: &Database) -> Vec<u
     }
     debug_assert!(date_checked);
 
-    // Residual predicates the index cannot decide fall back to the scan's
-    // `matches`; candidates reaching this point already satisfy every
+    // Residual predicates the index cannot decide fall back to
+    // `Query::matches`; candidates reaching this point already satisfy every
     // indexed predicate, so the residual check decides `min_triggers`.
     if query.min_triggers.is_some() {
         rememberr_obs::count("query.residual_checks", current.len() as u64);

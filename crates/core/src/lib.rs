@@ -10,9 +10,10 @@
 //! * **provenance** (approximate disclosure dates from revision
 //!   histories, Section IV-B1);
 //! * **annotations** (triggers/contexts/effects, attached per cluster);
-//! * **queries** ([`Query`]) over entries or unique bugs, served by
-//!   posting-list intersection ([`QueryIndex`]) with the full scan
-//!   ([`Query::run`]) kept as the correctness oracle the tests use;
+//! * **queries** ([`Query`]) over entries or unique bugs, built with
+//!   methods or parsed from the CLI's and the server's one parameter
+//!   vocabulary ([`Query::from_params`]), and answered by posting-list
+//!   intersection ([`QueryIndex`]);
 //! * **persistence** ([`save`]/[`save_as`]/[`load`]): JSON Lines, the
 //!   interchange format, and the `rememberr-bin` binary snapshot, the
 //!   fast-load format;

@@ -2,7 +2,10 @@
 //!
 //! The paper's artifact ships "an example script to encourage readers to
 //! write their own queries"; this module is the equivalent surface: a
-//! builder of composable filters over entries or unique bugs.
+//! builder of composable filters over entries or unique bugs. The CLI's
+//! `query` options and the server's URL parameters are one vocabulary,
+//! parsed by [`Query::from_params`], and every query runs on one engine:
+//! the posting-list planner over the database's [`QueryIndex`].
 //!
 //! # Examples
 //!
@@ -21,11 +24,18 @@
 //!     .unique_only()
 //!     .run(&db);
 //! assert!(hits.len() <= db.len());
+//!
+//! let (parsed, limit) = Query::from_params([("vendor", "intel"), ("unique", "1")], "")?;
+//! assert_eq!(parsed.count(&db), hits.len());
+//! assert_eq!(limit, None);
+//! # Ok::<(), String>(())
 //! ```
 
+use std::str::FromStr;
+
 use rememberr_model::{
-    Context, Date, Design, Effect, FixStatus, MsrName, Trigger, TriggerClass, Vendor,
-    WorkaroundCategory,
+    parse_fix, parse_vendor, parse_workaround, Context, Date, Design, Effect, FixStatus, MsrName,
+    Trigger, TriggerClass, Vendor, WorkaroundCategory,
 };
 
 use crate::db::Database;
@@ -37,11 +47,9 @@ use crate::index::QueryIndex;
 /// All added conditions must hold (conjunction). An unset condition matches
 /// everything.
 ///
-/// Two engines serve a query: [`Query::run_indexed`] intersects the
-/// posting lists of a [`QueryIndex`] and is what the CLI and the server
-/// call; [`Query::run`] scans every entry and is the correctness oracle
-/// the tests check it against. Both return the same entries in the same
-/// order.
+/// [`Query::run`] and [`Query::count`] answer from the database's cached
+/// [`QueryIndex`]: the planner intersects posting lists and checks only the
+/// predicates the index cannot decide with [`Query::matches`].
 #[derive(Debug, Clone, Default)]
 pub struct Query {
     pub(crate) vendor: Option<Vendor>,
@@ -60,10 +68,142 @@ pub struct Query {
     pub(crate) annotated_only: bool,
 }
 
+/// How a query parameter takes its value.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Arity {
+    /// A switch: `--unique` on the command line; `unique`, `unique=1` or
+    /// `unique=0` in a URL.
+    Flag,
+    /// One value; given twice, it must repeat the same value.
+    One,
+    /// Repeatable: each value adds a condition.
+    Many,
+}
+
+/// The query parameter vocabulary: the CLI's `query` options (spelled
+/// `--name`) and the server's URL parameters.
+const PARAMS: [(&str, Arity); 15] = [
+    ("vendor", Arity::One),
+    ("design", Arity::One),
+    ("trigger", Arity::Many),
+    ("trigger-class", Arity::One),
+    ("context", Arity::Many),
+    ("effect", Arity::Many),
+    ("msr", Arity::One),
+    ("workaround", Arity::One),
+    ("fix", Arity::One),
+    ("after", Arity::One),
+    ("before", Arity::One),
+    ("min-triggers", Arity::One),
+    ("unique", Arity::Flag),
+    ("annotated", Arity::Flag),
+    ("limit", Arity::One),
+];
+
 impl Query {
     /// Creates an unconstrained query (matches every entry).
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// Builds a query from `(name, value)` parameters: the CLI's `query`
+    /// options and the server's URL parameters both come through here, so
+    /// the two surfaces accept and refuse the same things with the same
+    /// words.
+    ///
+    /// Returns the query and the `limit` render cap, if one was given.
+    /// `prefix` is how the caller's surface spells a parameter name in its
+    /// messages: `"--"` for command-line options, `""` for URL parameters.
+    ///
+    /// `trigger`, `context` and `effect` repeat, one condition per value.
+    /// Any other parameter given twice must repeat its value. A flag
+    /// (`unique`, `annotated`) takes `""`, `1`/`true` or `0`/`false`, and
+    /// `min-triggers=0` sets no condition.
+    ///
+    /// # Errors
+    ///
+    /// Returns a message naming what was refused and what is valid: an
+    /// unknown parameter, a malformed value, or a single-valued parameter
+    /// repeated with a different value.
+    pub fn from_params<'a>(
+        params: impl IntoIterator<Item = (&'a str, &'a str)>,
+        prefix: &str,
+    ) -> Result<(Query, Option<usize>), String> {
+        let mut query = Query::new();
+        let mut limit = None;
+        // The value each single-valued parameter was first given.
+        let mut given = [None; PARAMS.len()];
+        for (name, value) in params {
+            let Some(slot) = PARAMS.iter().position(|&(n, _)| n == name) else {
+                let valid: Vec<&str> = PARAMS.iter().map(|&(n, _)| n).collect();
+                return Err(format!(
+                    "unknown parameter {name:?} (valid: {})",
+                    valid.join(", ")
+                ));
+            };
+            if PARAMS[slot].1 != Arity::Many {
+                match given[slot] {
+                    Some(first) if first != value => {
+                        return Err(format!(
+                            "{prefix}{name} given twice with conflicting values: \
+                             {first:?} then {value:?}"
+                        ));
+                    }
+                    _ => given[slot] = Some(value),
+                }
+            }
+            let invalid = |expected: &str| {
+                format!("invalid value for {prefix}{name}: {value:?} ({expected})")
+            };
+            let number = || {
+                value
+                    .parse::<usize>()
+                    .map_err(|_| invalid("expected a number"))
+            };
+            let date = || {
+                value
+                    .parse::<Date>()
+                    .map_err(|_| invalid("expected YYYY-MM-DD"))
+            };
+            let flag = || match value {
+                "" | "1" | "true" => Ok(true),
+                "0" | "false" => Ok(false),
+                _ => Err(invalid("use 1/true or 0/false")),
+            };
+            match name {
+                "vendor" => query.vendor = Some(parse_vendor(value)?),
+                "design" => {
+                    query.design = Some(value.parse().map_err(|_| {
+                        format!("unknown design {value:?} (label like \"Core 6\" or reference)")
+                    })?);
+                }
+                "trigger" => query.triggers_all.push(code(value, "trigger code")?),
+                "trigger-class" => query.trigger_class = Some(code(value, "trigger class")?),
+                "context" => query.context_any.push(code(value, "context code")?),
+                "effect" => query.effect_any.push(code(value, "effect code")?),
+                "msr" => query.msr = Some(code(value, "MSR name")?),
+                "workaround" => query.workaround = Some(parse_workaround(value)?),
+                "fix" => query.fix = Some(parse_fix(value)?),
+                "after" => query.disclosed_after = Some(date()?),
+                "before" => query.disclosed_before = Some(date()?),
+                "min-triggers" => query.min_triggers = Some(number()?).filter(|&n| n > 0),
+                "unique" => query.unique_only = flag()?,
+                "annotated" => query.annotated_only = flag()?,
+                "limit" => limit = Some(number()?),
+                _ => unreachable!("every name in PARAMS has an arm"),
+            }
+        }
+        Ok((query, limit))
+    }
+
+    /// Whether `name` is a query parameter that takes no value on the
+    /// command line (`unique`, `annotated`); `None` when `name` is not a
+    /// query parameter at all.
+    pub fn param_is_flag(name: &str) -> Option<bool> {
+        PARAMS
+            .iter()
+            .find(|&&(n, _)| n == name)
+            .map(|&(_, arity)| arity == Arity::Flag)
     }
 
     /// Restricts to one vendor.
@@ -154,7 +294,9 @@ impl Query {
         self
     }
 
-    /// True if an entry satisfies every condition.
+    /// True if an entry satisfies every condition. `unique_only` is not a
+    /// condition on the entry: it makes the representatives, not every
+    /// entry, the set a query answers from.
     pub fn matches(&self, entry: &DbEntry) -> bool {
         if let Some(v) = self.vendor {
             if entry.vendor() != v {
@@ -228,46 +370,17 @@ impl Query {
         true
     }
 
-    /// The scan engine's shared code path: visits every candidate entry
-    /// and reports hits. `run` and `count` both ride on this so counting
-    /// never materializes a `Vec<&DbEntry>`.
-    ///
-    /// Counts every entry the engine visits as `query.entries_scanned`:
-    /// for `unique_only` queries that is the full pass deriving the
-    /// representative view plus one `matches` test per representative; for
-    /// entry queries it is one test per entry.
-    fn scan<'db>(&self, db: &'db Database, mut hit: impl FnMut(&'db DbEntry)) {
-        let _span = rememberr_obs::span!("query.execute");
-        if self.unique_only {
-            let uniques = db.unique_entries();
-            rememberr_obs::count("query.entries_scanned", (db.len() + uniques.len()) as u64);
-            for e in uniques {
-                if self.matches(e) {
-                    hit(e);
-                }
-            }
-        } else {
-            rememberr_obs::count("query.entries_scanned", db.len() as u64);
-            for e in db.entries() {
-                if self.matches(e) {
-                    hit(e);
-                }
-            }
-        }
-    }
-
-    /// Runs the query against a database with the scan engine.
+    /// Runs the query over the database's cached [`QueryIndex`], returning
+    /// the matching entries in entry order, or the matching representatives
+    /// in key order for a `unique_only` query.
     pub fn run<'db>(&self, db: &'db Database) -> Vec<&'db DbEntry> {
-        let mut out = Vec::new();
-        self.scan(db, |e| out.push(e));
-        out
+        self.run_indexed(db.query_index(), db)
     }
 
-    /// Number of matches, counted with the scan engine.
+    /// Number of matches, counted over the database's cached [`QueryIndex`]
+    /// without materializing the entries.
     pub fn count(&self, db: &Database) -> usize {
-        let mut n = 0;
-        self.scan(db, |_| n += 1);
-        n
+        self.count_indexed(db.query_index(), db)
     }
 
     /// Runs the query through a prebuilt [`QueryIndex`], returning entries
@@ -290,6 +403,14 @@ impl Query {
     pub fn count_indexed(&self, index: &QueryIndex, db: &Database) -> usize {
         crate::index::execute_count(self, index, db)
     }
+}
+
+/// Parses a taxonomy code (`Trg_EXT_rst`, `MCx_STATUS`) through its
+/// `FromStr` impl.
+fn code<T: FromStr>(value: &str, what: &str) -> Result<T, String> {
+    value
+        .parse()
+        .map_err(|_| format!("unknown {what} {value:?}"))
 }
 
 #[cfg(test)]
@@ -315,6 +436,18 @@ mod tests {
 
     fn db_with(entries: Vec<DbEntry>) -> Database {
         Database::from_parts(entries, Default::default())
+    }
+
+    /// The scan oracle the engine is checked against: every entry (every
+    /// representative, for a `unique_only` query) that `matches` accepts,
+    /// in entry (representative key) order.
+    fn scan<'db>(query: &Query, db: &'db Database) -> Vec<&'db DbEntry> {
+        let universe = if query.unique_only {
+            db.unique_entries()
+        } else {
+            db.entries().iter().collect()
+        };
+        universe.into_iter().filter(|e| query.matches(e)).collect()
     }
 
     #[test]
@@ -412,8 +545,8 @@ mod tests {
     }
 
     /// Every query exercised by this module's tests, plus residual and
-    /// date combinations, served identically by both engines on a real
-    /// (deduped + annotated) corpus.
+    /// date combinations, served by the engine exactly as the scan oracle
+    /// answers them on a real (deduped + annotated) corpus.
     #[test]
     fn engines_agree_on_synthetic_corpus() {
         use rememberr_docgen::{CorpusSpec, SyntheticCorpus};
@@ -448,8 +581,10 @@ mod tests {
         ];
         let index = QueryIndex::build(&db);
         for q in &queries {
-            let scan: Vec<_> = q.run(&db).iter().map(|e| e.id()).collect();
+            let scan: Vec<_> = scan(q, &db).iter().map(|e| e.id()).collect();
+            let served: Vec<_> = q.run(&db).iter().map(|e| e.id()).collect();
             let indexed: Vec<_> = q.run_indexed(&index, &db).iter().map(|e| e.id()).collect();
+            assert_eq!(served, scan, "{q:?}");
             assert_eq!(indexed, scan, "{q:?}");
             assert_eq!(q.count_indexed(&index, &db), scan.len(), "{q:?}");
             assert_eq!(q.count(&db), scan.len(), "{q:?}");
@@ -457,7 +592,8 @@ mod tests {
     }
 
     /// Pinned: `disclosed_after` is inclusive (`>= after`),
-    /// `disclosed_before` is exclusive (`< before`) — on both engines.
+    /// `disclosed_before` is exclusive (`< before`) — in the engine and in
+    /// the scan oracle.
     #[test]
     fn date_bounds_are_inclusive_exclusive_on_both_engines() {
         let db = db_with(vec![entry(Design::Intel6, 1, None)]);
@@ -473,7 +609,8 @@ mod tests {
                 0,
             ),
         ] {
-            assert_eq!(q.count(&db), expect, "scan {q:?}");
+            assert_eq!(scan(&q, &db).len(), expect, "scan {q:?}");
+            assert_eq!(q.count(&db), expect, "engine {q:?}");
             assert_eq!(q.count_indexed(&index, &db), expect, "indexed {q:?}");
         }
     }

@@ -1,6 +1,8 @@
-//! Error type for the extraction pipeline.
+//! Error types for the extraction pipeline.
 
 use std::fmt;
+
+use rememberr_model::Design;
 
 /// Errors produced while extracting a document from its page stream.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -61,6 +63,28 @@ impl fmt::Display for ExtractError {
 
 impl std::error::Error for ExtractError {}
 
+/// The error of one document in a corpus: which document failed, and why.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct DocumentError {
+    /// The design whose document failed; its
+    /// [`reference`](Design::reference) names the document.
+    pub design: Design,
+    /// Why extraction failed.
+    pub error: ExtractError,
+}
+
+impl fmt::Display for DocumentError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "document {}: {}", self.design.reference(), self.error)
+    }
+}
+
+impl std::error::Error for DocumentError {
+    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
+        Some(&self.error)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -84,5 +108,6 @@ mod tests {
     fn is_error_send_sync() {
         fn check<T: std::error::Error + Send + Sync>() {}
         check::<ExtractError>();
+        check::<DocumentError>();
     }
 }

@@ -37,7 +37,7 @@ mod scanner;
 mod summary;
 
 pub use errata_parse::{parse_errata, ParsedErratum};
-pub use error::ExtractError;
+pub use error::{DocumentError, ExtractError};
 pub use msrscan::{inconsistent_refs, scan_msr_refs};
 pub use pipeline::{
     extract_corpus, extract_document, ExtractedDocument, ERRATA_HEADING, REVISION_HEADING,

@@ -3,7 +3,7 @@
 use rememberr_model::{Design, ErrataDocument};
 
 use crate::errata_parse::parse_errata;
-use crate::error::ExtractError;
+use crate::error::{DocumentError, ExtractError};
 use crate::report::{detect_defects, ExtractionReport};
 use crate::revtable::parse_revision_table;
 use crate::scanner::{depaginate, section_after, section_between};
@@ -92,18 +92,20 @@ pub fn extract_document(design: Design, text: &str) -> Result<ExtractedDocument,
 ///
 /// # Errors
 ///
-/// Fails with the error of the first (in input order) structurally
-/// unparsable document. Unlike the historical sequential loop, later
-/// documents may already have been parsed when that error is reported.
+/// Fails with the first (in input order) structurally unparsable document
+/// and its error. Later documents may already have been parsed when that
+/// error is reported.
 pub fn extract_corpus<'a, I>(
     rendered: I,
-) -> Result<(Vec<ErrataDocument>, ExtractionReport), ExtractError>
+) -> Result<(Vec<ErrataDocument>, ExtractionReport), DocumentError>
 where
     I: IntoIterator<Item = (Design, &'a str)>,
 {
     let _span = rememberr_obs::span!("extract.corpus");
     let inputs: Vec<(Design, &str)> = rendered.into_iter().collect();
-    let results = rememberr_par::par_map(&inputs, |&(design, text)| extract_document(design, text));
+    let results = rememberr_par::par_map(&inputs, |&(design, text)| {
+        extract_document(design, text).map_err(|error| DocumentError { design, error })
+    });
     let mut documents = Vec::with_capacity(inputs.len());
     let mut report = ExtractionReport::default();
     for result in results {

@@ -3,7 +3,7 @@
 
 use proptest::prelude::*;
 use rememberr_docgen::{CorpusSpec, SyntheticCorpus};
-use rememberr_extract::{extract_document, ERRATA_HEADING};
+use rememberr_extract::{extract_corpus, extract_document, ExtractError, ERRATA_HEADING};
 use rememberr_model::Design;
 
 fn sample_text() -> (Design, String) {
@@ -172,4 +172,31 @@ fn single_line_deletions_usually_still_extract() {
         successes * 2 >= attempts,
         "only {successes}/{attempts} single-deletion variants extracted"
     );
+}
+
+#[test]
+fn corpus_errors_name_the_failing_document() {
+    let corpus = SyntheticCorpus::generate(&CorpusSpec::scaled(0.02));
+    let broken = corpus.rendered[3].design;
+    let texts: Vec<(Design, String)> = corpus
+        .rendered
+        .iter()
+        .map(|r| {
+            let text = if r.design == broken {
+                r.text.replace(ERRATA_HEADING, "")
+            } else {
+                r.text.clone()
+            };
+            (r.design, text)
+        })
+        .collect();
+    let err = extract_corpus(texts.iter().map(|(d, text)| (*d, text.as_str()))).unwrap_err();
+    assert_eq!(err.design, broken);
+    assert_eq!(
+        err.error,
+        ExtractError::MissingSection {
+            heading: ERRATA_HEADING
+        }
+    );
+    assert!(err.to_string().contains(broken.reference()), "{err}");
 }

@@ -1,5 +1,6 @@
-//! Lenient facet-value parsing shared by every user-facing query surface
-//! (the CLI's `query` options and the serve daemon's URL parameters).
+//! Lenient facet-value parsing for the query parameters that the CLI's
+//! `query` options and the serve daemon's URL parameters share
+//! (`rememberr::Query::from_params`).
 //!
 //! Two shapes exist: code-named categories (`Trg_EXT_rst`) parse through
 //! their `FromStr` impls, and display-named categories ("no fix planned")

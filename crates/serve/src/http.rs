@@ -50,14 +50,6 @@ impl Request {
             .find(|(k, _)| k == name)
             .map(|(_, v)| v.as_str())
     }
-
-    /// All values of a repeated query parameter, in order.
-    pub fn params_all<'r>(&'r self, name: &'r str) -> impl Iterator<Item = &'r str> {
-        self.params
-            .iter()
-            .filter(move |(k, _)| k == name)
-            .map(|(_, v)| v.as_str())
-    }
 }
 
 /// Why [`read_request`] returned no request.

@@ -1,45 +1,23 @@
 //! Route dispatch: URL parameters to [`Query`] values to response bodies.
 //!
-//! Parameter names mirror the CLI's `query` options one-for-one
-//! (`vendor`, `design`, `trigger`…), and the parsing goes through the
-//! same shared code (`rememberr_model` facet parsing, the taxonomy
-//! `FromStr` impls), so a URL and a CLI invocation describing the same
-//! query cannot drift apart. Rendering is a pure function of the request
-//! and the snapshot — no timestamps, no worker identity — which is what
-//! makes `identical request → byte-identical body` hold at any worker
-//! count and lets the tests compare every served body with the same
-//! renderer over the in-process scan oracle (`Query::run`).
+//! URL parameters are the CLI's `query` options (`vendor`, `design`,
+//! `trigger`…) without the leading `--`, and both surfaces parse them with
+//! the same code, [`Query::from_params`], so a URL and a CLI invocation
+//! describing the same query cannot drift apart: they accept and refuse
+//! the same things with the same words, and CLI `query` prints the
+//! `/query` body. Rendering is a pure function of the request and the
+//! snapshot — no timestamps, no worker identity — which is what makes
+//! `identical request → byte-identical body` hold at any worker count and
+//! lets the tests compare every served body with the same renderer over a
+//! scan oracle of their own.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Duration;
 
 use rememberr::{DbEntry, Query};
-use rememberr_model::{
-    parse_fix, parse_vendor, parse_workaround, Context, Date, Design, Effect, MsrName, Trigger,
-    TriggerClass,
-};
 
 use crate::http::{Request, Response};
 use crate::state::{LoadedSnapshot, ServeState};
-
-/// Parameters every query endpoint accepts; anything else is a 400.
-const QUERY_PARAMS: &[&str] = &[
-    "vendor",
-    "design",
-    "trigger",
-    "trigger-class",
-    "context",
-    "effect",
-    "msr",
-    "workaround",
-    "fix",
-    "after",
-    "before",
-    "min-triggers",
-    "unique",
-    "annotated",
-    "limit",
-];
 
 /// Default `/query` render cap, matching the CLI's `--limit` default.
 pub const DEFAULT_LIMIT: usize = 20;
@@ -54,88 +32,19 @@ pub struct RouteCtx<'a> {
     pub shutdown: &'a AtomicBool,
 }
 
-/// Builds a [`Query`] from URL parameters, rejecting unknown names.
+/// Builds a [`Query`] from URL parameters through [`Query::from_params`],
+/// rejecting unknown names.
 ///
 /// # Errors
 ///
 /// Returns the 400 body text: which parameter failed and what is valid.
 pub fn parse_query(req: &Request) -> Result<Query, String> {
-    for (name, _) in &req.params {
-        if !QUERY_PARAMS.contains(&name.as_str()) {
-            return Err(format!(
-                "unknown parameter {name:?} (valid: {})",
-                QUERY_PARAMS.join(", ")
-            ));
-        }
-    }
-    let mut query = Query::new();
-    if let Some(text) = req.param("vendor") {
-        query = query.vendor(parse_vendor(text)?);
-    }
-    if let Some(text) = req.param("design") {
-        let design: Design = text
-            .parse()
-            .map_err(|_| format!("unknown design {text:?} (label like \"Core 6\" or reference)"))?;
-        query = query.design(design);
-    }
-    for code in req.params_all("trigger") {
-        let trigger: Trigger = code
-            .parse()
-            .map_err(|_| format!("unknown trigger code {code:?}"))?;
-        query = query.trigger(trigger);
-    }
-    if let Some(code) = req.param("trigger-class") {
-        let class: TriggerClass = code
-            .parse()
-            .map_err(|_| format!("unknown trigger class {code:?}"))?;
-        query = query.trigger_class(class);
-    }
-    for code in req.params_all("context") {
-        let context: Context = code
-            .parse()
-            .map_err(|_| format!("unknown context code {code:?}"))?;
-        query = query.context(context);
-    }
-    for code in req.params_all("effect") {
-        let effect: Effect = code
-            .parse()
-            .map_err(|_| format!("unknown effect code {code:?}"))?;
-        query = query.effect(effect);
-    }
-    if let Some(name) = req.param("msr") {
-        let msr: MsrName = name
-            .parse()
-            .map_err(|_| format!("unknown MSR name {name:?}"))?;
-        query = query.msr(msr);
-    }
-    if let Some(text) = req.param("workaround") {
-        query = query.workaround(parse_workaround(text)?);
-    }
-    if let Some(text) = req.param("fix") {
-        query = query.fix(parse_fix(text)?);
-    }
-    if let Some(text) = req.param("after") {
-        query = query.disclosed_after(parse_date("after", text)?);
-    }
-    if let Some(text) = req.param("before") {
-        query = query.disclosed_before(parse_date("before", text)?);
-    }
-    let min = parse_usize(req, "min-triggers", 0)?;
-    if min > 0 {
-        query = query.min_triggers(min);
-    }
-    if bool_param(req, "unique")? {
-        query = query.unique_only();
-    }
-    if bool_param(req, "annotated")? {
-        query = query.annotated_only();
-    }
-    Ok(query)
+    query_and_limit(req).map(|(query, _)| query)
 }
 
-fn parse_date(name: &str, text: &str) -> Result<Date, String> {
-    text.parse()
-        .map_err(|_| format!("invalid {name} date {text:?} (use YYYY-MM-DD)"))
+/// The request's query and its `limit`, if given.
+fn query_and_limit(req: &Request) -> Result<(Query, Option<usize>), String> {
+    Query::from_params(req.params.iter().map(|(k, v)| (k.as_str(), v.as_str())), "")
 }
 
 fn parse_usize(req: &Request, name: &str, default: usize) -> Result<usize, String> {
@@ -147,21 +56,8 @@ fn parse_usize(req: &Request, name: &str, default: usize) -> Result<usize, Strin
     }
 }
 
-fn bool_param(req: &Request, name: &str) -> Result<bool, String> {
-    match req.param(name) {
-        None => Ok(false),
-        Some("" | "1" | "true") => Ok(true),
-        Some("0" | "false") => Ok(false),
-        Some(other) => Err(format!(
-            "invalid {name} value {other:?} (use 1/true or 0/false)"
-        )),
-    }
-}
-
-/// The `/query` body: hit count, then up to `limit` entry lines.
-///
-/// Line format matches the CLI `query` command so the two surfaces stay
-/// diffable.
+/// The `/query` body: hit count, then up to `limit` entry lines. CLI
+/// `query` prints the same body.
 pub fn render_query_body(hits: &[&DbEntry], limit: usize) -> String {
     let mut out = format!("{} matching errata\n", hits.len());
     for entry in hits.iter().take(limit) {
@@ -198,24 +94,22 @@ pub fn render_stats_body(snapshot: &LoadedSnapshot) -> String {
 pub fn respond(req: &Request, ctx: &RouteCtx<'_>) -> Response {
     match (req.method.as_str(), req.path.as_str()) {
         ("GET", "/healthz") => Response::text(200, "ok\n"),
-        ("GET", "/query") => match (parse_query(req), limit_param(req)) {
-            (Ok(query), Ok(limit)) => {
+        ("GET", "/query") => match query_and_limit(req) {
+            Ok((query, limit)) => {
                 let snapshot = ctx.state.snapshot();
-                let db = &snapshot.db;
-                let hits = query.run_indexed(db.query_index(), db);
-                Response::text(200, render_query_body(&hits, limit))
-            }
-            (Err(e), _) | (_, Err(e)) => bad_request(e),
-        },
-        ("GET", "/count") => match parse_query(req) {
-            Ok(query) => {
-                let snapshot = ctx.state.snapshot();
-                let db = &snapshot.db;
+                let hits = query.run(&snapshot.db);
                 Response::text(
                     200,
-                    render_count_body(query.count_indexed(db.query_index(), db)),
+                    render_query_body(&hits, limit.unwrap_or(DEFAULT_LIMIT)),
                 )
             }
+            Err(e) => bad_request(e),
+        },
+        ("GET", "/count") => match parse_query(req) {
+            Ok(query) => Response::text(
+                200,
+                render_count_body(query.count(&ctx.state.snapshot().db)),
+            ),
             Err(e) => bad_request(e),
         },
         ("GET", "/stats") => Response::json(200, render_stats_body(&ctx.state.snapshot())),
@@ -248,10 +142,6 @@ pub fn respond(req: &Request, ctx: &RouteCtx<'_>) -> Response {
         (method, "/reload" | "/shutdown") if method != "POST" => method_not_allowed("POST"),
         (_, path) => Response::text(404, format!("no route for {path}\n")).closing(),
     }
-}
-
-fn limit_param(req: &Request) -> Result<usize, String> {
-    parse_usize(req, "limit", DEFAULT_LIMIT)
 }
 
 fn bad_request(message: String) -> Response {

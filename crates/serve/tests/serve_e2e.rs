@@ -1,7 +1,7 @@
 //! End-to-end tests over real loopback sockets: byte-identity against the
-//! router's renderers over the in-process scan oracle (`Query::run` /
-//! `Query::count`), worker-count independence, admission control,
-//! deadlines, hot reload, and graceful shutdown.
+//! router's renderers over a scan oracle kept in this file, worker-count
+//! independence, admission control, deadlines, hot reload, and graceful
+//! shutdown.
 //!
 //! Every test serializes on one gate: the obs registry is process-global
 //! (the shed test asserts counter deltas) and the box may have one core,
@@ -14,7 +14,7 @@ use std::sync::{Mutex, MutexGuard, OnceLock};
 use std::time::Duration;
 
 use proptest::test_runner::{ProptestConfig, TestRng, TestRunner};
-use rememberr::{Database, Query};
+use rememberr::{Database, DbEntry, Query};
 use rememberr_classify::{classify_database, FourEyesConfig, HumanOracle, Rules};
 use rememberr_docgen::{CorpusSpec, SyntheticCorpus};
 use rememberr_model::{Context, Date, Effect, Trigger, Vendor, WorkaroundCategory};
@@ -37,6 +37,18 @@ fn annotated_db(scale: f64) -> Database {
         &FourEyesConfig::default(),
     );
     db
+}
+
+/// The scan oracle: every entry (every representative, for a `unique`
+/// query) that `Query::matches` accepts, in the order the server must list
+/// them.
+fn scan<'db>(query: &Query, unique: bool, db: &'db Database) -> Vec<&'db DbEntry> {
+    let universe = if unique {
+        db.unique_entries()
+    } else {
+        db.entries().iter().collect()
+    };
+    universe.into_iter().filter(|e| query.matches(e)).collect()
 }
 
 fn write_db(db: &Database, path: &PathBuf) {
@@ -135,26 +147,30 @@ fn bodies_match_the_in_process_scan_oracle() {
     );
 
     // /query and /count agree byte-for-byte with the same renderers over
-    // the in-process scan oracle.
+    // the scan oracle.
     let cases = [
         (
             "vendor=intel&unique=1",
             Query::new().vendor(Vendor::Intel).unique_only(),
+            true,
         ),
         (
             "workaround=bios",
             Query::new().workaround(WorkaroundCategory::Bios),
+            false,
         ),
         (
             "after=2016-01-01&unique=1",
             Query::new()
                 .disclosed_after(Date::new(2016, 1, 1).unwrap())
                 .unique_only(),
+            true,
         ),
     ];
-    for (params, query) in cases {
-        let expected_query = render_query_body(&query.run(db), DEFAULT_LIMIT);
-        let expected_count = render_count_body(query.count(db));
+    for (params, query, unique) in cases {
+        let hits = scan(&query, unique, db);
+        let expected_query = render_query_body(&hits, DEFAULT_LIMIT);
+        let expected_count = render_count_body(hits.len());
         let (s, served) = get(addr, &format!("/query?{params}"));
         assert_eq!(
             (s, served.as_str()),
@@ -193,7 +209,7 @@ fn proptest_query_mix_matches_oracle_over_http() {
 
     let mut runner = TestRunner::new(ProptestConfig::with_cases(32));
     runner.run_cases(|rng| {
-        let (params, query) = random_query(rng);
+        let (params, query, unique) = random_query(rng);
         let endpoint = if rng.below(2) == 0 {
             "/query"
         } else {
@@ -201,9 +217,10 @@ fn proptest_query_mix_matches_oracle_over_http() {
         };
         let sep = if params.is_empty() { "" } else { "?" };
         let target = format!("{endpoint}{sep}{params}");
+        let hits = scan(&query, unique, db);
         let expected = match endpoint {
-            "/query" => render_query_body(&query.run(db), DEFAULT_LIMIT),
-            _ => render_count_body(query.count(db)),
+            "/query" => render_query_body(&hits, DEFAULT_LIMIT),
+            _ => render_count_body(hits.len()),
         };
         let (status, served) = get(addr, &target);
         assert_eq!(
@@ -216,8 +233,9 @@ fn proptest_query_mix_matches_oracle_over_http() {
     server.stop_and_wait();
 }
 
-/// Draws one random parameter mix and the equivalent in-process query.
-fn random_query(rng: &mut TestRng) -> (String, Query) {
+/// Draws one random parameter mix, the equivalent in-process query, and
+/// whether it is `unique_only`.
+fn random_query(rng: &mut TestRng) -> (String, Query, bool) {
     let mut params: Vec<String> = Vec::new();
     let mut query = Query::new();
     if rng.below(2) == 0 {
@@ -262,7 +280,8 @@ fn random_query(rng: &mut TestRng) -> (String, Query) {
         params.push(format!("min-triggers={n}"));
         query = query.min_triggers(n);
     }
-    if rng.below(2) == 0 {
+    let unique = rng.below(2) == 0;
+    if unique {
         params.push("unique=1".to_string());
         query = query.unique_only();
     }
@@ -270,7 +289,7 @@ fn random_query(rng: &mut TestRng) -> (String, Query) {
         params.push("annotated=true".to_string());
         query = query.annotated_only();
     }
-    (params.join("&"), query)
+    (params.join("&"), query, unique)
 }
 
 #[test]

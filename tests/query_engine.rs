@@ -1,14 +1,16 @@
-//! Query-engine equivalence: the indexed engine (posting lists + selectivity
-//! planner) and the scan oracle (`Query::run`) return byte-identical result
-//! id sequences and identical counts for randomly generated query
-//! combinations, on databases built at worker counts 1 and 8.
+//! Query-engine equivalence: the engine behind `Query::run` / `count`
+//! (posting lists + selectivity planner) and a scan oracle kept in this
+//! file return byte-identical result id sequences and identical counts for
+//! randomly generated query combinations, on databases built at worker
+//! counts 1 and 8.
 //!
 //! This is the correctness contract of the indexed query-serving work:
 //! posting lists, galloping intersection, and date-window bracketing are
 //! throughput knobs, never semantics knobs. The pinned date test nails the
-//! inclusive/exclusive bracket convention (`>= after`, `< before`) on both
-//! engines so a planner rewrite cannot silently shift a boundary, and the
-//! figure-shaped battery pins that the index actually saves work.
+//! inclusive/exclusive bracket convention (`>= after`, `< before`) in the
+//! engine and the oracle so a planner rewrite cannot silently shift a
+//! boundary, and the figure-shaped battery pins that the index actually
+//! saves work.
 //!
 //! The battery test reads the process-global obs counters and the fixture
 //! sets the global worker count, so every test serializes on one gate.
@@ -31,17 +33,28 @@ fn exclusive() -> MutexGuard<'static, ()> {
     GATE.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
 }
 
-/// One way of serving a query.
+/// One way of answering a query that is not `unique_only`.
 type Engine = for<'db> fn(&Query, &'db Database) -> Vec<&'db DbEntry>;
 
-/// The full-scan correctness oracle.
-fn scan<'db>(query: &Query, db: &'db Database) -> Vec<&'db DbEntry> {
-    query.run(db)
+/// The scan oracle: every entry (every representative, for a `unique`
+/// query) that `Query::matches` accepts, in entry (representative key)
+/// order.
+fn scan<'db>(query: &Query, unique: bool, db: &'db Database) -> Vec<&'db DbEntry> {
+    let universe = if unique {
+        db.unique_entries()
+    } else {
+        db.entries().iter().collect()
+    };
+    universe.into_iter().filter(|e| query.matches(e)).collect()
+}
+
+fn scan_entries<'db>(query: &Query, db: &'db Database) -> Vec<&'db DbEntry> {
+    scan(query, false, db)
 }
 
 /// The production path: the planner over the database's cached index.
-fn indexed<'db>(query: &Query, db: &'db Database) -> Vec<&'db DbEntry> {
-    query.run_indexed(db.query_index(), db)
+fn engine<'db>(query: &Query, db: &'db Database) -> Vec<&'db DbEntry> {
+    query.run(db)
 }
 
 /// Annotated databases built from the same corpus at jobs=1 and jobs=8.
@@ -142,9 +155,8 @@ fn cond_strategy() -> impl Strategy<Value = Cond> {
 }
 
 /// The full identity of a result sequence: ids in order plus dedup keys.
-fn fingerprint(query: &Query, db: &Database, engine: Engine) -> Vec<(String, Option<u32>)> {
-    engine(query, db)
-        .iter()
+fn fingerprint(hits: &[&DbEntry]) -> Vec<(String, Option<u32>)> {
+    hits.iter()
         .map(|e| (e.id().to_string(), e.key.map(|k| k.value())))
         .collect()
 }
@@ -158,13 +170,14 @@ proptest! {
     ) {
         let _gate = exclusive();
         let query = conds.iter().fold(Query::new(), apply);
+        let unique = conds.iter().any(|c| matches!(c, Cond::Unique));
         let (jobs1, jobs8) = dbs();
-        let oracle = fingerprint(&query, jobs1, scan);
+        let oracle = fingerprint(&scan(&query, unique, jobs1));
         for (jobs, db) in [(1usize, jobs1), (8, jobs8)] {
-            let scanned = fingerprint(&query, db, scan);
-            let served = fingerprint(&query, db, indexed);
+            let scanned = fingerprint(&scan(&query, unique, db));
+            let served = fingerprint(&query.run(db));
             prop_assert_eq!(&scanned, &oracle, "scan diverges across jobs={}", jobs);
-            prop_assert_eq!(&served, &oracle, "indexed diverges at jobs={}", jobs);
+            prop_assert_eq!(&served, &oracle, "engine diverges at jobs={}", jobs);
             prop_assert_eq!(query.count(db), oracle.len(), "count at jobs={}", jobs);
             prop_assert_eq!(
                 query.count_indexed(db.query_index(), db),
@@ -203,7 +216,7 @@ fn date_bounds_are_inclusive_after_exclusive_before_on_both_engines() {
     let (db, _) = dbs();
     let entry = &db.entries()[db.len() / 2];
     let pivot = entry.provenance.disclosure_date;
-    let engines: [(&str, Engine); 2] = [("scan", scan), ("indexed", indexed)];
+    let engines: [(&str, Engine); 2] = [("scan", scan_entries), ("engine", engine)];
     for (engine, run) in engines {
         // `disclosed_after` is inclusive: a window starting exactly at the
         // pivot date still contains the pivot entry.
@@ -241,6 +254,7 @@ fn date_bounds_are_inclusive_after_exclusive_before_on_both_engines() {
 /// The shape every analysis figure serves: per vendor, unique-bug queries
 /// for every trigger, context, effect, MSR and workaround category, plus a
 /// date window and two composites (one with the `min_triggers` residual).
+/// Every query is `unique_only`.
 fn figure_battery() -> Vec<Query> {
     let after = Date::new(2016, 1, 1).expect("valid date");
     let before = Date::new(2019, 1, 1).expect("valid date");
@@ -264,15 +278,16 @@ fn figure_battery() -> Vec<Query> {
     queries
 }
 
-/// Result ids of every battery query under `engine`, plus the
+fn hit_ids(hits: &[&DbEntry]) -> Vec<String> {
+    hits.iter().map(|e| e.id().to_string()).collect()
+}
+
+/// Result ids of every battery query under the engine, plus the
 /// `query.entries_scanned` counter the run accumulated.
-fn run_battery(db: &Database, queries: &[Query], engine: Engine) -> (Vec<Vec<String>>, u64) {
+fn run_battery(db: &Database, queries: &[Query]) -> (Vec<Vec<String>>, u64) {
     rememberr_obs::reset();
     rememberr_obs::enable();
-    let ids = queries
-        .iter()
-        .map(|q| engine(q, db).iter().map(|e| e.id().to_string()).collect())
-        .collect();
+    let ids = queries.iter().map(|q| hit_ids(&q.run(db))).collect();
     let snap = rememberr_obs::snapshot();
     rememberr_obs::disable();
     rememberr_obs::reset();
@@ -285,8 +300,14 @@ fn indexed_engine_scans_ten_times_fewer_entries_on_the_figure_battery() {
     let _gate = exclusive();
     let (db, _) = dbs();
     let queries = figure_battery();
-    let (oracle_ids, oracle_scanned) = run_battery(db, &queries, scan);
-    let (ids, scanned) = run_battery(db, &queries, indexed);
+    let oracle_ids: Vec<Vec<String>> = queries
+        .iter()
+        .map(|q| hit_ids(&scan(q, true, db)))
+        .collect();
+    // Per unique query, the scan visits every entry and then the
+    // representatives it derives from them.
+    let oracle_scanned = (queries.len() * (db.len() + db.unique_entries().len())) as u64;
+    let (ids, scanned) = run_battery(db, &queries);
     for (i, (got, want)) in ids.iter().zip(&oracle_ids).enumerate() {
         assert_eq!(got, want, "query #{i} ({:?}) diverged", queries[i]);
     }
