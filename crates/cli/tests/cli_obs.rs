@@ -456,6 +456,19 @@ fn profile_prints_stage_table_and_worker_utilization() {
             assert!(rows.contains(&row.as_str()), "no {row} row: {text}");
         }
     }
+    // At --jobs 2 the work a stage fans out to its workers is booked to the
+    // stage, not to `par.worker`.
+    let self_ms = |name: &str| -> f64 {
+        let row = text
+            .lines()
+            .find(|l| l.split_whitespace().next() == Some(name))
+            .unwrap_or_else(|| panic!("no {name} row: {text}"));
+        row.split_whitespace().nth(2).unwrap().parse().unwrap()
+    };
+    for stage in ["extract.corpus", "classify.rules"] {
+        assert!(self_ms(stage) > 0.0, "{stage} has no self time: {text}");
+    }
+    assert_eq!(self_ms("par.worker"), 0.0, "{text}");
     // The deterministic effort counters of the ingest run.
     assert!(text.contains("corpus analysis (deterministic):"), "{text}");
     assert!(text.contains("extract.title_comparisons"), "{text}");

@@ -1,46 +1,51 @@
-//! Indexed query serving: per-database posting lists and a selectivity
-//! planner, the one engine every [`crate::Query`] runs on.
+//! Indexed query serving: per-database fixed-width bitmaps, the one
+//! engine every [`crate::Query`] runs on.
 //!
 //! Every analysis figure is a batch of facet queries, and every served
-//! request is one. A scan would cost `O(entries)` per query; [`QueryIndex`]
-//! makes each cost its most selective facet:
+//! request is one. [`QueryIndex`] keeps one bitmap per facet value a query
+//! can ask for, one bit per slot, and decides every predicate with
+//! word-wise ANDs and ORs:
 //!
-//! * **Posting lists** — for every equality facet a query supports
-//!   (vendor, design, workaround, fix, trigger, trigger class, context,
-//!   effect, MSR) the index keeps the sorted entry positions matching each
-//!   facet value. Two *families* are kept: one over all entries and one
-//!   restricted to unique-bug representatives, so `unique_only` queries
-//!   intersect representative-sized lists instead of re-deriving the
-//!   representative view per query.
-//! * **Date bracketing** — entry positions sorted by disclosure date plus
-//!   a per-entry date rank turn `disclosed_after`/`disclosed_before` into
-//!   two binary searches: a window `[lo, hi)` in date-rank space that is
-//!   either materialized as the driving candidate list (when it is the
-//!   most selective predicate) or applied as an `O(1)` rank check.
-//! * **Planner** — execution drives from the smallest posting list,
-//!   intersects the remaining lists with galloping sorted intersection,
-//!   and falls back to [`crate::Query::matches`] only for residual
-//!   predicates the index cannot decide (`min_triggers`).
+//! * **Two families of slots** — the `all` family's slots are entry
+//!   positions (⌈entries / 64⌉ words per bitmap); the `unique` family's
+//!   slots are representative *ranks*, the key order
+//!   [`Database::unique_entries`] returns (⌈representatives / 64⌉ words).
+//!   A `unique_only` query reads the `unique` family, and walking its set
+//!   bits yields representatives already in key order.
+//! * **Facet bitmaps** — one per vendor, design, workaround category, fix
+//!   status, trigger, trigger class, context, effect and MSR, plus one per
+//!   "at least `k` triggers": `k = 0` is every annotated slot, and the one
+//!   above the largest trigger count is empty. A query ANDs the bitmap of
+//!   each of its conditions, `min_triggers` included; a disjunctive facet
+//!   (context, effect) contributes the OR of its listed values.
+//! * **Date window** — each family's slots sorted by disclosure date turn
+//!   `disclosed_after` (`>= after`) and `disclosed_before` (`< before`)
+//!   into a window of date ranks, found by two binary searches. The window
+//!   is checked on each slot the bitmaps leave set or, when it holds fewer
+//!   slots than that, drives: its slots are tested against the bitmap one
+//!   by one.
+//!
+//! [`crate::Query::count`] is then a popcount, and [`crate::Query::run`]
+//! walks the set bits to entries.
 //!
 //! The equivalence suites (`tests/query_engine.rs`, the `query.rs` unit
 //! tests and `serve_e2e.rs`) each keep a scan oracle of their own, a
-//! filter with [`crate::Query::matches`] over every entry or every
-//! representative, and check the planner against it: the index is a
+//! filter with the query's per-entry `matches` over every entry or every
+//! representative, and check the engine against it: the index is a
 //! throughput knob, never a semantics knob. Results come back in the
 //! order that scan produces (entry order, or representative key order
 //! under `unique_only`).
 //!
 //! Observability: building emits the `query.build_index` span; execution
-//! emits `query.execute` plus the counters `query.entries_scanned`
-//! (candidates the engine visited), `query.postings_intersected` (lists
-//! intersected beyond the driver) and `query.residual_checks` (candidates
-//! that went through the residual `matches` fallback).
+//! emits `query.execute` plus the counters `query.entries_scanned` (slots
+//! the date check visited one at a time; none without a date window) and
+//! `query.postings_intersected` (bitmaps combined after the first).
 
 use std::fmt;
 use std::sync::OnceLock;
 
 use rememberr_model::{
-    Context, Date, Design, Effect, FixStatus, MsrName, Trigger, TriggerClass, Vendor,
+    Annotation, Context, Date, Design, Effect, FixStatus, MsrName, Trigger, TriggerClass, Vendor,
     WorkaroundCategory,
 };
 
@@ -49,86 +54,128 @@ use crate::db::Database;
 use crate::entry::DbEntry;
 use crate::query::Query;
 
-/// One family of posting lists over a universe of entry positions.
-///
-/// The `all` family's universe is every entry (implicit `0..entries`); the
-/// `unique` family's universe is the unique-bug representatives, so a
-/// `unique_only` query never touches non-representative positions.
-#[derive(Debug, Default)]
-struct PostingFamily {
-    vendor: Vec<Vec<u32>>,
-    design: Vec<Vec<u32>>,
-    workaround: Vec<Vec<u32>>,
-    fix: Vec<Vec<u32>>,
-    trigger: Vec<Vec<u32>>,
-    trigger_class: Vec<Vec<u32>>,
-    context: Vec<Vec<u32>>,
-    effect: Vec<Vec<u32>>,
-    msr: Vec<Vec<u32>>,
-    /// Positions with an annotation attached.
-    annotated: Vec<u32>,
+// Bitmap numbers: value `v` of a facet has bitmap `FACET + ordinal(v)`.
+const VENDOR: usize = 0;
+const DESIGN: usize = VENDOR + Vendor::ALL.len();
+const WORKAROUND: usize = DESIGN + Design::ALL.len();
+const FIX: usize = WORKAROUND + WorkaroundCategory::ALL.len();
+const TRIGGER: usize = FIX + FixStatus::ALL.len();
+const TRIGGER_CLASS: usize = TRIGGER + Trigger::ALL.len();
+const CONTEXT: usize = TRIGGER_CLASS + TriggerClass::ALL.len();
+const EFFECT: usize = CONTEXT + Context::ALL.len();
+const MSR: usize = EFFECT + Effect::ALL.len();
+/// Bitmap `AT_LEAST + k` holds the slots annotated with at least `k`
+/// triggers, for `k` from 0 (every annotated slot) to one above the
+/// largest trigger count (no slot).
+const AT_LEAST: usize = MSR + MsrName::ALL.len();
+
+/// Fixed-width bitmaps over one universe of slots, every entry position
+/// (the `all` family) or every representative rank (the `unique` family),
+/// and the slots' disclosure-date order.
+#[derive(Debug)]
+struct Family {
+    /// Words per bitmap: ⌈slots / 64⌉.
+    words: usize,
+    /// Every bitmap, back to back, `words` words each: bit `s % 64` of word
+    /// `s / 64` is slot `s`. Bits past the last slot are clear.
+    bits: Vec<u64>,
+    /// Slot → entry position.
+    position: Vec<u32>,
+    /// Slots sorted by `(disclosure_date, slot)`.
+    date_order: Vec<u32>,
+    /// Disclosure dates in `date_order` order, for binary bracketing.
+    dates_sorted: Vec<Date>,
+    /// Slot → rank in `date_order`.
+    date_rank: Vec<u32>,
 }
 
-impl PostingFamily {
-    fn with_slots() -> Self {
-        PostingFamily {
-            vendor: vec![Vec::new(); Vendor::ALL.len()],
-            design: vec![Vec::new(); Design::ALL.len()],
-            workaround: vec![Vec::new(); WorkaroundCategory::ALL.len()],
-            fix: vec![Vec::new(); FixStatus::ALL.len()],
-            trigger: vec![Vec::new(); Trigger::ALL.len()],
-            trigger_class: vec![Vec::new(); TriggerClass::ALL.len()],
-            context: vec![Vec::new(); Context::ALL.len()],
-            effect: vec![Vec::new(); Effect::ALL.len()],
-            msr: vec![Vec::new(); MsrName::ALL.len()],
-            annotated: Vec::new(),
+impl Family {
+    /// Files the entry at `position[s]` under every bitmap slot `s` belongs
+    /// to, and sorts the slots by date; `bitmaps` is how many bitmaps each
+    /// family holds.
+    fn build(entries: &[DbEntry], position: Vec<u32>, bitmaps: usize) -> Self {
+        let slots = position.len();
+        let words = slots.div_ceil(64);
+        let mut bits = vec![0u64; bitmaps * words];
+        for (s, &pos) in position.iter().enumerate() {
+            let entry = &entries[pos as usize];
+            let (word, bit) = (s / 64, 1u64 << (s % 64));
+            let mut set = |bitmap: usize| bits[bitmap * words + word] |= bit;
+            set(VENDOR + ordinal(&Vendor::ALL, entry.vendor()));
+            set(DESIGN + entry.design().index());
+            set(WORKAROUND + ordinal(&WorkaroundCategory::ALL, entry.workaround));
+            set(FIX + ordinal(&FixStatus::ALL, entry.fix));
+            let Some(ann) = entry.annotation.as_ref() else {
+                continue;
+            };
+            for t in ann.triggers.iter() {
+                set(TRIGGER + t.index());
+                set(TRIGGER_CLASS + t.class().index());
+            }
+            for c in ann.contexts.iter() {
+                set(CONTEXT + c.index());
+            }
+            for e in ann.effects.iter() {
+                set(EFFECT + e.index());
+            }
+            // A register referenced more than once (e.g. distinct banks)
+            // sets the same bit again.
+            for msr in &ann.msrs {
+                set(MSR + ordinal(&MsrName::ALL, msr.name));
+            }
+            for k in 0..=ann.complexity() {
+                set(AT_LEAST + k);
+            }
+        }
+
+        let date = |s: u32| {
+            entries[position[s as usize] as usize]
+                .provenance
+                .disclosure_date
+        };
+        let mut date_order: Vec<u32> = (0..slots as u32).collect();
+        date_order.sort_unstable_by_key(|&s| (date(s), s));
+        let dates_sorted: Vec<Date> = date_order.iter().map(|&s| date(s)).collect();
+        let mut date_rank = vec![0u32; slots];
+        for (rank, &s) in date_order.iter().enumerate() {
+            date_rank[s as usize] = rank as u32;
+        }
+        Family {
+            words,
+            bits,
+            position,
+            date_order,
+            dates_sorted,
+            date_rank,
         }
     }
 
-    /// Files entry `pos` under every facet value it matches. Positions
-    /// arrive in ascending order, so every list stays sorted.
-    fn add(&mut self, pos: u32, entry: &DbEntry) {
-        self.vendor[slot(&Vendor::ALL, entry.vendor())].push(pos);
-        self.design[entry.design().index()].push(pos);
-        self.workaround[slot(&WorkaroundCategory::ALL, entry.workaround)].push(pos);
-        self.fix[slot(&FixStatus::ALL, entry.fix)].push(pos);
-        let Some(ann) = entry.annotation.as_ref() else {
-            return;
-        };
-        self.annotated.push(pos);
-        for t in ann.triggers.iter() {
-            self.trigger[t.index()].push(pos);
+    /// Bitmap number `n`.
+    fn bitmap(&self, n: usize) -> &[u64] {
+        &self.bits[n * self.words..(n + 1) * self.words]
+    }
+
+    /// A bitmap with every slot set.
+    fn full(&self) -> Vec<u64> {
+        let mut bits = vec![u64::MAX; self.words];
+        let tail = self.position.len() % 64;
+        if tail != 0 {
+            bits[self.words - 1] = (1 << tail) - 1;
         }
-        for class in ann.trigger_classes() {
-            self.trigger_class[class.index()].push(pos);
-        }
-        for c in ann.contexts.iter() {
-            self.context[c.index()].push(pos);
-        }
-        for e in ann.effects.iter() {
-            self.effect[e.index()].push(pos);
-        }
-        for msr in &ann.msrs {
-            let list = &mut self.msr[slot(&MsrName::ALL, msr.name)];
-            // An annotation may reference the same register more than once
-            // (e.g. distinct banks); each entry appears at most once per
-            // posting list.
-            if list.last() != Some(&pos) {
-                list.push(pos);
-            }
-        }
+        bits
     }
 }
 
 /// Position of `value` in a facet's canonical `ALL` table.
-fn slot<T: PartialEq + Copy>(all: &[T], value: T) -> usize {
+fn ordinal<T: PartialEq + Copy>(all: &[T], value: T) -> usize {
     all.iter()
         .position(|&v| v == value)
         .expect("facet value is in its ALL table")
 }
 
-/// Immutable per-database query index: posting lists for every equality
-/// facet, a date-sorted position array, and the unique-representative view.
+/// Immutable per-database query index: a bitmap per facet value, and the
+/// disclosure-date order, over all entries and over the unique-bug
+/// representatives.
 ///
 /// The database caches one ([`Database::query_index`]), and
 /// [`crate::Query::run`] / [`crate::Query::count`] answer from it;
@@ -150,86 +197,52 @@ fn slot<T: PartialEq + Copy>(all: &[T], value: T) -> usize {
 /// ```
 #[derive(Debug)]
 pub struct QueryIndex {
-    /// Number of entries the index was built over.
-    entries: usize,
-    /// Posting lists over all entry positions.
-    all: PostingFamily,
-    /// Posting lists over unique-bug representative positions only.
-    unique: PostingFamily,
-    /// Representative positions, sorted by position — the unique family's
-    /// universe.
-    unique_set: Vec<u32>,
-    /// Position → output rank among representatives (key order, the order
-    /// [`Database::unique_entries`] returns); `u32::MAX` for
-    /// non-representatives.
-    unique_rank: Vec<u32>,
-    /// Entry positions sorted by `(disclosure_date, position)`.
-    date_order: Vec<u32>,
-    /// Disclosure dates in `date_order` order, for binary bracketing.
-    dates_sorted: Vec<Date>,
-    /// Position → rank in `date_order`.
-    date_rank: Vec<u32>,
+    /// Bitmaps over every entry position.
+    all: Family,
+    /// Bitmaps over representative ranks (key order).
+    unique: Family,
+    /// `AT_LEAST + empty_at_least` is the (empty) at-least bitmap one above
+    /// the largest trigger count.
+    empty_at_least: usize,
 }
 
 impl QueryIndex {
-    /// Builds the index in one pass over the database (plus two sorts for
-    /// the date and representative orders).
+    /// Builds the index in one pass over the entries per family, plus the
+    /// sorts for the representative and date orders.
     pub fn build(db: &Database) -> Self {
         let _span = rememberr_obs::span!("query.build_index");
         let entries = db.entries();
         let n = entries.len();
 
-        // Representative per cluster, in key order: the same routine
-        // `Database::unique_entries` answers from, so the two never differ.
-        let reps = representatives(entries);
-        let mut unique_rank = vec![u32::MAX; n];
-        for (rank, &(_, pos)) in reps.iter().enumerate() {
-            unique_rank[pos as usize] = rank as u32;
-        }
-        let mut unique_set: Vec<u32> = reps.iter().map(|&(_, pos)| pos).collect();
-        unique_set.sort_unstable();
-
-        let mut all = PostingFamily::with_slots();
-        let mut unique = PostingFamily::with_slots();
-        for (i, entry) in entries.iter().enumerate() {
-            let pos = i as u32;
-            all.add(pos, entry);
-            if unique_rank[i] != u32::MAX {
-                unique.add(pos, entry);
-            }
-        }
-
-        let mut date_order: Vec<u32> = (0..n as u32).collect();
-        date_order.sort_unstable_by_key(|&i| (entries[i as usize].provenance.disclosure_date, i));
-        let dates_sorted: Vec<Date> = date_order
+        let empty_at_least = 1 + entries
             .iter()
-            .map(|&i| entries[i as usize].provenance.disclosure_date)
+            .filter_map(|e| e.annotation.as_ref().map(Annotation::complexity))
+            .max()
+            .unwrap_or(0);
+        let bitmaps = AT_LEAST + empty_at_least + 1;
+        let all = Family::build(entries, (0..n as u32).collect(), bitmaps);
+        // Representatives in key order: the same routine
+        // `Database::unique_entries` answers from, so the two never differ.
+        let reps = representatives(entries)
+            .into_iter()
+            .map(|(_, pos)| pos)
             .collect();
-        let mut date_rank = vec![0u32; n];
-        for (rank, &i) in date_order.iter().enumerate() {
-            date_rank[i as usize] = rank as u32;
-        }
-
+        let unique = Family::build(entries, reps, bitmaps);
         QueryIndex {
-            entries: n,
             all,
             unique,
-            unique_set,
-            unique_rank,
-            date_order,
-            dates_sorted,
-            date_rank,
+            empty_at_least,
         }
     }
 
     /// Number of entries the index covers.
     pub fn entry_count(&self) -> usize {
-        self.entries
+        self.all.position.len()
     }
 
     /// Number of unique-bug representatives the index covers.
     pub fn unique_count(&self) -> usize {
-        self.unique_set.len()
+        self.unique.position.len()
     }
 }
 
@@ -290,235 +303,164 @@ pub(crate) fn execute<'db>(
     db: &'db Database,
 ) -> Vec<&'db DbEntry> {
     let _span = rememberr_obs::span!("query.execute");
-    let mut positions = matching_positions(query, index, db);
-    if query.unique_only {
-        // Unique queries answer in representative key order.
-        positions.sort_unstable_by_key(|&p| index.unique_rank[p as usize]);
-    }
+    let (family, bits) = matching_slots(query, index, db);
     let entries = db.entries();
-    positions.iter().map(|&p| &entries[p as usize]).collect()
+    let mut hits = Vec::with_capacity(popcount(&bits));
+    hits.extend(set_slots(&bits).map(|s| &entries[family.position[s] as usize]));
+    hits
 }
 
-/// Number of matches, without materializing entry references: for fully
-/// indexed queries this is the length of the final intersection.
+/// Number of matches: the popcount of the matching slots.
 pub(crate) fn execute_count(query: &Query, index: &QueryIndex, db: &Database) -> usize {
     let _span = rememberr_obs::span!("query.execute");
-    matching_positions(query, index, db).len()
+    popcount(&matching_slots(query, index, db).1)
 }
 
-/// The planner: sorted positions of every entry matching `query`.
+/// The family `query` reads and the bitmap of its slots that match.
 ///
 /// # Panics
 ///
 /// Panics if the index was built over a database with a different entry
 /// count (an index is only valid for the exact database it was built
 /// from).
-fn matching_positions(query: &Query, index: &QueryIndex, db: &Database) -> Vec<u32> {
+fn matching_slots<'i>(
+    query: &Query,
+    index: &'i QueryIndex,
+    db: &Database,
+) -> (&'i Family, Vec<u64>) {
     assert_eq!(
-        index.entries,
+        index.entry_count(),
         db.len(),
         "QueryIndex was built over a different database (entry counts differ)"
     );
-
-    // Date window in date-rank space: `>= after` is rank >= lo, `< before`
-    // is rank < hi (positions are sorted by date, so the cut points come
-    // from two binary searches).
-    let has_date = query.disclosed_after.is_some() || query.disclosed_before.is_some();
-    let lo = match query.disclosed_after {
-        Some(after) => index.dates_sorted.partition_point(|&d| d < after),
-        None => 0,
-    };
-    let hi = match query.disclosed_before {
-        Some(before) => index.dates_sorted.partition_point(|&d| d < before),
-        None => index.entries,
-    };
-    if has_date && lo >= hi {
-        rememberr_obs::count("query.entries_scanned", 0);
-        return Vec::new();
-    }
-
-    // Posting lists for every equality predicate, drawn from the family
-    // matching the query's universe.
     let family = if query.unique_only {
         &index.unique
     } else {
         &index.all
     };
-    // Disjunctive facets (any listed context/effect suffices) become one
-    // intersectable list: the union of the member lists.
-    let context_union = (!query.context_any.is_empty()).then(|| {
-        union_of(
-            query
-                .context_any
-                .iter()
-                .map(|&c| family.context[c.index()].as_slice()),
-        )
-    });
-    let effect_union = (!query.effect_any.is_empty()).then(|| {
-        union_of(
-            query
-                .effect_any
-                .iter()
-                .map(|&e| family.effect[e.index()].as_slice()),
-        )
-    });
 
-    let mut lists: Vec<&[u32]> = Vec::new();
+    // The bitmaps every match is in, then the disjunctive facets: a match
+    // is in at least one bitmap of each non-empty group.
+    let mut all_of = Vec::new();
     if let Some(v) = query.vendor {
-        lists.push(&family.vendor[slot(&Vendor::ALL, v)]);
+        all_of.push(VENDOR + ordinal(&Vendor::ALL, v));
     }
     if let Some(d) = query.design {
-        lists.push(&family.design[d.index()]);
+        all_of.push(DESIGN + d.index());
     }
     if let Some(w) = query.workaround {
-        lists.push(&family.workaround[slot(&WorkaroundCategory::ALL, w)]);
+        all_of.push(WORKAROUND + ordinal(&WorkaroundCategory::ALL, w));
     }
     if let Some(f) = query.fix {
-        lists.push(&family.fix[slot(&FixStatus::ALL, f)]);
+        all_of.push(FIX + ordinal(&FixStatus::ALL, f));
     }
-    for &t in &query.triggers_all {
-        lists.push(&family.trigger[t.index()]);
-    }
+    all_of.extend(query.triggers_all.iter().map(|t| TRIGGER + t.index()));
     if let Some(class) = query.trigger_class {
-        lists.push(&family.trigger_class[class.index()]);
+        all_of.push(TRIGGER_CLASS + class.index());
     }
     if let Some(msr) = query.msr {
-        lists.push(&family.msr[slot(&MsrName::ALL, msr)]);
+        all_of.push(MSR + ordinal(&MsrName::ALL, msr));
     }
-    if let Some(union) = &context_union {
-        lists.push(union);
+    // `min_triggers` implies an annotation; `annotated_only` alone is "at
+    // least 0 triggers".
+    match query.min_triggers {
+        Some(k) => all_of.push(AT_LEAST + k.min(index.empty_at_least)),
+        None if query.annotated_only => all_of.push(AT_LEAST),
+        None => {}
     }
-    if let Some(union) = &effect_union {
-        lists.push(union);
-    }
-    // `annotated_only` and `min_triggers` require an annotation; the list
-    // is only worth intersecting when no annotation-backed predicate above
-    // already implies it (every such posting list is a subset of
-    // `annotated`).
-    let annotation_implied = !query.triggers_all.is_empty()
-        || query.trigger_class.is_some()
-        || !query.context_any.is_empty()
-        || !query.effect_any.is_empty()
-        || query.msr.is_some();
-    if (query.annotated_only || query.min_triggers.is_some()) && !annotation_implied {
-        lists.push(&family.annotated);
-    }
+    let any_of: [Vec<usize>; 2] = [
+        query
+            .context_any
+            .iter()
+            .map(|c| CONTEXT + c.index())
+            .collect(),
+        query
+            .effect_any
+            .iter()
+            .map(|e| EFFECT + e.index())
+            .collect(),
+    ];
 
-    // Drive from the most selective candidate source: the smallest posting
-    // list, or the date window itself when it is narrower (all-entries
-    // universe only — the window spans both families).
-    lists.sort_unstable_by_key(|l| l.len());
-    let window = hi - lo;
-    let window_drives =
-        has_date && !query.unique_only && lists.first().is_none_or(|l| window < l.len());
-    let (mut current, rest, mut date_checked): (Vec<u32>, &[&[u32]], bool) = if window_drives {
-        let mut slice = index.date_order[lo..hi].to_vec();
-        slice.sort_unstable();
-        (slice, &lists[..], true)
-    } else if let Some((driver, rest)) = lists.split_first() {
-        (driver.to_vec(), rest, !has_date)
-    } else if query.unique_only {
-        (index.unique_set.clone(), &[], !has_date)
+    let mut bits = family.full();
+    for &n in &all_of {
+        for (word, &other) in bits.iter_mut().zip(family.bitmap(n)) {
+            *word &= other;
+        }
+    }
+    for group in any_of.iter().filter(|g| !g.is_empty()) {
+        for (w, word) in bits.iter_mut().enumerate() {
+            *word &= group.iter().fold(0, |any, &n| any | family.bitmap(n)[w]);
+        }
+    }
+    let read = all_of.len() + any_of.iter().map(Vec::len).sum::<usize>();
+    rememberr_obs::count("query.postings_intersected", read.saturating_sub(1) as u64);
+
+    if query.disclosed_after.is_none() && query.disclosed_before.is_none() {
+        rememberr_obs::count("query.entries_scanned", 0);
+        return (family, bits);
+    }
+    // Date window in the family's date-rank space: `>= after` is
+    // rank >= lo, `< before` is rank < hi.
+    let dates = &family.dates_sorted;
+    let lo = query
+        .disclosed_after
+        .map_or(0, |after| dates.partition_point(|&d| d < after));
+    let hi = query
+        .disclosed_before
+        .map_or(dates.len(), |before| dates.partition_point(|&d| d < before));
+    let window = &family.date_order[lo..hi.max(lo)];
+    let survivors = popcount(&bits);
+    let kept = if window.len() < survivors {
+        rememberr_obs::count("query.entries_scanned", window.len() as u64);
+        slots_bitmap(
+            family.words,
+            window
+                .iter()
+                .map(|&s| s as usize)
+                .filter(|&s| bits[s / 64] & (1 << (s % 64)) != 0),
+        )
     } else {
-        ((0..index.entries as u32).collect(), &[], !has_date)
+        rememberr_obs::count("query.entries_scanned", survivors as u64);
+        slots_bitmap(
+            family.words,
+            set_slots(&bits).filter(|&s| (lo..hi).contains(&(family.date_rank[s] as usize))),
+        )
     };
-    rememberr_obs::count("query.entries_scanned", current.len() as u64);
-
-    let mut intersected = 0u64;
-    for list in rest {
-        if current.is_empty() {
-            break;
-        }
-        current = gallop_intersect(&current, list);
-        intersected += 1;
-    }
-    rememberr_obs::count("query.postings_intersected", intersected);
-
-    if !date_checked {
-        current.retain(|&p| {
-            let rank = index.date_rank[p as usize] as usize;
-            lo <= rank && rank < hi
-        });
-        date_checked = true;
-    }
-    debug_assert!(date_checked);
-
-    // Residual predicates the index cannot decide fall back to
-    // `Query::matches`; candidates reaching this point already satisfy every
-    // indexed predicate, so the residual check decides `min_triggers`.
-    if query.min_triggers.is_some() {
-        rememberr_obs::count("query.residual_checks", current.len() as u64);
-        let entries = db.entries();
-        current.retain(|&p| query.matches(&entries[p as usize]));
-    }
-    current
+    (family, kept)
 }
 
-/// Sorted union of sorted lists (disjunctive facets).
-fn union_of<'a>(lists: impl Iterator<Item = &'a [u32]>) -> Vec<u32> {
-    let mut out: Vec<u32> = lists.flat_map(|l| l.iter().copied()).collect();
-    out.sort_unstable();
-    out.dedup();
-    out
+/// Number of set slots.
+fn popcount(bits: &[u64]) -> usize {
+    bits.iter().map(|w| w.count_ones() as usize).sum()
 }
 
-/// Intersection of two sorted lists: iterate the smaller, gallop
-/// (exponential probe + binary search) through the larger. `O(s·log(L/s))`
-/// — effectively the smaller list's length when selectivities differ.
-fn gallop_intersect(a: &[u32], b: &[u32]) -> Vec<u32> {
-    if a.len() > b.len() {
-        return gallop_intersect(b, a);
-    }
-    let mut out = Vec::with_capacity(a.len());
-    let mut lo = 0usize;
-    for &x in a {
-        // Exponential probe for the first b[i] >= x, starting where the
-        // previous element left off.
-        let mut step = 1usize;
-        let mut prev = lo;
-        let mut probe = lo;
-        while probe < b.len() && b[probe] < x {
-            prev = probe + 1;
-            probe += step;
-            step <<= 1;
+/// The set slots of `bits`, ascending.
+fn set_slots(bits: &[u64]) -> impl Iterator<Item = usize> + '_ {
+    let mut words = bits.iter().enumerate();
+    let (mut base, mut rest) = (0, 0u64);
+    std::iter::from_fn(move || {
+        while rest == 0 {
+            let (w, &word) = words.next()?;
+            (base, rest) = (w * 64, word);
         }
-        let hi = probe.min(b.len());
-        let idx = prev + b[prev..hi].partition_point(|&y| y < x);
-        lo = idx;
-        if idx < b.len() && b[idx] == x {
-            out.push(x);
-            lo = idx + 1;
-        }
+        let slot = base + rest.trailing_zeros() as usize;
+        rest &= rest - 1;
+        Some(slot)
+    })
+}
+
+/// A `words`-word bitmap with `slots` set.
+fn slots_bitmap(words: usize, slots: impl Iterator<Item = usize>) -> Vec<u64> {
+    let mut bits = vec![0u64; words];
+    for s in slots {
+        bits[s / 64] |= 1 << (s % 64);
     }
-    out
+    bits
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn gallop_matches_naive_intersection() {
-        let cases: &[(&[u32], &[u32])] = &[
-            (&[], &[1, 2, 3]),
-            (&[2], &[1, 2, 3]),
-            (&[0, 4, 9], &[1, 2, 3]),
-            (&[1, 3, 5, 7, 9], &[0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10]),
-            (&[5, 6, 7], &[5, 6, 7]),
-            (&[1, 100, 1000], &(0..1024).collect::<Vec<u32>>()),
-        ];
-        for (a, b) in cases {
-            let naive: Vec<u32> = a.iter().copied().filter(|x| b.contains(x)).collect();
-            assert_eq!(gallop_intersect(a, b), naive, "{a:?} ∩ {b:?}");
-            assert_eq!(gallop_intersect(b, a), naive, "commuted {a:?} ∩ {b:?}");
-        }
-    }
-
-    #[test]
-    fn union_of_merges_and_dedups() {
-        let lists: Vec<&[u32]> = vec![&[1, 4, 9], &[2, 4, 8], &[]];
-        assert_eq!(union_of(lists.into_iter()), vec![1, 2, 4, 8, 9]);
-    }
 
     #[test]
     fn index_cell_clone_is_empty_and_invalidates() {

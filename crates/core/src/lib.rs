@@ -12,8 +12,8 @@
 //! * **annotations** (triggers/contexts/effects, attached per cluster);
 //! * **queries** ([`Query`]) over entries or unique bugs, built with
 //!   methods or parsed from the CLI's and the server's one parameter
-//!   vocabulary ([`Query::from_params`]), and answered by posting-list
-//!   intersection ([`QueryIndex`]);
+//!   vocabulary ([`Query::from_params`]), and answered by word-wise AND/OR
+//!   over per-facet bitmaps ([`QueryIndex`]);
 //! * **persistence** ([`save`]/[`save_as`]/[`load`]): JSON Lines, the
 //!   interchange format, and the `rememberr-bin` binary snapshot, the
 //!   fast-load format;

@@ -5,7 +5,8 @@
 //! builder of composable filters over entries or unique bugs. The CLI's
 //! `query` options and the server's URL parameters are one vocabulary,
 //! parsed by [`Query::from_params`], and every query runs on one engine:
-//! the posting-list planner over the database's [`QueryIndex`].
+//! word-wise AND/OR over the facet bitmaps of the database's
+//! [`QueryIndex`].
 //!
 //! # Examples
 //!
@@ -48,8 +49,8 @@ use crate::index::QueryIndex;
 /// everything.
 ///
 /// [`Query::run`] and [`Query::count`] answer from the database's cached
-/// [`QueryIndex`]: the planner intersects posting lists and checks only the
-/// predicates the index cannot decide with [`Query::matches`].
+/// [`QueryIndex`], which decides every condition with its bitmaps;
+/// [`Query::matches`] is the per-entry definition they agree with.
 #[derive(Debug, Clone, Default)]
 pub struct Query {
     pub(crate) vendor: Option<Vendor>,
@@ -297,6 +298,9 @@ impl Query {
     /// True if an entry satisfies every condition. `unique_only` is not a
     /// condition on the entry: it makes the representatives, not every
     /// entry, the set a query answers from.
+    ///
+    /// This is what a match means; the engine never calls it, and the
+    /// equivalence tests filter with it to check the engine.
     pub fn matches(&self, entry: &DbEntry) -> bool {
         if let Some(v) = self.vendor {
             if entry.vendor() != v {
@@ -393,9 +397,9 @@ impl Query {
         crate::index::execute(self, index, db)
     }
 
-    /// Number of matches, counted through a prebuilt [`QueryIndex`]. When
-    /// no residual predicate remains this is the final intersection's
-    /// length — no `Vec<&DbEntry>` is materialized.
+    /// Number of matches, counted through a prebuilt [`QueryIndex`]: a
+    /// popcount of the matching bitmap, with no `Vec<&DbEntry>`
+    /// materialized.
     ///
     /// # Panics
     ///
@@ -544,9 +548,9 @@ mod tests {
         assert_eq!(Query::new().min_triggers(3).count(&db), 0);
     }
 
-    /// Every query exercised by this module's tests, plus residual and
-    /// date combinations, served by the engine exactly as the scan oracle
-    /// answers them on a real (deduped + annotated) corpus.
+    /// Every query exercised by this module's tests, plus `min_triggers`
+    /// and date combinations, served by the engine exactly as the scan
+    /// oracle answers them on a real (deduped + annotated) corpus.
     #[test]
     fn engines_agree_on_synthetic_corpus() {
         use rememberr_docgen::{CorpusSpec, SyntheticCorpus};
@@ -588,6 +592,135 @@ mod tests {
             assert_eq!(indexed, scan, "{q:?}");
             assert_eq!(q.count_indexed(&index, &db), scan.len(), "{q:?}");
             assert_eq!(q.count(&db), scan.len(), "{q:?}");
+        }
+    }
+
+    /// Every facet value, each `min_triggers` edge (0, 1, 2, the largest
+    /// trigger count and one above it), and date windows (one-sided, one
+    /// date wide, empty and inverted), each over all entries and over the
+    /// representatives.
+    fn boundary_queries(db: &Database) -> Vec<Query> {
+        let mut queries = vec![Query::new(), Query::new().annotated_only()];
+        queries.extend(Vendor::ALL.map(|v| Query::new().vendor(v)));
+        queries.extend(Design::ALL.map(|d| Query::new().design(d)));
+        queries.extend(WorkaroundCategory::ALL.map(|w| Query::new().workaround(w)));
+        queries.extend(FixStatus::ALL.map(|f| Query::new().fix(f)));
+        queries.extend(Trigger::ALL.iter().map(|&t| Query::new().trigger(t)));
+        queries.extend(
+            TriggerClass::ALL
+                .iter()
+                .map(|&c| Query::new().trigger_class(c)),
+        );
+        queries.extend(Context::ALL.iter().map(|&c| Query::new().context(c)));
+        queries.extend(Effect::ALL.iter().map(|&e| Query::new().effect(e)));
+        queries.extend(MsrName::ALL.map(|m| Query::new().msr(m)));
+        queries.push(
+            Query::new()
+                .context(Context::ALL[0])
+                .context(Context::ALL[1]),
+        );
+        queries.push(
+            Query::new()
+                .vendor(Vendor::Intel)
+                .effect(Effect::ALL[0])
+                .effect(Effect::ALL[2]),
+        );
+        let largest = db
+            .entries()
+            .iter()
+            .filter_map(|e| e.annotation.as_ref().map(Annotation::complexity))
+            .max()
+            .unwrap_or(0);
+        for k in [0, 1, 2, largest, largest + 1] {
+            queries.push(Query::new().min_triggers(k));
+            queries.push(
+                Query::new()
+                    .vendor(Vendor::Amd)
+                    .annotated_only()
+                    .min_triggers(k),
+            );
+        }
+        let mut dates: Vec<Date> = db
+            .entries()
+            .iter()
+            .map(|e| e.provenance.disclosure_date)
+            .collect();
+        dates.sort_unstable();
+        dates.dedup();
+        let quartile = |q: usize| {
+            dates
+                .get(dates.len() * q / 4)
+                .copied()
+                .unwrap_or(Date::new(2016, 6, 15).unwrap())
+        };
+        let (early, mid, late) = (quartile(1), quartile(2), quartile(3));
+        let next = dates.iter().copied().find(|&d| d > mid).unwrap_or(mid);
+        for (after, before) in [
+            (Some(mid), None),
+            (None, Some(mid)),
+            (Some(early), Some(late)),
+            (Some(mid), Some(next)),
+            (Some(mid), Some(mid)),
+            (Some(late), Some(early)),
+        ] {
+            let mut q = Query::new();
+            q.disclosed_after = after;
+            q.disclosed_before = before;
+            // One design holds fewer slots than most windows, so each
+            // window is checked slot by slot at its edges, besides driving.
+            queries.extend(Design::ALL.map(|d| q.clone().design(d)));
+            queries.push(
+                q.clone()
+                    .trigger_class(TriggerClass::ALL[0])
+                    .min_triggers(1),
+            );
+            queries.push(q);
+        }
+        queries
+            .into_iter()
+            .flat_map(|q| [q.clone(), q.unique_only()])
+            .collect()
+    }
+
+    /// Bitmaps end mid-word or on a word boundary: the engine answers as
+    /// the scan does on databases of 0 to 129 entries, cut from a docgen
+    /// corpus either as a prefix of its entries or as its first
+    /// representatives (distinct keys, so the representative universe has
+    /// as many slots as the entry universe).
+    #[test]
+    fn engine_matches_scan_across_word_boundaries() {
+        use rememberr_docgen::{CorpusSpec, SyntheticCorpus};
+
+        let corpus = SyntheticCorpus::generate(&CorpusSpec::scaled(0.15));
+        let mut source = Database::from_documents(&corpus.structured);
+        crate::db::annotate_from_truth(&mut source, &corpus.truth);
+        // Every fifth entry loses its annotation, so the annotation facets
+        // split both universes.
+        let thin = |entries: Vec<&DbEntry>| -> Vec<DbEntry> {
+            let mut entries: Vec<DbEntry> = entries.into_iter().cloned().collect();
+            for e in entries.iter_mut().skip(4).step_by(5) {
+                e.annotation = None;
+            }
+            entries
+        };
+        let listed = thin(source.entries().iter().collect());
+        let reps = thin(source.unique_entries());
+        assert!(reps.len() >= 129, "{} representatives", reps.len());
+        for n in [0, 1, 63, 64, 65, 127, 128, 129] {
+            for (cut, entries) in [("entries", &listed), ("representatives", &reps)] {
+                let db = db_with(entries[..n].to_vec());
+                if cut == "representatives" {
+                    assert_eq!(db.query_index().unique_count(), n);
+                }
+                for q in boundary_queries(&db) {
+                    let want: Vec<*const DbEntry> =
+                        scan(&q, &db).into_iter().map(std::ptr::from_ref).collect();
+                    let got: Vec<*const DbEntry> =
+                        q.run(&db).into_iter().map(std::ptr::from_ref).collect();
+                    assert_eq!(got, want, "first {n} {cut}: {q:?}");
+                    assert_eq!(q.count(&db), want.len(), "first {n} {cut}: {q:?}");
+                }
+            }
         }
     }
 

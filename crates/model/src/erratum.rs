@@ -58,7 +58,18 @@ impl ErratumId {
 
 impl fmt::Display for ErratumId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}/{}", self.design.reference(), self.document_form())
+        // `reference/` plus the document form, written in place rather than
+        // through `document_form`'s `String`.
+        let reference = self.design.reference();
+        match self.design.vendor() {
+            Vendor::Intel => write!(
+                f,
+                "{reference}/{}{:03}",
+                self.design.erratum_prefix(),
+                self.number
+            ),
+            Vendor::Amd => write!(f, "{reference}/{}", self.number),
+        }
     }
 }
 
@@ -246,5 +257,16 @@ mod tests {
     fn display_combines_reference_and_form() {
         let id = ErratumId::new(Design::Intel12, 1);
         assert_eq!(id.to_string(), "682436-004US/ADL001");
+        // Display writes the document form in place; it must still spell
+        // exactly what `document_form` builds, for every design.
+        for design in Design::ALL {
+            for number in [0, 7, 95, 1361] {
+                let id = ErratumId::new(design, number);
+                assert_eq!(
+                    id.to_string(),
+                    format!("{}/{}", design.reference(), id.document_form())
+                );
+            }
+        }
     }
 }

@@ -107,10 +107,12 @@ pub fn chrome_trace(spans: &[SpanRecord]) -> String {
     serde_json::to_string(&doc).expect("trace serialization is infallible")
 }
 
+/// The span each `par_map` worker opens around its share of a fan-out.
+const WORKER_SPAN: &str = "par.worker";
+
 /// One aggregated profile row: every span sharing a name, with the time
-/// split into *self* (in the span, outside any child) and *child* (inside
-/// direct children — summed across lanes, so concurrent children can
-/// exceed the parent's wall time).
+/// split into *self* (the span's own work) and *child* (inside direct
+/// children).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ProfileRow {
     /// Span name (`stage.noun_verb`).
@@ -119,10 +121,16 @@ pub struct ProfileRow {
     pub calls: u64,
     /// Total wall time across calls.
     pub total_ns: u64,
-    /// Time inside direct children.
+    /// Wall time covered by direct children: the union of their
+    /// `[start, start + elapsed)` intervals, so concurrent children on
+    /// other lanes count once.
     pub child_ns: u64,
-    /// `total - child`, saturating at zero (concurrent children on other
-    /// lanes can out-sum their parent).
+    /// Time in the span outside its children, plus that of every
+    /// `par.worker` span between it and the next span down: the work a
+    /// fan-out hands to its workers is booked to the span that fanned it
+    /// out, so `par.worker` rows keep none (unless a worker has no other
+    /// ancestor), and with several workers a row's self time can exceed
+    /// its total.
     pub self_ns: u64,
 }
 
@@ -132,38 +140,60 @@ pub struct ProfileRow {
 /// vary run to run.
 #[must_use]
 pub fn profile_rows(spans: &[SpanRecord]) -> Vec<ProfileRow> {
-    fn visit(record: &SpanRecord, acc: &mut BTreeMap<String, ProfileRow>) {
-        let child_ns: u64 = record
-            .children
-            .iter()
-            .map(|c| c.elapsed_ns)
-            .fold(0, u64::saturating_add);
-        let row = acc
-            .entry(record.name.clone())
-            .or_insert_with(|| ProfileRow {
-                name: record.name.clone(),
-                calls: 0,
-                total_ns: 0,
-                child_ns: 0,
-                self_ns: 0,
-            });
-        row.calls += 1;
-        row.total_ns = row.total_ns.saturating_add(record.elapsed_ns);
-        row.child_ns = row.child_ns.saturating_add(child_ns);
-        row.self_ns = row
+    fn row<'a>(acc: &'a mut BTreeMap<String, ProfileRow>, name: &str) -> &'a mut ProfileRow {
+        acc.entry(name.to_string()).or_insert_with(|| ProfileRow {
+            name: name.to_string(),
+            calls: 0,
+            total_ns: 0,
+            child_ns: 0,
+            self_ns: 0,
+        })
+    }
+    /// `owner` is the nearest ancestor that is not a worker.
+    fn visit(record: &SpanRecord, owner: Option<&str>, acc: &mut BTreeMap<String, ProfileRow>) {
+        let child_ns = covered_ns(&record.children);
+        let this = row(acc, &record.name);
+        this.calls += 1;
+        this.total_ns = this.total_ns.saturating_add(record.elapsed_ns);
+        this.child_ns = this.child_ns.saturating_add(child_ns);
+        let owner = match owner {
+            Some(owner) if record.name == WORKER_SPAN => owner,
+            _ => record.name.as_str(),
+        };
+        let booked = row(acc, owner);
+        booked.self_ns = booked
             .self_ns
             .saturating_add(record.elapsed_ns.saturating_sub(child_ns));
         for child in &record.children {
-            visit(child, acc);
+            visit(child, Some(owner), acc);
         }
     }
     let mut acc = BTreeMap::new();
     for record in spans {
-        visit(record, &mut acc);
+        visit(record, None, &mut acc);
     }
     let mut rows: Vec<ProfileRow> = acc.into_values().collect();
     rows.sort_by(|a, b| b.self_ns.cmp(&a.self_ns).then_with(|| a.name.cmp(&b.name)));
     rows
+}
+
+/// Nanoseconds covered by the union of `spans`' `[start, start + elapsed)`
+/// intervals.
+fn covered_ns(spans: &[SpanRecord]) -> u64 {
+    let mut intervals: Vec<(u64, u64)> = spans
+        .iter()
+        .map(|s| (s.start_ns, s.start_ns.saturating_add(s.elapsed_ns)))
+        .collect();
+    intervals.sort_unstable();
+    let (mut covered, mut reach) = (0u64, 0u64);
+    for (start, end) in intervals {
+        let from = start.max(reach);
+        if end > from {
+            covered += end - from;
+            reach = end;
+        }
+    }
+    covered
 }
 
 /// Total wall time of a stitched forest: the sum of root span durations
@@ -321,9 +351,9 @@ mod tests {
     }
 
     #[test]
-    fn concurrent_children_saturate_self_time_at_zero() {
-        // Two workers of 8 ms each under a 10 ms parent: child sum exceeds
-        // the parent's wall clock, so self time clamps to 0.
+    fn fanned_out_worker_time_is_booked_to_the_fan_out() {
+        // Two workers of 8 ms each under a 10 ms fan-out: the children
+        // cover 8 ms of it, and the workers' own 16 ms is the fan-out's.
         let spans = vec![record(
             1,
             "stage.fanout",
@@ -336,9 +366,40 @@ mod tests {
             ],
         )];
         let rows = profile_rows(&spans);
-        let parent = rows.iter().find(|r| r.name == "stage.fanout").unwrap();
-        assert_eq!(parent.child_ns, 16_000_000);
-        assert_eq!(parent.self_ns, 0);
+        let fanout = rows.iter().find(|r| r.name == "stage.fanout").unwrap();
+        assert_eq!(fanout.child_ns, 8_000_000);
+        assert_eq!(fanout.self_ns, 2_000_000 + 16_000_000);
+        let worker = rows.iter().find(|r| r.name == "par.worker").unwrap();
+        assert_eq!((worker.calls, worker.total_ns), (2, 16_000_000));
+        assert_eq!(worker.self_ns, 0);
+
+        // A span a worker opens keeps its own time; only the worker's time
+        // outside it moves up.
+        let spans = vec![record(
+            1,
+            "stage.fanout",
+            0,
+            10_000_000,
+            0,
+            vec![
+                record(
+                    2,
+                    "par.worker",
+                    0,
+                    8_000_000,
+                    1,
+                    vec![record(4, "stage.item", 1_000_000, 3_000_000, 1, vec![])],
+                ),
+                record(3, "par.worker", 0, 8_000_000, 2, vec![]),
+            ],
+        )];
+        let rows = profile_rows(&spans);
+        let fanout = rows.iter().find(|r| r.name == "stage.fanout").unwrap();
+        assert_eq!(fanout.self_ns, 2_000_000 + 5_000_000 + 8_000_000);
+        let item = rows.iter().find(|r| r.name == "stage.item").unwrap();
+        assert_eq!(item.self_ns, 3_000_000);
+        let worker = rows.iter().find(|r| r.name == "par.worker").unwrap();
+        assert_eq!((worker.child_ns, worker.self_ns), (3_000_000, 0));
     }
 
     #[test]

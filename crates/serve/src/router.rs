@@ -11,6 +11,7 @@
 //! lets the tests compare every served body with the same renderer over a
 //! scan oracle of their own.
 
+use std::fmt::Write;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Duration;
 
@@ -61,12 +62,13 @@ fn parse_usize(req: &Request, name: &str, default: usize) -> Result<usize, Strin
 pub fn render_query_body(hits: &[&DbEntry], limit: usize) -> String {
     let mut out = format!("{} matching errata\n", hits.len());
     for entry in hits.iter().take(limit) {
-        out.push_str(&format!(
-            "{}  {}  [{}]\n",
+        let _ = writeln!(
+            out,
+            "{}  {}  [{}]",
             entry.id(),
             entry.erratum.title,
             entry.provenance.disclosure_date
-        ));
+        );
     }
     out
 }

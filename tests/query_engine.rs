@@ -1,16 +1,19 @@
 //! Query-engine equivalence: the engine behind `Query::run` / `count`
-//! (posting lists + selectivity planner) and a scan oracle kept in this
-//! file return byte-identical result id sequences and identical counts for
-//! randomly generated query combinations, on databases built at worker
-//! counts 1 and 8.
+//! (per-facet bitmaps combined word by word) and a scan oracle kept in
+//! this file return byte-identical result id sequences and identical
+//! counts for randomly generated query combinations, on databases built at
+//! worker counts 1 and 8.
 //!
 //! This is the correctness contract of the indexed query-serving work:
-//! posting lists, galloping intersection, and date-window bracketing are
+//! bitmaps, the at-least-k trigger bitmaps and date-window bracketing are
 //! throughput knobs, never semantics knobs. The pinned date test nails the
 //! inclusive/exclusive bracket convention (`>= after`, `< before`) in the
-//! engine and the oracle so a planner rewrite cannot silently shift a
+//! engine and the oracle so an engine rewrite cannot silently shift a
 //! boundary, and the figure-shaped battery pins that the index actually
-//! saves work.
+//! saves work: the engine visits slots one at a time only to check a date
+//! window, so its `query.entries_scanned` stays far below the scan's.
+//! Databases whose universes end on and around 64-bit word boundaries are
+//! covered by the `rememberr` unit tests (`query.rs`).
 //!
 //! The battery test reads the process-global obs counters and the fixture
 //! sets the global worker count, so every test serializes on one gate.
@@ -52,7 +55,7 @@ fn scan_entries<'db>(query: &Query, db: &'db Database) -> Vec<&'db DbEntry> {
     scan(query, false, db)
 }
 
-/// The production path: the planner over the database's cached index.
+/// The production path: the engine over the database's cached index.
 fn engine<'db>(query: &Query, db: &'db Database) -> Vec<&'db DbEntry> {
     query.run(db)
 }
@@ -82,8 +85,8 @@ fn dbs() -> &'static (Database, Database) {
 }
 
 /// A serializable description of one query condition; a random `Vec<Cond>`
-/// folded over `Query::new()` covers every facet the planner handles plus
-/// the residual predicate (`min_triggers`).
+/// folded over `Query::new()` covers every facet the engine handles,
+/// `min_triggers` included.
 #[derive(Debug, Clone)]
 enum Cond {
     Vendor(bool),
@@ -253,7 +256,7 @@ fn date_bounds_are_inclusive_after_exclusive_before_on_both_engines() {
 
 /// The shape every analysis figure serves: per vendor, unique-bug queries
 /// for every trigger, context, effect, MSR and workaround category, plus a
-/// date window and two composites (one with the `min_triggers` residual).
+/// date window and two composites (one with `min_triggers`).
 /// Every query is `unique_only`.
 fn figure_battery() -> Vec<Query> {
     let after = Date::new(2016, 1, 1).expect("valid date");
