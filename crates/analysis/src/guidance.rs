@@ -8,7 +8,7 @@
 //! observation points (one observable effect suffices).
 
 use rememberr::Database;
-use rememberr_model::{Context, ContextSet, Effect, EffectSet, MsrName, Trigger, TriggerSet};
+use rememberr_model::{ContextSet, Effect, EffectSet, MsrName, Trigger, TriggerSet};
 
 use crate::chart::BarChart;
 
@@ -176,7 +176,6 @@ pub fn plan_campaign(
         for &i in &reachable {
             contexts = contexts.union(&bugs[i].contexts);
         }
-        let _ = Context::ALL; // contexts kept as the exact union
 
         // Observation points: greedy top effects over reachable bugs.
         let mut watch = EffectSet::new();

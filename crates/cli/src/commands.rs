@@ -335,7 +335,7 @@ pub fn cmd_profile(args: &ParsedArgs) -> CmdResult {
 
     // Clone rather than take: `--trace-out` still exports the same spans
     // after this command returns.
-    let spans = rememberr_obs::stitch_spans(rememberr_obs::completed_spans());
+    let spans = rememberr_obs::completed_spans();
     let rows = rememberr_obs::profile_rows(&spans);
     let wall_ns = rememberr_obs::root_wall_ns(&spans);
     let snap = rememberr_obs::snapshot();
@@ -574,7 +574,7 @@ pub fn run(args: &ParsedArgs) -> CmdResult {
     }
     // Root span of the trace tree: every stage span nests under the
     // command that triggered it.
-    let _span = rememberr_obs::span_with_detail("cli.run", args.command.clone());
+    let _span = rememberr_obs::span_with_detail("cli.run", &args.command);
     match args.command.as_str() {
         "generate" => cmd_generate(args),
         "extract" => cmd_extract(args),

@@ -16,9 +16,9 @@
 //! * `--trace` prints the hierarchical span tree of the run to stderr;
 //! * `--metrics-out FILE` writes a JSON metrics snapshot (deterministic
 //!   event counters plus wall-clock duration histograms) after the run;
-//! * `--trace-out FILE` writes the stitched span tree as Chrome
-//!   trace-event JSON, loadable in `chrome://tracing` or Perfetto, with
-//!   one lane per worker thread.
+//! * `--trace-out FILE` writes the span tree, worker spans nested under
+//!   the stage that fanned them out, as Chrome trace-event JSON, loadable
+//!   in `chrome://tracing` or Perfetto, with one lane per worker thread.
 //!
 //! Collection is disabled unless one of the three is given, so normal runs
 //! pay only a relaxed atomic load per instrumentation point.
@@ -79,7 +79,7 @@ fn main() -> ExitCode {
         }
     }
     if let Some(path) = trace_out {
-        let spans = rememberr_obs::take_spans_stitched();
+        let spans = rememberr_obs::take_spans();
         let json = rememberr_obs::chrome_trace(&spans);
         if let Err(e) = std::fs::write(&path, json) {
             eprintln!("error: cannot write trace to {path}: {e}");

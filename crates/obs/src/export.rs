@@ -3,20 +3,25 @@
 
 use std::collections::BTreeMap;
 
-use serde::{Number, Value};
+use serde::{Serialize, Value};
 
 use crate::span::SpanRecord;
 
-/// One flattened span, ready to become a trace event.
-struct FlatSpan<'a> {
-    record: &'a SpanRecord,
-}
-
-fn flatten<'a>(record: &'a SpanRecord, out: &mut Vec<FlatSpan<'a>>) {
-    out.push(FlatSpan { record });
+fn flatten<'a>(record: &'a SpanRecord, out: &mut Vec<&'a SpanRecord>) {
+    out.push(record);
     for child in &record.children {
         flatten(child, out);
     }
+}
+
+/// A JSON object with `fields` in order.
+fn object(fields: &[(&str, &dyn Serialize)]) -> Value {
+    Value::Object(
+        fields
+            .iter()
+            .map(|(key, value)| ((*key).to_string(), value.to_value()))
+            .collect(),
+    )
 }
 
 /// Human label for a lane: `main`, `worker-NN`, or `aux-NN`.
@@ -36,73 +41,52 @@ pub fn lane_name(lane: u32) -> String {
 /// The output is one JSON object `{"traceEvents": [...], "displayTimeUnit":
 /// "ms"}` containing a `thread_name` metadata event per lane followed by a
 /// complete (`"ph": "X"`) event per span with microsecond `ts`/`dur`, so
-/// each `par_map` worker renders as its own lane. Span `id`/`parent` ids
-/// ride along in `args` for tools that reconstruct the stitched tree.
-/// Stitching is not required first — events carry absolute timestamps —
-/// but stitched input produces identical events.
+/// each `par_map` worker renders as its own lane. A span's detail, if any,
+/// rides along in `args`. Events carry absolute timestamps, so the viewer
+/// nests them by time on each lane.
 #[must_use]
 pub fn chrome_trace(spans: &[SpanRecord]) -> String {
     let mut flat = Vec::new();
     for record in spans {
         flatten(record, &mut flat);
     }
-    // Deterministic event order: by start time, then allocation order.
-    flat.sort_by_key(|f| (f.record.start_ns, f.record.id));
+    // Deterministic event order: by start time, then (the sort is stable)
+    // parents before their children.
+    flat.sort_by_key(|record| record.start_ns);
 
-    let mut lanes: Vec<u32> = flat.iter().map(|f| f.record.lane).collect();
+    let mut lanes: Vec<u32> = flat.iter().map(|record| record.lane).collect();
     lanes.sort_unstable();
     lanes.dedup();
 
     let mut events: Vec<Value> = Vec::with_capacity(lanes.len() + flat.len());
     for lane in lanes {
-        events.push(Value::Object(vec![
-            ("ph".to_string(), Value::String("M".to_string())),
-            ("name".to_string(), Value::String("thread_name".to_string())),
-            ("pid".to_string(), Value::Number(Number::PosInt(1))),
-            (
-                "tid".to_string(),
-                Value::Number(Number::PosInt(u64::from(lane))),
-            ),
-            (
-                "args".to_string(),
-                Value::Object(vec![("name".to_string(), Value::String(lane_name(lane)))]),
-            ),
+        events.push(object(&[
+            ("ph", &"M"),
+            ("name", &"thread_name"),
+            ("pid", &1u64),
+            ("tid", &lane),
+            ("args", &object(&[("name", &lane_name(lane))])),
         ]));
     }
-    for FlatSpan { record } in flat {
-        let mut args = vec![("id".to_string(), Value::Number(Number::PosInt(record.id)))];
-        if let Some(parent) = record.parent {
-            args.push(("parent".to_string(), Value::Number(Number::PosInt(parent))));
-        }
-        if let Some(detail) = &record.detail {
-            args.push(("detail".to_string(), Value::String(detail.clone())));
-        }
-        events.push(Value::Object(vec![
-            ("ph".to_string(), Value::String("X".to_string())),
-            ("name".to_string(), Value::String(record.name.clone())),
-            ("cat".to_string(), Value::String("rememberr".to_string())),
-            ("pid".to_string(), Value::Number(Number::PosInt(1))),
-            (
-                "tid".to_string(),
-                Value::Number(Number::PosInt(u64::from(record.lane))),
-            ),
-            (
-                "ts".to_string(),
-                Value::Number(Number::Float(record.start_ns as f64 / 1e3)),
-            ),
-            (
-                "dur".to_string(),
-                Value::Number(Number::Float(record.elapsed_ns as f64 / 1e3)),
-            ),
-            ("args".to_string(), Value::Object(args)),
+    for record in flat {
+        let args = match &record.detail {
+            Some(detail) => object(&[("detail", detail)]),
+            None => object(&[]),
+        };
+        events.push(object(&[
+            ("ph", &"X"),
+            ("name", &record.name),
+            ("cat", &"rememberr"),
+            ("pid", &1u64),
+            ("tid", &record.lane),
+            ("ts", &(record.start_ns as f64 / 1e3)),
+            ("dur", &(record.elapsed_ns as f64 / 1e3)),
+            ("args", &args),
         ]));
     }
     let doc = Value::Object(vec![
         ("traceEvents".to_string(), Value::Array(events)),
-        (
-            "displayTimeUnit".to_string(),
-            Value::String("ms".to_string()),
-        ),
+        ("displayTimeUnit".to_string(), "ms".to_value()),
     ]);
     serde_json::to_string(&doc).expect("trace serialization is infallible")
 }
@@ -134,14 +118,15 @@ pub struct ProfileRow {
     pub self_ns: u64,
 }
 
-/// Aggregates a **stitched** span forest into per-name profile rows,
+/// Aggregates a span forest into per-name profile rows,
 /// sorted by self time (descending, name-ascending on ties). The row set
 /// and call counts are deterministic for a fixed workload; only the times
 /// vary run to run.
 #[must_use]
 pub fn profile_rows(spans: &[SpanRecord]) -> Vec<ProfileRow> {
-    fn row<'a>(acc: &'a mut BTreeMap<String, ProfileRow>, name: &str) -> &'a mut ProfileRow {
-        acc.entry(name.to_string()).or_insert_with(|| ProfileRow {
+    type Rows = BTreeMap<&'static str, ProfileRow>;
+    fn row<'a>(acc: &'a mut Rows, name: &'static str) -> &'a mut ProfileRow {
+        acc.entry(name).or_insert_with(|| ProfileRow {
             name: name.to_string(),
             calls: 0,
             total_ns: 0,
@@ -150,15 +135,15 @@ pub fn profile_rows(spans: &[SpanRecord]) -> Vec<ProfileRow> {
         })
     }
     /// `owner` is the nearest ancestor that is not a worker.
-    fn visit(record: &SpanRecord, owner: Option<&str>, acc: &mut BTreeMap<String, ProfileRow>) {
+    fn visit(record: &SpanRecord, owner: Option<&'static str>, acc: &mut Rows) {
         let child_ns = covered_ns(&record.children);
-        let this = row(acc, &record.name);
+        let this = row(acc, record.name);
         this.calls += 1;
         this.total_ns = this.total_ns.saturating_add(record.elapsed_ns);
         this.child_ns = this.child_ns.saturating_add(child_ns);
         let owner = match owner {
             Some(owner) if record.name == WORKER_SPAN => owner,
-            _ => record.name.as_str(),
+            _ => record.name,
         };
         let booked = row(acc, owner);
         booked.self_ns = booked
@@ -196,7 +181,7 @@ fn covered_ns(spans: &[SpanRecord]) -> u64 {
     covered
 }
 
-/// Total wall time of a stitched forest: the sum of root span durations
+/// Total wall time of a span forest: the sum of root span durations
 /// (the denominator for the profile table's `% of total` column).
 #[must_use]
 pub fn root_wall_ns(spans: &[SpanRecord]) -> u64 {
@@ -245,17 +230,14 @@ mod tests {
     use crate::tests::{exclusive, teardown};
 
     fn record(
-        id: u64,
-        name: &str,
+        name: &'static str,
         start_ns: u64,
         elapsed_ns: u64,
         lane: u32,
         children: Vec<SpanRecord>,
     ) -> SpanRecord {
         SpanRecord {
-            id,
-            parent: None,
-            name: name.to_string(),
+            name,
             detail: None,
             start_ns,
             elapsed_ns,
@@ -267,12 +249,11 @@ mod tests {
     #[test]
     fn chrome_trace_is_valid_trace_event_json() {
         let spans = vec![record(
-            1,
             "stage.outer",
             0,
             10_000_000,
             0,
-            vec![record(2, "stage.inner", 1_000_000, 2_000_000, 1, vec![])],
+            vec![record("stage.inner", 1_000_000, 2_000_000, 1, vec![])],
         )];
         let json = chrome_trace(&spans);
         let doc: Value = serde_json::from_str(&json).expect("trace parses");
@@ -301,15 +282,16 @@ mod tests {
             assert!(event.get("ts").is_some());
             assert!(event.get("dur").is_some());
             assert!(event.get("tid").is_some());
-            assert!(event.get("args").and_then(|a| a.get("id")).is_some());
+            let args = event.get("args").expect("args");
+            assert!(args.get("id").is_none() && args.get("parent").is_none());
         }
     }
 
     #[test]
     fn chrome_trace_events_are_time_ordered() {
         let spans = vec![
-            record(7, "stage.late", 5_000, 1_000, 0, vec![]),
-            record(3, "stage.early", 1_000, 1_000, 0, vec![]),
+            record("stage.late", 5_000, 1_000, 0, vec![]),
+            record("stage.early", 1_000, 1_000, 0, vec![]),
         ];
         let json = chrome_trace(&spans);
         let doc: Value = serde_json::from_str(&json).unwrap();
@@ -325,14 +307,13 @@ mod tests {
     #[test]
     fn profile_rows_split_self_and_child_time() {
         let spans = vec![record(
-            1,
             "stage.parent",
             0,
             10_000_000,
             0,
             vec![
-                record(2, "stage.child", 0, 3_000_000, 0, vec![]),
-                record(3, "stage.child", 3_000_000, 1_000_000, 0, vec![]),
+                record("stage.child", 0, 3_000_000, 0, vec![]),
+                record("stage.child", 3_000_000, 1_000_000, 0, vec![]),
             ],
         )];
         let rows = profile_rows(&spans);
@@ -355,14 +336,13 @@ mod tests {
         // Two workers of 8 ms each under a 10 ms fan-out: the children
         // cover 8 ms of it, and the workers' own 16 ms is the fan-out's.
         let spans = vec![record(
-            1,
             "stage.fanout",
             0,
             10_000_000,
             0,
             vec![
-                record(2, "par.worker", 0, 8_000_000, 1, vec![]),
-                record(3, "par.worker", 0, 8_000_000, 2, vec![]),
+                record("par.worker", 0, 8_000_000, 1, vec![]),
+                record("par.worker", 0, 8_000_000, 2, vec![]),
             ],
         )];
         let rows = profile_rows(&spans);
@@ -376,21 +356,19 @@ mod tests {
         // A span a worker opens keeps its own time; only the worker's time
         // outside it moves up.
         let spans = vec![record(
-            1,
             "stage.fanout",
             0,
             10_000_000,
             0,
             vec![
                 record(
-                    2,
                     "par.worker",
                     0,
                     8_000_000,
                     1,
-                    vec![record(4, "stage.item", 1_000_000, 3_000_000, 1, vec![])],
+                    vec![record("stage.item", 1_000_000, 3_000_000, 1, vec![])],
                 ),
-                record(3, "par.worker", 0, 8_000_000, 2, vec![]),
+                record("par.worker", 0, 8_000_000, 2, vec![]),
             ],
         )];
         let rows = profile_rows(&spans);
@@ -409,7 +387,7 @@ mod tests {
             let _root = crate::span!("test.export_root");
             let _leaf = crate::span!("test.export_leaf");
         }
-        let spans = crate::take_spans_stitched();
+        let spans = crate::take_spans();
         let json = chrome_trace(&spans);
         let doc: Value = serde_json::from_str(&json).expect("parses");
         assert!(doc.get("traceEvents").is_some());

@@ -15,13 +15,14 @@
 //! * **Naming convention.** Metric names are `stage.noun_verb`, e.g.
 //!   `extract.pages_scanned`, `dedup.comparisons_made`,
 //!   `classify.rules_fired`. Stages: `docgen`, `extract`, `dedup`,
-//!   `persist`, `classify`, `analysis`.
-//! * **Cross-thread stitching and export.** Spans carry ids, start
-//!   timestamps and lanes; work fanned out to `par`/`join` threads adopts
-//!   the spawning span via [`worker_scope`]/[`aux_scope`] and
-//!   [`stitch_spans`] re-homes it afterwards, so [`chrome_trace`]
+//!   `persist`, `classify`, `analysis`, `corpus`, `textkit`, `query`,
+//!   `serve`, `par`.
+//! * **One tree per run, built as it runs.** Spans carry start timestamps
+//!   and lanes; work fanned out to `par`/`join` threads runs under a
+//!   [`worker_scope`]/[`aux_scope`] whose [`ScopeGuard::finish`] hands its
+//!   spans back for the spawning thread to [`adopt`], so [`chrome_trace`]
 //!   (Perfetto-loadable, one lane per worker) and [`profile_rows`]
-//!   (per-stage self/child time) see one connected tree per run.
+//!   (per-stage self/child time) read [`take_spans`] as it is.
 //!
 //! # Example
 //!
@@ -46,23 +47,30 @@ mod metrics;
 mod span;
 
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Mutex, MutexGuard};
 
 pub use export::{chrome_trace, lane_name, profile_rows, render_profile, root_wall_ns, ProfileRow};
 pub use metrics::{Histogram, Snapshot, WorkerStats, BUCKETS};
 pub use span::{
-    aux_scope, completed_spans, current_span_id, render_trace, span, span_with_detail,
-    stitch_spans, take_spans, take_spans_stitched, worker_lane, worker_scope, ScopeGuard, Span,
-    SpanRecord, AUX_LANE_BASE, MAIN_LANE,
+    adopt, aux_scope, completed_spans, render_trace, span, span_with_detail, take_spans,
+    worker_lane, worker_scope, ScopeGuard, Span, SpanRecord, AUX_LANE_BASE, MAIN_LANE,
 };
+
+/// Locks one of the crate's collectors. A panic elsewhere never poisons
+/// collection: every update leaves the data valid.
+fn lock<T>(mutex: &'static Mutex<T>) -> MutexGuard<'static, T> {
+    mutex
+        .lock()
+        .unwrap_or_else(|poisoned| poisoned.into_inner())
+}
 
 /// Master switch; collection is off until [`enable`] is called.
 static ENABLED: AtomicBool = AtomicBool::new(false);
 
-/// Whether completed root spans are retained in the global collector.
-/// On by default; long-running processes (the serve daemon) turn it off
-/// so span *timings* still feed the duration histograms while the span
-/// *records* are dropped — otherwise every request would grow the
-/// collector without bound.
+/// Whether closing spans build records for the collector. On by default;
+/// long-running processes (the serve daemon) turn it off so span *timings*
+/// still feed the duration histograms while no span *record* is built —
+/// otherwise every request would grow the collector without bound.
 static RETAIN_SPANS: AtomicBool = AtomicBool::new(true);
 
 /// Turns metric and span collection on.
@@ -85,8 +93,8 @@ pub fn is_enabled() -> bool {
 /// Controls completed-span retention (default: retained).
 ///
 /// With retention off, spans still time their region and feed the
-/// duration histograms on close, but the completed [`SpanRecord`]s are
-/// discarded instead of accumulating in the global collector. A
+/// duration histograms on close, but build no [`SpanRecord`] (nor format
+/// their detail), so nothing accumulates in the global collector. A
 /// long-running server with collection enabled MUST turn retention off
 /// (or drain spans periodically) to keep memory bounded; one-shot
 /// pipeline commands leave it on so `--trace`/`--trace-out` see the full

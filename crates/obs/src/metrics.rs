@@ -10,6 +10,8 @@ use std::sync::Mutex;
 
 use serde::{Deserialize, Serialize};
 
+use crate::lock;
+
 /// Number of power-of-two duration buckets; bucket `i` counts observations
 /// with `floor(log2(ns)) == i` (bucket 0 also takes `ns == 0`).
 pub const BUCKETS: usize = 64;
@@ -30,32 +32,26 @@ static REGISTRY: Mutex<Registry> = Mutex::new(Registry {
     workers: BTreeMap::new(),
 });
 
-fn registry() -> std::sync::MutexGuard<'static, Registry> {
-    REGISTRY
-        .lock()
-        .unwrap_or_else(|poisoned| poisoned.into_inner())
-}
-
 pub(crate) fn add_counter(name: &'static str, delta: u64) {
-    let mut reg = registry();
+    let mut reg = lock(&REGISTRY);
     let slot = reg.counters.entry(name).or_insert(0);
     *slot = slot.saturating_add(delta);
 }
 
 pub(crate) fn add_duration(name: &'static str, nanos: u64) {
-    let mut reg = registry();
+    let mut reg = lock(&REGISTRY);
     reg.durations.entry(name).or_default().record(nanos);
 }
 
 pub(crate) fn add_worker(index: usize, busy_ns: u64, tasks: u64) {
-    let mut reg = registry();
+    let mut reg = lock(&REGISTRY);
     let stats = reg.workers.entry(format!("w{index:02}")).or_default();
     stats.busy_ns = stats.busy_ns.saturating_add(busy_ns);
     stats.tasks = stats.tasks.saturating_add(tasks);
 }
 
 pub(crate) fn snapshot() -> Snapshot {
-    let reg = registry();
+    let reg = lock(&REGISTRY);
     Snapshot {
         counters: reg
             .counters
@@ -72,7 +68,7 @@ pub(crate) fn snapshot() -> Snapshot {
 }
 
 pub(crate) fn reset() {
-    let mut reg = registry();
+    let mut reg = lock(&REGISTRY);
     reg.counters.clear();
     reg.durations.clear();
     reg.workers.clear();
@@ -136,6 +132,9 @@ impl Histogram {
     /// with factor-of-two resolution, which is what a latency endpoint
     /// needs (`p50`/`p99` to the right order of magnitude, no sample
     /// retention). Out-of-range `q` clamps; an empty histogram reports 0.
+    /// A histogram read from a file may hold any bucket index, count or
+    /// range: an index past the last bucket bounds at `u64::MAX`, and
+    /// nothing here can overflow or panic.
     #[must_use]
     pub fn quantile_ns(&self, q: f64) -> u64 {
         if self.count == 0 {
@@ -146,13 +145,10 @@ impl Histogram {
         let rank = ((q * self.count as f64).ceil() as u64).clamp(1, self.count);
         let mut seen = 0u64;
         for &(index, count) in &self.buckets {
-            seen += count;
+            seen = seen.saturating_add(count);
             if seen >= rank {
-                let upper = match index {
-                    63 => u64::MAX,
-                    i => (1u64 << (i + 1)) - 1,
-                };
-                return upper.clamp(self.min_ns, self.max_ns);
+                let upper = u64::MAX >> (63 - u32::from(index.min(63)));
+                return upper.min(self.max_ns).max(self.min_ns);
             }
         }
         self.max_ns
@@ -290,6 +286,24 @@ mod tests {
         one.record(1_000);
         assert_eq!(one.quantile_ns(0.01), 1_000);
         assert_eq!(one.quantile_ns(0.99), 1_000);
+    }
+
+    #[test]
+    fn quantile_bounds_hold_for_any_bucket_index_a_file_can_hold() {
+        let max = u64::MAX;
+        let histogram = |count, min_ns, max_ns, buckets| Histogram {
+            count,
+            total_ns: 0,
+            min_ns,
+            max_ns,
+            buckets,
+        };
+        let p50 = |index| histogram(1, 0, max, vec![(index, 1)]).quantile_ns(0.5);
+        let bounds = [0, 62, 63, 64, 200, 255].map(p50);
+        assert_eq!(bounds, [1, max >> 1, max, max, max, max]);
+        // Counts that overflow a running sum, and min above max.
+        let hostile = histogram(max, 10, 5, vec![(1, 1), (2, max)]);
+        assert_eq!(hostile.quantile_ns(1.0), 10);
     }
 
     #[test]

@@ -2,17 +2,18 @@
 //! thread-local stack, and publish completed root spans to a global
 //! collector for text-tree, profile-table, or Chrome-trace rendering.
 //!
-//! # Cross-thread stitching
+//! # Crossing threads
 //!
-//! Every span gets a process-unique `id` and records the `id` of its
-//! parent. Same-thread nesting is structural (children live inside their
-//! parent's `children` vector). Work that hops threads — `par_map` workers,
-//! `join` lanes — opens a [`worker_scope`]/[`aux_scope`] on the new thread
-//! carrying the *spawning* span's id; spans completed there become roots in
-//! the global collector tagged with that parent id, and [`stitch_spans`]
-//! re-homes them under the spawning span afterwards. The scope guard also
-//! flushes any frames still open when the thread's work ends, so a leaked
-//! guard loses timing precision, never whole subtrees.
+//! Same-thread nesting is structural: a closing span joins its parent's
+//! `children`. Work that hops threads — `par_map` workers, `join` lanes —
+//! runs under a [`worker_scope`]/[`aux_scope`] guard on the new thread. The
+//! scope keeps the spans that complete at that thread's top level, and
+//! [`ScopeGuard::finish`] returns them for the spawning thread to
+//! [`adopt`] under its innermost open span, so the tree is connected as it
+//! is built, through any depth of nested fan-out. Ending a scope also
+//! closes the frames its work left open, so a leaked guard loses timing
+//! precision, never whole subtrees; a guard dropped without `finish` (the
+//! work panicked) publishes what it kept as roots.
 //!
 //! # Lanes
 //!
@@ -23,11 +24,12 @@
 //! free pool so they stay dense).
 
 use std::cell::RefCell;
-use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
+use std::fmt::Display;
+use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::{Mutex, OnceLock};
-use std::time::Instant;
 
-use serde::{Deserialize, Serialize};
+use crate::lock;
+use std::time::{Duration, Instant};
 
 /// Lane of the spawning/main thread.
 pub const MAIN_LANE: u32 = 0;
@@ -44,15 +46,10 @@ pub fn worker_lane(index: usize) -> u32 {
 }
 
 /// One completed span with its timed children.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct SpanRecord {
-    /// Process-unique span id (allocation order).
-    pub id: u64,
-    /// Id of the enclosing span: the structural parent for same-thread
-    /// nesting, or the adopted spawning span for worker/aux roots.
-    pub parent: Option<u64>,
     /// The static span name (`stage.noun_verb`).
-    pub name: String,
+    pub name: &'static str,
     /// Optional per-instance detail, e.g. a document or figure label.
     pub detail: Option<String>,
     /// Start time, nanoseconds since the process trace epoch.
@@ -61,40 +58,37 @@ pub struct SpanRecord {
     pub elapsed_ns: u64,
     /// Lane (thread slot) the span ran on; see the module docs.
     pub lane: u32,
-    /// Completed child spans, in completion order ([`stitch_spans`]
-    /// re-sorts by start time).
+    /// Completed child spans: same-thread children in completion order,
+    /// then those adopted from each fan-out in worker order.
     pub children: Vec<SpanRecord>,
 }
 
 /// An in-progress span on the thread-local stack.
 struct Frame {
-    id: u64,
     name: &'static str,
     detail: Option<String>,
     start: Instant,
-    start_ns: u64,
     children: Vec<SpanRecord>,
 }
 
-/// Per-thread span context: the open-frame stack plus the lane and adopted
-/// parent installed by [`worker_scope`]/[`aux_scope`].
+/// Per-thread span context: the open-frame stack plus the lane and kept
+/// spans installed by [`worker_scope`]/[`aux_scope`].
 struct ThreadCtx {
     stack: Vec<Frame>,
     lane: u32,
-    inherited: Option<u64>,
+    /// Spans completed at the top level of an open scope, for
+    /// [`ScopeGuard::finish`]; `None` outside a scope.
+    kept: Option<Vec<SpanRecord>>,
 }
 
 thread_local! {
     static CTX: RefCell<ThreadCtx> = const {
-        RefCell::new(ThreadCtx { stack: Vec::new(), lane: MAIN_LANE, inherited: None })
+        RefCell::new(ThreadCtx { stack: Vec::new(), lane: MAIN_LANE, kept: None })
     };
 }
 
 /// Completed root spans from all threads, in completion order.
 static COMPLETED: Mutex<Vec<SpanRecord>> = Mutex::new(Vec::new());
-
-/// Monotonic span-id source (0 is reserved as "no id").
-static NEXT_ID: AtomicU64 = AtomicU64::new(1);
 
 /// The process trace epoch: all `start_ns` values are relative to this.
 static EPOCH: OnceLock<Instant> = OnceLock::new();
@@ -103,15 +97,12 @@ static EPOCH: OnceLock<Instant> = OnceLock::new();
 static AUX_POOL: Mutex<Vec<u32>> = Mutex::new(Vec::new());
 static NEXT_AUX: AtomicU32 = AtomicU32::new(AUX_LANE_BASE);
 
-fn completed() -> std::sync::MutexGuard<'static, Vec<SpanRecord>> {
-    COMPLETED
-        .lock()
-        .unwrap_or_else(|poisoned| poisoned.into_inner())
+fn epoch() -> Instant {
+    *EPOCH.get_or_init(Instant::now)
 }
 
-fn now_ns() -> u64 {
-    let epoch = EPOCH.get_or_init(Instant::now);
-    u64::try_from(epoch.elapsed().as_nanos()).unwrap_or(u64::MAX)
+fn nanos(duration: Duration) -> u64 {
+    u64::try_from(duration.as_nanos()).unwrap_or(u64::MAX)
 }
 
 /// RAII guard returned by [`span`]; closing (dropping) it records the
@@ -126,28 +117,32 @@ pub struct Span {
 /// Opens a span. While collection is disabled this is a no-op returning an
 /// inert guard.
 pub fn span(name: &'static str) -> Span {
-    open(name, None)
+    open(name, None::<&str>)
 }
 
-/// Opens a span with a per-instance detail string (used by the `span!`
-/// macro's formatting arm).
-pub fn span_with_detail(name: &'static str, detail: String) -> Span {
+/// Opens a span with a per-instance detail (the `span!` macro's formatting
+/// arm). The detail is formatted only for a span that will be kept, so
+/// neither disabled collection nor span retention off pays for it.
+pub fn span_with_detail(name: &'static str, detail: impl Display) -> Span {
     open(name, Some(detail))
 }
 
-fn open(name: &'static str, detail: Option<String>) -> Span {
+fn open(name: &'static str, detail: Option<impl Display>) -> Span {
     if !crate::is_enabled() {
         return Span { depth: usize::MAX };
     }
-    let start_ns = now_ns();
+    let detail = detail
+        .filter(|_| crate::spans_retained())
+        .map(|detail| detail.to_string());
+    // Fix the trace epoch before the first start it is measured from.
+    epoch();
+    let start = Instant::now();
     let depth = CTX.with(|ctx| {
         let mut ctx = ctx.borrow_mut();
         ctx.stack.push(Frame {
-            id: NEXT_ID.fetch_add(1, Ordering::Relaxed),
             name,
             detail,
-            start: Instant::now(),
-            start_ns,
+            start,
             children: Vec::new(),
         });
         ctx.stack.len() - 1
@@ -155,47 +150,37 @@ fn open(name: &'static str, detail: Option<String>) -> Span {
     Span { depth }
 }
 
-/// The id of the innermost open span on this thread, falling back to the
-/// parent adopted from a spawning thread. `None` while collection is off
-/// or outside any span. `par`/`join` capture this before spawning so work
-/// on other threads stitches under the span that fanned it out.
-#[must_use]
-pub fn current_span_id() -> Option<u64> {
-    if !crate::is_enabled() {
-        return None;
-    }
-    CTX.with(|ctx| {
-        let ctx = ctx.borrow();
-        ctx.stack.last().map(|f| f.id).or(ctx.inherited)
-    })
-}
-
-/// Closes every frame above `base_depth` on this thread, publishing the
-/// records (shared by [`Span::drop`] and scope-guard flushing).
+/// Closes every frame above `base_depth` on this thread (shared by
+/// [`Span::drop`] and scope exit). With span retention off the duration
+/// histogram is all a closing span feeds: no record is built.
 fn close_frames_above(ctx: &mut ThreadCtx, base_depth: usize) {
     while ctx.stack.len() > base_depth {
         let frame = ctx.stack.pop().expect("stack holds frames above base");
-        let elapsed_ns = u64::try_from(frame.start.elapsed().as_nanos()).unwrap_or(u64::MAX);
+        let elapsed_ns = nanos(frame.start.elapsed());
         crate::record_ns(frame.name, elapsed_ns);
-        let parent = ctx.stack.last().map(|f| f.id).or(ctx.inherited);
-        let record = SpanRecord {
-            id: frame.id,
-            parent,
-            name: frame.name.to_string(),
-            detail: frame.detail,
-            start_ns: frame.start_ns,
-            elapsed_ns,
-            lane: ctx.lane,
-            children: frame.children,
-        };
-        match ctx.stack.last_mut() {
-            Some(parent_frame) => parent_frame.children.push(record),
-            // Root spans normally publish to the collector; with span
-            // retention off (long-running servers) the record is dropped —
-            // its duration was already fed to the histogram above.
-            None if crate::spans_retained() => completed().push(record),
-            None => {}
+        if crate::spans_retained() {
+            let record = SpanRecord {
+                name: frame.name,
+                detail: frame.detail,
+                start_ns: nanos(frame.start.duration_since(epoch())),
+                elapsed_ns,
+                lane: ctx.lane,
+                children: frame.children,
+            };
+            file(ctx, record);
         }
+    }
+}
+
+/// Files a completed span under this thread's innermost open span, else
+/// in its open scope's kept list, else in the global collector as a root.
+fn file(ctx: &mut ThreadCtx, record: SpanRecord) {
+    if let Some(parent) = ctx.stack.last_mut() {
+        parent.children.push(record);
+    } else if let Some(kept) = &mut ctx.kept {
+        kept.push(record);
+    } else if crate::spans_retained() {
+        lock(&COMPLETED).push(record);
     }
 }
 
@@ -212,192 +197,142 @@ impl Drop for Span {
     }
 }
 
+/// Files spans that a worker/aux scope handed back
+/// ([`ScopeGuard::finish`]) as if they had completed on this thread: under
+/// its innermost open span, else in its own open scope, else as roots.
+/// Their lanes are kept.
+pub fn adopt(spans: Vec<SpanRecord>) {
+    CTX.with(|ctx| {
+        let mut ctx = ctx.borrow_mut();
+        for record in spans {
+            file(&mut ctx, record);
+        }
+    });
+}
+
 /// RAII guard installed on a worker/aux thread for the duration of its
-/// borrowed work; see [`worker_scope`] and [`aux_scope`].
-#[must_use = "the scope guard stitches and flushes this thread's spans when dropped"]
-pub struct ScopeGuard {
-    prev_lane: u32,
-    prev_inherited: Option<u64>,
+/// borrowed work; see [`worker_scope`] and [`aux_scope`]. Inert while
+/// collection is off.
+#[must_use = "ScopeGuard::finish hands this thread's spans back to the spawning thread"]
+pub struct ScopeGuard(Option<Entered>);
+
+/// What an entered scope replaced on its thread, restored when it ends.
+struct Entered {
+    lane: u32,
+    kept: Option<Vec<SpanRecord>>,
     base_depth: usize,
-    /// Aux lane to return to the pool on drop, if one was allocated.
+    /// Aux lane to return to the pool, if one was allocated.
     aux_lane: Option<u32>,
-    active: bool,
 }
 
 /// Enters a `par_map` worker scope on the current thread: spans opened
-/// here record `lane`, and spans completing at this thread's top level are
-/// tagged with `parent` (the spawning span's id) so [`stitch_spans`] can
-/// re-home them. Dropping the guard **flushes** any frames still open —
-/// a span leaked on a worker is force-closed and published rather than
-/// silently discarded with the thread's stack.
-pub fn worker_scope(lane: u32, parent: Option<u64>) -> ScopeGuard {
-    enter_scope(Some(lane), parent)
+/// here record `lane`, and the ones completing at this thread's top level
+/// are kept for [`ScopeGuard::finish`].
+pub fn worker_scope(lane: u32) -> ScopeGuard {
+    enter_scope(Some(lane))
 }
 
 /// Like [`worker_scope`] for short-lived `join` threads: the lane is
 /// allocated from a dense reusable pool starting at [`AUX_LANE_BASE`] and
-/// returned when the guard drops.
-pub fn aux_scope(parent: Option<u64>) -> ScopeGuard {
-    enter_scope(None, parent)
+/// returned when the scope ends.
+pub fn aux_scope() -> ScopeGuard {
+    enter_scope(None)
 }
 
-fn enter_scope(lane: Option<u32>, parent: Option<u64>) -> ScopeGuard {
+fn enter_scope(lane: Option<u32>) -> ScopeGuard {
     if !crate::is_enabled() {
-        return ScopeGuard {
-            prev_lane: MAIN_LANE,
-            prev_inherited: None,
-            base_depth: 0,
-            aux_lane: None,
-            active: false,
-        };
+        return ScopeGuard(None);
     }
     let (lane, aux_lane) = match lane {
         Some(lane) => (lane, None),
         None => {
-            let lane = {
-                let mut pool = AUX_POOL.lock().unwrap_or_else(|p| p.into_inner());
-                pool.pop()
-                    .unwrap_or_else(|| NEXT_AUX.fetch_add(1, Ordering::Relaxed))
-            };
+            let lane = lock(&AUX_POOL)
+                .pop()
+                .unwrap_or_else(|| NEXT_AUX.fetch_add(1, Ordering::Relaxed));
             (lane, Some(lane))
         }
     };
     CTX.with(|ctx| {
         let mut ctx = ctx.borrow_mut();
-        let guard = ScopeGuard {
-            prev_lane: ctx.lane,
-            prev_inherited: ctx.inherited,
+        ScopeGuard(Some(Entered {
+            lane: std::mem::replace(&mut ctx.lane, lane),
+            kept: ctx.kept.replace(Vec::new()),
             base_depth: ctx.stack.len(),
             aux_lane,
-            active: true,
-        };
-        ctx.lane = lane;
-        ctx.inherited = parent;
-        guard
+        }))
     })
 }
 
-impl Drop for ScopeGuard {
-    fn drop(&mut self) {
-        if !self.active {
-            return;
-        }
-        CTX.with(|ctx| {
+impl ScopeGuard {
+    /// Ends the scope and returns the spans that completed at its top
+    /// level (frames still open are closed first), for the spawning thread
+    /// to [`adopt`]. Empty while collection is off.
+    #[must_use]
+    pub fn finish(mut self) -> Vec<SpanRecord> {
+        self.exit()
+    }
+
+    /// Closes the scope's open frames, restores what it replaced on the
+    /// thread, and returns what it kept. Runs once.
+    fn exit(&mut self) -> Vec<SpanRecord> {
+        let Some(entered) = self.0.take() else {
+            return Vec::new();
+        };
+        let kept = CTX.with(|ctx| {
             let mut ctx = ctx.borrow_mut();
-            // Flush: anything still open when the scope ends is closed and
-            // published now, while the lane and adopted parent are intact.
-            close_frames_above(&mut ctx, self.base_depth);
-            ctx.lane = self.prev_lane;
-            ctx.inherited = self.prev_inherited;
+            close_frames_above(&mut ctx, entered.base_depth);
+            ctx.lane = entered.lane;
+            std::mem::replace(&mut ctx.kept, entered.kept)
         });
-        if let Some(lane) = self.aux_lane {
-            AUX_POOL
-                .lock()
-                .unwrap_or_else(|p| p.into_inner())
-                .push(lane);
+        if let Some(lane) = entered.aux_lane {
+            lock(&AUX_POOL).push(lane);
+        }
+        kept.unwrap_or_default()
+    }
+}
+
+impl Drop for ScopeGuard {
+    /// A scope that ends without [`ScopeGuard::finish`] (its work panicked)
+    /// publishes what it kept as roots rather than losing it.
+    fn drop(&mut self) {
+        let orphans = self.exit();
+        if !orphans.is_empty() && crate::spans_retained() {
+            lock(&COMPLETED).extend(orphans);
         }
     }
 }
 
 /// Opens a span guard: `span!("extract.document")`, or with a formatted
-/// detail label, `span!("analysis.figure", "fig{:02}", n)`.
+/// detail label, `span!("analysis.figure", "fig{:02}", n)`. The label is
+/// formatted only while collection is on and spans are retained.
 #[macro_export]
 macro_rules! span {
     ($name:expr) => {
         $crate::span($name)
     };
     ($name:expr, $($detail:tt)+) => {
-        $crate::span_with_detail($name, format!($($detail)+))
+        $crate::span_with_detail($name, format_args!($($detail)+))
     };
 }
 
-/// Removes and returns all completed root spans (completion order, not
-/// stitched — worker/aux roots still float free; see [`stitch_spans`]).
+/// Removes and returns all completed root spans, in completion order.
 #[must_use]
 pub fn take_spans() -> Vec<SpanRecord> {
-    std::mem::take(&mut *completed())
+    std::mem::take(&mut *lock(&COMPLETED))
 }
 
 /// A copy of all completed root spans without consuming them.
 #[must_use]
 pub fn completed_spans() -> Vec<SpanRecord> {
-    completed().clone()
+    lock(&COMPLETED).clone()
 }
 
-/// Re-homes cross-thread roots under their spawning spans.
-///
-/// Any root whose `parent` id exists elsewhere in the forest is moved into
-/// that span's `children`; roots whose parent never completed (or was
-/// `None`) stay roots. Children are then sorted by `(start_ns, id)`, which
-/// keeps same-thread siblings in program order and gives worker spans a
-/// deterministic position independent of completion order.
-#[must_use]
-pub fn stitch_spans(mut roots: Vec<SpanRecord>) -> Vec<SpanRecord> {
-    fn contains(record: &SpanRecord, id: u64) -> bool {
-        record.id == id || record.children.iter().any(|c| contains(c, id))
-    }
-    fn find_mut(record: &mut SpanRecord, id: u64) -> Option<&mut SpanRecord> {
-        if record.id == id {
-            return Some(record);
-        }
-        record.children.iter_mut().find_map(|c| find_mut(c, id))
-    }
-    fn sort_children(record: &mut SpanRecord) {
-        record.children.sort_by_key(|c| (c.start_ns, c.id));
-        for child in &mut record.children {
-            sort_children(child);
-        }
-    }
-
-    // Fixpoint: an orphan's parent may itself be an orphan stitched on a
-    // later pass (nested fan-out), so repeat until nothing moves.
-    loop {
-        let mut moved = false;
-        let mut i = 0;
-        while i < roots.len() {
-            let stitchable = roots[i].parent.is_some_and(|pid| {
-                roots
-                    .iter()
-                    .enumerate()
-                    .any(|(j, r)| j != i && contains(r, pid))
-            });
-            if stitchable {
-                let orphan = roots.remove(i);
-                let pid = orphan.parent.expect("stitchable implies a parent id");
-                let home = roots
-                    .iter_mut()
-                    .find_map(|r| find_mut(r, pid))
-                    .expect("parent located above");
-                home.children.push(orphan);
-                moved = true;
-            } else {
-                i += 1;
-            }
-        }
-        if !moved {
-            break;
-        }
-    }
-    roots.sort_by_key(|r| (r.start_ns, r.id));
-    for root in &mut roots {
-        sort_children(root);
-    }
-    roots
-}
-
-/// Removes all completed spans and returns them stitched.
-#[must_use]
-pub fn take_spans_stitched() -> Vec<SpanRecord> {
-    stitch_spans(take_spans())
-}
-
-/// Renders completed root spans (stitched) as an indented text tree with
-/// millisecond timings. Does not consume the spans.
+/// Renders completed root spans as an indented text tree with millisecond
+/// timings. Does not consume the spans.
 #[must_use]
 pub fn render_trace() -> String {
-    let spans = stitch_spans(completed_spans());
     let mut out = String::new();
-    for record in &spans {
+    for record in lock(&COMPLETED).iter() {
         render_into(record, 0, &mut out);
     }
     out
@@ -407,7 +342,7 @@ fn render_into(record: &SpanRecord, depth: usize, out: &mut String) {
     for _ in 0..depth {
         out.push_str("  ");
     }
-    out.push_str(&record.name);
+    out.push_str(record.name);
     if let Some(detail) = &record.detail {
         out.push_str(" [");
         out.push_str(detail);
@@ -421,11 +356,11 @@ fn render_into(record: &SpanRecord, depth: usize, out: &mut String) {
 }
 
 pub(crate) fn reset() {
-    completed().clear();
+    lock(&COMPLETED).clear();
     CTX.with(|ctx| {
         let mut ctx = ctx.borrow_mut();
         ctx.stack.clear();
-        ctx.inherited = None;
+        ctx.kept = None;
         ctx.lane = MAIN_LANE;
     });
 }
@@ -434,6 +369,22 @@ pub(crate) fn reset() {
 mod tests {
     use super::*;
     use crate::tests::{exclusive, teardown};
+
+    /// Runs `work` on a new thread inside the scope `enter` opens and
+    /// returns the spans the scope hands back.
+    fn on_thread(
+        enter: impl FnOnce() -> ScopeGuard + Send,
+        work: impl FnOnce() + Send,
+    ) -> Vec<SpanRecord> {
+        std::thread::scope(|scope| {
+            let spawned = scope.spawn(|| {
+                let guard = enter();
+                work();
+                guard.finish()
+            });
+            spawned.join().unwrap()
+        })
+    }
 
     #[test]
     fn spans_nest_and_preserve_order() {
@@ -451,13 +402,11 @@ mod tests {
         assert_eq!(spans.len(), 1);
         let root = &spans[0];
         assert_eq!(root.name, "test.root");
-        let child_names: Vec<&str> = root.children.iter().map(|c| c.name.as_str()).collect();
+        let child_names: Vec<&str> = root.children.iter().map(|c| c.name).collect();
         assert_eq!(child_names, ["test.first", "test.second"]);
         assert_eq!(root.children[1].detail.as_deref(), Some("doc 3"));
         // A parent's time covers its children.
         assert!(root.elapsed_ns >= root.children.iter().map(|c| c.elapsed_ns).sum::<u64>());
-        // Structural children record their parent's id and the same lane.
-        assert!(root.children.iter().all(|c| c.parent == Some(root.id)));
         assert!(root.children.iter().all(|c| c.lane == MAIN_LANE));
         teardown();
     }
@@ -472,6 +421,47 @@ mod tests {
         assert_eq!(snap.durations["test.timed"].count, 1);
         // Spans record durations, never counters.
         assert!(snap.counters.is_empty());
+        teardown();
+    }
+
+    #[test]
+    fn unretained_spans_only_feed_their_histograms() {
+        let _gate = exclusive();
+        crate::retain_spans(false);
+        for _ in 0..3 {
+            let _outer = crate::span!("test.request");
+            let _inner = crate::span!("test.step", "{}", "detail");
+        }
+        assert!(take_spans().is_empty());
+        let snap = crate::snapshot();
+        assert_eq!(snap.durations["test.request"].count, 3);
+        assert_eq!(snap.durations["test.step"].count, 3);
+        teardown();
+    }
+
+    #[test]
+    fn span_details_are_formatted_only_for_kept_spans() {
+        static CALLS: AtomicU32 = AtomicU32::new(0);
+        struct Counted;
+        impl Display for Counted {
+            fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+                CALLS.fetch_add(1, Ordering::Relaxed);
+                f.write_str("counted")
+            }
+        }
+        let calls_after_a_span = || {
+            drop(crate::span!("test.detail", "{}", Counted));
+            CALLS.load(Ordering::Relaxed)
+        };
+        let _gate = exclusive();
+        crate::disable();
+        assert_eq!(calls_after_a_span(), 0, "formatted while collection is off");
+        crate::enable();
+        crate::retain_spans(false);
+        assert_eq!(calls_after_a_span(), 0, "formatted with retention off");
+        crate::retain_spans(true);
+        assert_eq!(calls_after_a_span(), 1);
+        assert_eq!(take_spans()[0].detail.as_deref(), Some("counted"));
         teardown();
     }
 
@@ -493,41 +483,22 @@ mod tests {
     }
 
     #[test]
-    fn span_records_round_trip_through_json() {
-        let _gate = exclusive();
-        {
-            let _root = crate::span!("test.json", "case");
-            let _leaf = crate::span!("test.leaf");
-        }
-        let spans = take_spans();
-        let text = serde_json::to_string(&spans).expect("serializes");
-        let parsed: Vec<SpanRecord> = serde_json::from_str(&text).expect("parses");
-        assert_eq!(parsed, spans);
-        teardown();
-    }
-
-    #[test]
     fn worker_roots_stitch_under_the_spawning_span() {
         let _gate = exclusive();
-        let spawner_id;
         {
             let _root = crate::span!("test.spawner");
-            spawner_id = current_span_id().expect("span is open");
-            std::thread::scope(|scope| {
-                scope.spawn(|| {
-                    let _scope = worker_scope(worker_lane(0), Some(spawner_id));
-                    let _span = crate::span!("test.worker_task");
-                });
-            });
+            adopt(on_thread(
+                || worker_scope(worker_lane(0)),
+                || drop(crate::span!("test.worker_task")),
+            ));
         }
-        let spans = stitch_spans(take_spans());
-        assert_eq!(spans.len(), 1, "worker root was not stitched: {spans:?}");
+        let spans = take_spans();
+        assert_eq!(spans.len(), 1, "worker span was not adopted: {spans:?}");
         let root = &spans[0];
         assert_eq!(root.name, "test.spawner");
         assert_eq!(root.children.len(), 1);
         let worker = &root.children[0];
         assert_eq!(worker.name, "test.worker_task");
-        assert_eq!(worker.parent, Some(spawner_id));
         assert_eq!(worker.lane, worker_lane(0));
         teardown();
     }
@@ -537,14 +508,15 @@ mod tests {
         let _gate = exclusive();
         std::thread::scope(|scope| {
             scope.spawn(|| {
-                let guard = worker_scope(worker_lane(2), None);
+                let guard = worker_scope(worker_lane(2));
                 let leaked = crate::span!("test.leaked_parent");
                 {
                     let _child = crate::span!("test.completed_child");
                 }
-                // The guard never drops — without the scope flush, the
-                // frame and its completed child would vanish with the
-                // thread-local stack.
+                // The span guard never drops — without the scope flush,
+                // the frame and its completed child would vanish with the
+                // thread-local stack. Dropping the scope guard without
+                // `finish` is the panic path: what it kept becomes a root.
                 std::mem::forget(leaked);
                 drop(guard);
             });
@@ -561,57 +533,40 @@ mod tests {
     #[test]
     fn nested_fanout_stitches_through_intermediate_orphans() {
         let _gate = exclusive();
-        let root_id;
         {
             let _root = crate::span!("test.outer_stage");
-            root_id = current_span_id().unwrap();
-            std::thread::scope(|scope| {
-                scope.spawn(|| {
-                    let _scope = worker_scope(worker_lane(0), Some(root_id));
-                    let _w = crate::span!("test.mid_worker");
-                    let mid_id = current_span_id().unwrap();
-                    std::thread::scope(|inner| {
-                        inner.spawn(move || {
-                            let _scope = worker_scope(worker_lane(1), Some(mid_id));
-                            let _s = crate::span!("test.inner_task");
-                        });
-                    });
-                });
-            });
+            adopt(on_thread(
+                || worker_scope(worker_lane(0)),
+                || {
+                    let _mid = crate::span!("test.mid_worker");
+                    adopt(on_thread(
+                        || worker_scope(worker_lane(1)),
+                        || drop(crate::span!("test.inner_task")),
+                    ));
+                },
+            ));
         }
-        let spans = stitch_spans(take_spans());
+        let spans = take_spans();
         assert_eq!(spans.len(), 1, "{spans:?}");
         let mid = &spans[0].children[0];
-        assert_eq!(mid.name, "test.mid_worker");
-        assert_eq!(mid.children[0].name, "test.inner_task");
+        assert_eq!((mid.name, mid.lane), ("test.mid_worker", worker_lane(0)));
+        let inner = &mid.children[0];
+        assert_eq!(
+            (inner.name, inner.lane),
+            ("test.inner_task", worker_lane(1))
+        );
         teardown();
     }
 
     #[test]
     fn aux_scopes_reuse_pooled_lanes() {
         let _gate = exclusive();
-        std::thread::scope(|scope| {
-            scope
-                .spawn(|| {
-                    let _scope = aux_scope(None);
-                    let _s = crate::span!("test.aux_a");
-                })
-                .join()
-                .unwrap();
-            scope
-                .spawn(|| {
-                    let _scope = aux_scope(None);
-                    let _s = crate::span!("test.aux_b");
-                })
-                .join()
-                .unwrap();
-        });
-        let spans = take_spans();
-        assert_eq!(spans.len(), 2);
+        let aux_lane = || on_thread(aux_scope, || drop(crate::span("test.aux")))[0].lane;
         // The second aux thread ran after the first released its lane, so
         // both use the same pooled lane.
-        assert_eq!(spans[0].lane, spans[1].lane);
-        assert!(spans[0].lane >= AUX_LANE_BASE);
+        let first = aux_lane();
+        assert_eq!(aux_lane(), first);
+        assert!(first >= AUX_LANE_BASE);
         teardown();
     }
 }

@@ -20,18 +20,19 @@ where
     if crate::jobs() <= 1 {
         return (fa(), fb());
     }
-    // Spans opened inside `fb` run on a fresh thread: adopt the calling
-    // span so they stitch under it, on a pooled aux lane. The scope guard
-    // also flushes any frame `fb` leaves open.
-    let parent_span = rememberr_obs::current_span_id();
     std::thread::scope(|scope| {
+        // `fb`'s spans record a pooled aux lane; its scope closes any frame
+        // `fb` leaves open and hands them back to follow `fa`'s.
         let hb = scope.spawn(move || {
-            let _scope = rememberr_obs::aux_scope(parent_span);
-            fb()
+            let obs_scope = rememberr_obs::aux_scope();
+            (fb(), obs_scope.finish())
         });
         let a = fa();
         match hb.join() {
-            Ok(b) => (a, b),
+            Ok((b, spans)) => {
+                rememberr_obs::adopt(spans);
+                (a, b)
+            }
             Err(payload) => std::panic::resume_unwind(payload),
         }
     })

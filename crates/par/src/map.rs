@@ -8,10 +8,6 @@ use std::time::Instant;
 /// the atomic increment on cheap items.
 const CHUNKS_PER_WORKER: usize = 8;
 
-/// What one worker thread hands back: its `(input index, result)` pairs,
-/// or the payload of the panic that killed it.
-type WorkerResult<R> = Result<Vec<(usize, R)>, Box<dyn std::any::Any + Send>>;
-
 /// Maps `f` over `items` in parallel, returning results **in input order**.
 ///
 /// Equivalent to `items.iter().map(f).collect()` for pure `f`, at any
@@ -53,25 +49,22 @@ where
 
     let chunk = (items.len() / (workers * CHUNKS_PER_WORKER)).max(1);
     let cursor = AtomicUsize::new(0);
-    // Captured before spawning: worker spans completed on other threads
-    // stitch under the span that called par_map (None while obs is off).
-    let parent_span = rememberr_obs::current_span_id();
-    // Each worker returns its (index, result) pairs; a panic payload is
-    // re-raised only after every worker has been joined, so no thread is
-    // left running and no item is silently dropped.
-    let mut worker_results: Vec<WorkerResult<R>> = std::thread::scope(|scope| {
+    let mut slots: Vec<Option<R>> = Vec::with_capacity(items.len());
+    slots.resize_with(items.len(), || None);
+    let mut first_panic = None;
+    std::thread::scope(|scope| {
         let handles: Vec<_> = (0..workers)
             .map(|w| {
                 let cursor = &cursor;
                 let f = &f;
                 scope.spawn(move || {
-                    // Lane + adopted parent for every span opened on this
-                    // thread; dropping the guard flushes frames a panicking
-                    // or leaking closure left open.
-                    let _scope =
-                        rememberr_obs::worker_scope(rememberr_obs::worker_lane(w), parent_span);
+                    // Spans opened on this thread record the worker's lane
+                    // and come back with its results. If the closure
+                    // panics, the dropped scope closes the frames it left
+                    // open and publishes them as roots.
+                    let obs_scope = rememberr_obs::worker_scope(rememberr_obs::worker_lane(w));
                     let telemetry = rememberr_obs::is_enabled().then(Instant::now);
-                    let _span = rememberr_obs::span!("par.worker", "w{w:02}");
+                    let span = rememberr_obs::span!("par.worker", "w{w:02}");
                     let mut produced = Vec::new();
                     loop {
                         let start = cursor.fetch_add(chunk, Ordering::Relaxed);
@@ -83,29 +76,36 @@ where
                             produced.push((i, f(i, item)));
                         }
                     }
+                    drop(span);
                     if let Some(started) = telemetry {
                         let busy_ns =
                             u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);
                         rememberr_obs::record_worker(w, busy_ns, produced.len() as u64);
                     }
-                    produced
+                    (produced, obs_scope.finish())
                 })
             })
             .collect();
-        handles.into_iter().map(|h| h.join()).collect()
-    });
-
-    let mut slots: Vec<Option<R>> = Vec::with_capacity(items.len());
-    slots.resize_with(items.len(), || None);
-    for result in worker_results.drain(..) {
-        match result {
-            Ok(produced) => {
-                for (i, r) in produced {
-                    slots[i] = Some(r);
+        // Every worker is joined, its results placed and its spans adopted
+        // under the span that called par_map (in worker order) before a
+        // panic is re-raised, so no thread is left running and no item is
+        // silently dropped.
+        for handle in handles {
+            match handle.join() {
+                Ok((produced, spans)) => {
+                    rememberr_obs::adopt(spans);
+                    for (i, r) in produced {
+                        slots[i] = Some(r);
+                    }
+                }
+                Err(payload) => {
+                    first_panic.get_or_insert(payload);
                 }
             }
-            Err(payload) => std::panic::resume_unwind(payload),
         }
+    });
+    if let Some(payload) = first_panic {
+        std::panic::resume_unwind(payload);
     }
     slots
         .into_iter()

@@ -1,8 +1,10 @@
-//! Cross-thread span stitching and worker telemetry through the `par`
-//! primitives: `par_map` worker spans adopt the spawning span, `join`
-//! lanes stitch their figure-style spans home, per-worker utilization
-//! lands in the snapshot's `par` section, and scope exit flushes spans a
-//! worker closure failed to close.
+//! Cross-thread span hand-back and worker telemetry through the `par`
+//! primitives: `par_map` worker spans and `join` lane spans come home
+//! under the calling span, per-worker utilization lands in the snapshot's
+//! `par` section, scope exit flushes spans a worker closure failed to
+//! close, a panicking worker's spans still reach the collector (as roots),
+//! and with span retention off nothing is kept while every duration is
+//! still counted.
 
 use std::num::NonZeroUsize;
 use std::sync::{Mutex, MutexGuard};
@@ -46,19 +48,19 @@ fn par_map_worker_spans_stitch_under_the_calling_span() {
         let _stage = rememberr_obs::span!("test.stage");
         let _ = par_map(&items, |&n| n * 2);
     }
-    let spans = rememberr_obs::take_spans_stitched();
+    let spans = rememberr_obs::take_spans();
     assert_eq!(spans.len(), 1, "worker spans left orphan roots: {spans:?}");
     let stage = &spans[0];
     assert_eq!(stage.name, "test.stage");
-    let workers = find(&stage.children, "par.worker");
+    let workers = &stage.children;
     assert!(
         !workers.is_empty() && workers.len() <= 4,
-        "expected 1..=4 stitched workers, got {}",
+        "expected 1..=4 adopted workers, got {}",
         workers.len()
     );
     // Each worker span sits on its own lane, within the --jobs bound.
-    for worker in &workers {
-        assert_eq!(worker.parent, Some(stage.id));
+    for worker in workers {
+        assert_eq!(worker.name, "par.worker");
         assert!((1..=4).contains(&worker.lane), "lane {}", worker.lane);
     }
     teardown();
@@ -78,9 +80,9 @@ fn join_lane_spans_stitch_under_the_calling_span() {
             },
         );
     }
-    let spans = rememberr_obs::take_spans_stitched();
+    let spans = rememberr_obs::take_spans();
     assert_eq!(spans.len(), 1, "{spans:?}");
-    let names: Vec<&str> = spans[0].children.iter().map(|c| c.name.as_str()).collect();
+    let names: Vec<&str> = spans[0].children.iter().map(|c| c.name).collect();
     assert!(names.contains(&"test.lane_a"), "{names:?}");
     assert!(names.contains(&"test.lane_b"), "{names:?}");
     // The spawned lane ran on an aux lane, the caller lane stayed put.
@@ -137,12 +139,51 @@ fn spans_leaked_inside_a_worker_closure_are_flushed() {
         std::mem::forget(rememberr_obs::span!("test.leaked", "item {n}"));
         n
     });
-    let spans = rememberr_obs::take_spans_stitched();
+    let spans = rememberr_obs::take_spans();
     let leaked = find(&spans, "test.leaked");
     assert_eq!(
         leaked.len(),
         items.len(),
         "leaked spans were discarded: {spans:?}"
     );
+    teardown();
+}
+
+#[test]
+fn a_panicking_workers_spans_reach_the_collector_as_roots() {
+    let _gate = exclusive(2);
+    let result = std::panic::catch_unwind(|| {
+        let _stage = rememberr_obs::span!("test.stage");
+        par_map(&[0u32, 1], |&n| {
+            let _item = rememberr_obs::span!("test.item", "{n}");
+            assert!(n != 1, "worker failure under test");
+        })
+    });
+    assert!(result.is_err());
+    let spans = rememberr_obs::take_spans();
+    // The panicking worker's span could not come home through par_map: it
+    // became a root, on its worker lane, before the stage closed unwinding.
+    let roots: Vec<&str> = spans.iter().map(|root| root.name).collect();
+    assert_eq!(roots, ["par.worker", "test.stage"], "{spans:?}");
+    assert_ne!(spans[0].lane, rememberr_obs::MAIN_LANE);
+    let failed = find(&spans[0].children, "test.item");
+    assert!(failed.iter().any(|s| s.detail.as_deref() == Some("1")));
+    assert_eq!(find(&spans, "test.item").len(), 2, "{spans:?}");
+    teardown();
+}
+
+#[test]
+fn unretained_fan_outs_keep_nothing_but_count_every_worker() {
+    let _gate = exclusive(2);
+    rememberr_obs::retain_spans(false);
+    let items: Vec<u32> = (0..64).collect();
+    {
+        let _stage = rememberr_obs::span!("test.stage");
+        let _ = par_map(&items, |&n| n + 1);
+    }
+    assert!(rememberr_obs::take_spans().is_empty());
+    let snap = rememberr_obs::snapshot();
+    assert_eq!(snap.durations["test.stage"].count, 1);
+    assert_eq!(snap.durations["par.worker"].count, 2, "{snap:?}");
     teardown();
 }

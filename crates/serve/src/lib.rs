@@ -49,7 +49,8 @@
 //! counters `serve.requests` / `serve.shed` / `serve.timeouts` /
 //! `serve.reloads`, and the `serve.request` latency histogram, all through
 //! `rememberr_obs`. Long-running processes should call
-//! `rememberr_obs::retain_spans(false)` so span records do not accumulate.
+//! `rememberr_obs::retain_spans(false)`: closing spans then feed their
+//! duration histograms and build no records.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

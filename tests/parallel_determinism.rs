@@ -2,8 +2,9 @@
 //! classify → persist) produces byte-identical database JSON, identical
 //! `DedupStats`, and byte-identical observability counter sections at
 //! `jobs ∈ {1, 2, 8}` on an identically seeded corpus — with full span
-//! profiling enabled, whose own output (stitched span trees, Chrome trace)
-//! must stay well-formed without perturbing the deterministic sections.
+//! profiling enabled, whose own output (span trees with every worker span
+//! under its fan-out, Chrome trace) must stay well-formed without
+//! perturbing the deterministic sections.
 //!
 //! This is the headline guarantee of the parallel execution layer: worker
 //! count is a pure throughput knob, never a semantics knob.
@@ -17,7 +18,7 @@ use rememberr_extract::extract_corpus;
 
 /// One full seeded pipeline run at the current worker count, returning
 /// everything that must be jobs-invariant. Span profiling is on for the
-/// whole run; before returning, the stitched span tree is checked for
+/// whole run; before returning, the span tree is checked for
 /// well-formedness (no orphan worker roots, a parseable Chrome trace).
 fn seeded_pipeline_run() -> (Vec<u8>, DedupStats, String) {
     rememberr_obs::reset();
@@ -38,18 +39,18 @@ fn seeded_pipeline_run() -> (Vec<u8>, DedupStats, String) {
     save(&db, &mut bytes).expect("database serializes");
     let stats = db.dedup_stats();
     let counters = rememberr_obs::snapshot().counters_json();
-    assert_spans_stitch_cleanly();
+    assert_spans_form_one_tree();
 
     rememberr_obs::disable();
     rememberr_obs::reset();
     (bytes, stats, counters)
 }
 
-/// Stitching leaves no `par.worker` span as a root (every worker span
-/// found its spawning stage), and the Chrome trace of the run is JSON that
+/// No `par.worker` span is a root (every worker span was handed back to
+/// its spawning stage), and the Chrome trace of the run is JSON that
 /// round-trips through our serde.
-fn assert_spans_stitch_cleanly() {
-    let spans = rememberr_obs::take_spans_stitched();
+fn assert_spans_form_one_tree() {
+    let spans = rememberr_obs::take_spans();
     assert!(!spans.is_empty(), "profiled run recorded no spans");
     for root in &spans {
         assert_ne!(
