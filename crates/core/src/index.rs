@@ -97,8 +97,12 @@ impl Family {
         let slots = position.len();
         let words = slots.div_ceil(64);
         let mut bits = vec![0u64; bitmaps * words];
+        // Each slot's sort key, read once: slots are unique, so sorting the
+        // pairs orders the slots by `(disclosure_date, slot)`.
+        let mut keyed = Vec::with_capacity(slots);
         for (s, &pos) in position.iter().enumerate() {
             let entry = &entries[pos as usize];
+            keyed.push((entry.provenance.disclosure_date, s as u32));
             let (word, bit) = (s / 64, 1u64 << (s % 64));
             let mut set = |bitmap: usize| bits[bitmap * words + word] |= bit;
             set(VENDOR + ordinal(&Vendor::ALL, entry.vendor()));
@@ -128,14 +132,9 @@ impl Family {
             }
         }
 
-        let date = |s: u32| {
-            entries[position[s as usize] as usize]
-                .provenance
-                .disclosure_date
-        };
-        let mut date_order: Vec<u32> = (0..slots as u32).collect();
-        date_order.sort_unstable_by_key(|&s| (date(s), s));
-        let dates_sorted: Vec<Date> = date_order.iter().map(|&s| date(s)).collect();
+        keyed.sort_unstable();
+        let date_order: Vec<u32> = keyed.iter().map(|&(_, s)| s).collect();
+        let dates_sorted: Vec<Date> = keyed.iter().map(|&(date, _)| date).collect();
         let mut date_rank = vec![0u32; slots];
         for (rank, &s) in date_order.iter().enumerate() {
             date_rank[s as usize] = rank as u32;
@@ -306,7 +305,7 @@ pub(crate) fn execute<'db>(
     let (family, bits) = matching_slots(query, index, db);
     let entries = db.entries();
     let mut hits = Vec::with_capacity(popcount(&bits));
-    hits.extend(set_slots(&bits).map(|s| &entries[family.position[s] as usize]));
+    for_each_slot(&bits, |s| hits.push(&entries[family.position[s] as usize]));
     hits
 }
 
@@ -410,22 +409,23 @@ fn matching_slots<'i>(
         .map_or(dates.len(), |before| dates.partition_point(|&d| d < before));
     let window = &family.date_order[lo..hi.max(lo)];
     let survivors = popcount(&bits);
-    let kept = if window.len() < survivors {
+    let mut kept = vec![0u64; family.words];
+    let mut keep = |s: usize| kept[s / 64] |= 1 << (s % 64);
+    if window.len() < survivors {
         rememberr_obs::count("query.entries_scanned", window.len() as u64);
-        slots_bitmap(
-            family.words,
-            window
-                .iter()
-                .map(|&s| s as usize)
-                .filter(|&s| bits[s / 64] & (1 << (s % 64)) != 0),
-        )
+        for s in window.iter().map(|&s| s as usize) {
+            if bits[s / 64] & (1 << (s % 64)) != 0 {
+                keep(s);
+            }
+        }
     } else {
         rememberr_obs::count("query.entries_scanned", survivors as u64);
-        slots_bitmap(
-            family.words,
-            set_slots(&bits).filter(|&s| (lo..hi).contains(&(family.date_rank[s] as usize))),
-        )
-    };
+        for_each_slot(&bits, |s| {
+            if (lo..hi).contains(&(family.date_rank[s] as usize)) {
+                keep(s);
+            }
+        });
+    }
     (family, kept)
 }
 
@@ -434,28 +434,15 @@ fn popcount(bits: &[u64]) -> usize {
     bits.iter().map(|w| w.count_ones() as usize).sum()
 }
 
-/// The set slots of `bits`, ascending.
-fn set_slots(bits: &[u64]) -> impl Iterator<Item = usize> + '_ {
-    let mut words = bits.iter().enumerate();
-    let (mut base, mut rest) = (0, 0u64);
-    std::iter::from_fn(move || {
-        while rest == 0 {
-            let (w, &word) = words.next()?;
-            (base, rest) = (w * 64, word);
+/// Calls `visit` with each set slot of `bits`, ascending.
+fn for_each_slot(bits: &[u64], mut visit: impl FnMut(usize)) {
+    for (w, &word) in bits.iter().enumerate() {
+        let mut rest = word;
+        while rest != 0 {
+            visit(w * 64 + rest.trailing_zeros() as usize);
+            rest &= rest - 1;
         }
-        let slot = base + rest.trailing_zeros() as usize;
-        rest &= rest - 1;
-        Some(slot)
-    })
-}
-
-/// A `words`-word bitmap with `slots` set.
-fn slots_bitmap(words: usize, slots: impl Iterator<Item = usize>) -> Vec<u64> {
-    let mut bits = vec![0u64; words];
-    for s in slots {
-        bits[s / 64] |= 1 << (s % 64);
     }
-    bits
 }
 
 #[cfg(test)]

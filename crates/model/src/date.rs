@@ -10,6 +10,7 @@ use std::str::FromStr;
 
 use serde::{Deserialize, Serialize};
 
+use crate::decimal::write_zero_padded;
 use crate::error::ModelError;
 
 /// A civil (proleptic Gregorian) calendar date.
@@ -125,6 +126,27 @@ impl Date {
     pub fn years_since(&self, other: Date) -> f64 {
         (self.days_since_epoch() - other.days_since_epoch()) as f64 / 365.2425
     }
+
+    /// Writes the date as `YYYY-MM-DD`, its `Display` form: the year is
+    /// zero-padded to four characters counting its sign (year -5 is
+    /// `-005`, year 10000 is `10000`), the month and day to two digits.
+    ///
+    /// # Errors
+    ///
+    /// Returns the error `out` returns; writing to a `String` never fails.
+    pub fn write_to<W: fmt::Write>(&self, out: &mut W) -> fmt::Result {
+        let year_width = if self.year < 0 {
+            out.write_char('-')?;
+            3
+        } else {
+            4
+        };
+        write_zero_padded(out, u64::from(self.year.unsigned_abs()), year_width)?;
+        out.write_char('-')?;
+        write_zero_padded(out, u64::from(self.month), 2)?;
+        out.write_char('-')?;
+        write_zero_padded(out, u64::from(self.day), 2)
+    }
 }
 
 impl std::ops::Sub for Date {
@@ -138,7 +160,7 @@ impl std::ops::Sub for Date {
 
 impl fmt::Display for Date {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{:04}-{:02}-{:02}", self.year, self.month, self.day)
+        self.write_to(f)
     }
 }
 
@@ -283,6 +305,15 @@ mod tests {
         assert_eq!("2022-07-04".parse::<Date>().unwrap(), d);
         assert!("2022-07".parse::<Date>().is_err());
         assert!("garbage".parse::<Date>().is_err());
+        // Years a snapshot can carry (its decoder takes any `i32`) print
+        // as `{:04}` prints them, sign included.
+        for year in [-5, 0, 5, 999, 2022, 10_000, i32::MIN, i32::MAX] {
+            for (month, day) in [(1, 1), (7, 4), (12, 31)] {
+                let d = Date::new(year, month, day).unwrap();
+                assert_eq!(d.to_string(), format!("{year:04}-{month:02}-{day:02}"));
+            }
+        }
+        assert_eq!(Date::new(-5, 1, 1).unwrap().to_string(), "-005-01-01");
     }
 
     #[test]

@@ -5,6 +5,7 @@ use std::fmt;
 use serde::{Deserialize, Serialize};
 
 use crate::date::Date;
+use crate::decimal::write_zero_padded;
 use crate::design::{Design, Vendor};
 use crate::error::ModelError;
 
@@ -29,10 +30,36 @@ impl ErratumId {
 
     /// The identifier as printed in the document, e.g. `SKL095` or `1361`.
     pub fn document_form(&self) -> String {
-        match self.design.vendor() {
-            Vendor::Intel => format!("{}{:03}", self.design.erratum_prefix(), self.number),
-            Vendor::Amd => self.number.to_string(),
-        }
+        let mut form = String::new();
+        self.write_document_form(&mut form)
+            .expect("writing to a String cannot fail");
+        form
+    }
+
+    /// Writes the identifier's `Display` form, the design's document
+    /// reference, `/` and the [`document_form`](Self::document_form), e.g.
+    /// `682436-004US/ADL001`.
+    ///
+    /// # Errors
+    ///
+    /// Returns the error `out` returns; writing to a `String` never fails.
+    pub fn write_to<W: fmt::Write>(&self, out: &mut W) -> fmt::Result {
+        out.write_str(self.design.reference())?;
+        out.write_char('/')?;
+        self.write_document_form(out)
+    }
+
+    /// Intel numbers follow the document's prefix, zero-padded to three
+    /// digits; AMD numbers stand alone, unpadded.
+    fn write_document_form<W: fmt::Write>(&self, out: &mut W) -> fmt::Result {
+        let width = match self.design.vendor() {
+            Vendor::Intel => {
+                out.write_str(self.design.erratum_prefix())?;
+                3
+            }
+            Vendor::Amd => 0,
+        };
+        write_zero_padded(out, u64::from(self.number), width)
     }
 
     /// Parses a document-form identifier appearing in the given design's
@@ -58,18 +85,7 @@ impl ErratumId {
 
 impl fmt::Display for ErratumId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        // `reference/` plus the document form, written in place rather than
-        // through `document_form`'s `String`.
-        let reference = self.design.reference();
-        match self.design.vendor() {
-            Vendor::Intel => write!(
-                f,
-                "{reference}/{}{:03}",
-                self.design.erratum_prefix(),
-                self.number
-            ),
-            Vendor::Amd => write!(f, "{reference}/{}", self.number),
-        }
+        self.write_to(f)
     }
 }
 
@@ -257,15 +273,18 @@ mod tests {
     fn display_combines_reference_and_form() {
         let id = ErratumId::new(Design::Intel12, 1);
         assert_eq!(id.to_string(), "682436-004US/ADL001");
-        // Display writes the document form in place; it must still spell
-        // exactly what `document_form` builds, for every design.
+        // Both forms spell the number as `format!` does: `{:03}` after an
+        // Intel prefix, bare for AMD, for every design and any `u32` a
+        // snapshot can carry.
         for design in Design::ALL {
-            for number in [0, 7, 95, 1361] {
+            for number in [0, 7, 95, 999, 1000, 1361, u32::MAX] {
                 let id = ErratumId::new(design, number);
-                assert_eq!(
-                    id.to_string(),
-                    format!("{}/{}", design.reference(), id.document_form())
-                );
+                let form = match design.vendor() {
+                    Vendor::Intel => format!("{}{number:03}", design.erratum_prefix()),
+                    Vendor::Amd => format!("{number}"),
+                };
+                assert_eq!(id.document_form(), form);
+                assert_eq!(id.to_string(), format!("{}/{form}", design.reference()));
             }
         }
     }

@@ -36,6 +36,7 @@
 mod annotation;
 mod catset;
 mod date;
+mod decimal;
 mod design;
 mod document;
 mod erratum;
@@ -51,6 +52,7 @@ mod wire;
 pub use annotation::{Annotation, AnnotationBuilder};
 pub use catset::{Catalog, CategorySet, ContextSet, EffectSet, Iter, TriggerSet};
 pub use date::{Date, MONTH_NAMES};
+pub use decimal::write_zero_padded;
 pub use design::{Design, Segment, Vendor};
 pub use document::{ErrataDocument, FixedIn, Revision};
 pub use erratum::{DateSource, Erratum, ErratumId, Provenance};

@@ -11,11 +11,11 @@
 //! lets the tests compare every served body with the same renderer over a
 //! scan oracle of their own.
 
-use std::fmt::Write;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Duration;
 
 use rememberr::{DbEntry, Query};
+use rememberr_model::write_zero_padded;
 
 use crate::http::{Request, Response};
 use crate::state::{LoadedSnapshot, ServeState};
@@ -57,25 +57,46 @@ fn parse_usize(req: &Request, name: &str, default: usize) -> Result<usize, Strin
     }
 }
 
-/// The `/query` body: hit count, then up to `limit` entry lines. CLI
-/// `query` prints the same body.
+/// Digits in the largest count, `usize::MAX`.
+const COUNT_DIGITS: usize = usize::MAX.ilog10() as usize + 1;
+
+/// What follows the count on a `/query` body's first line.
+const MATCHING: &str = " matching errata\n";
+
+/// The most bytes an entry line takes besides its title: a 26-byte id
+/// (12-byte reference, `/`, 3-letter prefix, 10 digits), a 17-byte date
+/// (`-2147483648-12-31`) and 7 bytes of separators.
+const LINE_BYTES_BESIDES_TITLE: usize = 50;
+
+/// The `/query` body: hit count, then up to `limit` entry lines
+/// (`id  title  [date]`). CLI `query` prints the same body.
 pub fn render_query_body(hits: &[&DbEntry], limit: usize) -> String {
-    let mut out = format!("{} matching errata\n", hits.len());
-    for entry in hits.iter().take(limit) {
-        let _ = writeln!(
-            out,
-            "{}  {}  [{}]",
-            entry.id(),
-            entry.erratum.title,
-            entry.provenance.disclosure_date
-        );
+    let shown = &hits[..limit.min(hits.len())];
+    let titles: usize = shown.iter().map(|e| e.erratum.title.len()).sum();
+    let mut out = String::with_capacity(
+        COUNT_DIGITS + MATCHING.len() + titles + shown.len() * LINE_BYTES_BESIDES_TITLE,
+    );
+    // Writing to a `String` cannot fail.
+    let _ = write_zero_padded(&mut out, hits.len() as u64, 0);
+    out.push_str(MATCHING);
+    for entry in shown {
+        let _ = entry.id().write_to(&mut out);
+        out.push_str("  ");
+        out.push_str(&entry.erratum.title);
+        out.push_str("  [");
+        let _ = entry.provenance.disclosure_date.write_to(&mut out);
+        out.push_str("]\n");
     }
     out
 }
 
 /// The `/count` body: the bare count.
 pub fn render_count_body(count: usize) -> String {
-    format!("{count}\n")
+    let mut out = String::with_capacity(COUNT_DIGITS + 1);
+    // Writing to a `String` cannot fail.
+    let _ = write_zero_padded(&mut out, count as u64, 0);
+    out.push('\n');
+    out
 }
 
 /// The `/stats` body: snapshot identity as JSON (deterministic per
@@ -159,7 +180,52 @@ fn method_not_allowed(allow: &str) -> Response {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::fmt::Write;
     use std::time::Instant;
+
+    use rememberr::Database;
+    use rememberr_docgen::{CorpusSpec, SyntheticCorpus};
+    use rememberr_model::{Date, Design, Erratum, ErratumId, Provenance, Vendor};
+
+    /// The `/query` body as `writeln!` spells it: the oracle the renderer's
+    /// bytes are pinned to. Ids and dates are spelled with `format!` from
+    /// their fields, not through their `Display` impls, so the oracle
+    /// shares no code with the writers under test.
+    fn formatted_query_body(hits: &[&DbEntry], limit: usize) -> String {
+        let mut out = format!("{} matching errata\n", hits.len());
+        for entry in hits.iter().take(limit) {
+            let (design, number) = (entry.design(), entry.id().number);
+            let form = match design.vendor() {
+                Vendor::Intel => format!("{}{number:03}", design.erratum_prefix()),
+                Vendor::Amd => format!("{number}"),
+            };
+            let date = entry.provenance.disclosure_date;
+            let _ = writeln!(
+                out,
+                "{}/{form}  {}  [{:04}-{:02}-{:02}]",
+                design.reference(),
+                entry.erratum.title,
+                date.year(),
+                date.month(),
+                date.day()
+            );
+        }
+        out
+    }
+
+    fn assert_renders_as_formatted(hits: &[&DbEntry]) {
+        for limit in [0, 1, 5, 20, hits.len()] {
+            let body = render_query_body(hits, limit);
+            assert_eq!(body, formatted_query_body(hits, limit), "limit {limit}");
+            // The buffer is sized once: no line outgrows its share of it.
+            let mut lines = body.split_inclusive('\n');
+            assert!(lines.next().unwrap().len() <= COUNT_DIGITS + MATCHING.len());
+            for (line, entry) in lines.zip(hits) {
+                let title = entry.erratum.title.len();
+                assert!(line.len() <= title + LINE_BYTES_BESIDES_TITLE, "{line}");
+            }
+        }
+    }
 
     fn request(target: &str) -> Request {
         let (path, raw_query) = match target.split_once('?') {
@@ -205,6 +271,51 @@ mod tests {
     #[test]
     fn render_bodies_are_stable() {
         assert_eq!(render_count_body(42), "42\n");
+        for count in [0, 9, 10, 42, usize::MAX] {
+            assert_eq!(render_count_body(count), format!("{count}\n"));
+        }
         assert_eq!(render_query_body(&[], 20), "0 matching errata\n");
+        assert_renders_as_formatted(&[]);
+    }
+
+    #[test]
+    fn query_bodies_match_the_formatted_oracle_at_paper_scale() {
+        let corpus = SyntheticCorpus::generate(&CorpusSpec::paper());
+        let db = Database::from_documents(&corpus.structured);
+        let entries: Vec<&DbEntry> = db.entries().iter().collect();
+        assert_eq!(entries.len(), 2563);
+        for chunk in entries.chunks(50) {
+            assert_renders_as_formatted(chunk);
+        }
+        assert_renders_as_formatted(&entries);
+    }
+
+    #[test]
+    fn query_bodies_match_the_formatted_oracle_at_extreme_years_and_numbers() {
+        // A snapshot's decoder takes any `i32` year and `u32` number, and
+        // `Date::new` takes each year below.
+        let mut entries = Vec::new();
+        for design in Design::ALL {
+            for year in [-5, 0, 5, 999, 10_000, i32::MIN, i32::MAX] {
+                for number in [0, 7, 95, 999, 1000, 1361, u32::MAX] {
+                    let erratum = Erratum {
+                        id: ErratumId::new(design, number),
+                        title: format!("Title {number}"),
+                        description: "D".into(),
+                        implications: String::new(),
+                        workaround: "None identified.".into(),
+                        status: "No fix planned.".into(),
+                    };
+                    let date = Date::new(year, 12, 31).unwrap();
+                    entries.push(DbEntry::new(
+                        erratum,
+                        Provenance::from_revision_log(1, date),
+                    ));
+                }
+            }
+        }
+        let hits: Vec<&DbEntry> = entries.iter().collect();
+        assert_renders_as_formatted(&hits);
+        assert!(render_query_body(&hits, 1).contains("[-005-12-31]"));
     }
 }

@@ -8,9 +8,9 @@
 //! needs: `Arc::clone` under the read lock happens-before or happens-after
 //! the pointer store under the write lock, never mid-way, and the old
 //! generation's memory is freed when its last in-flight request drops its
-//! `Arc`. Reloads themselves serialize on a separate mutex so two
-//! concurrent `POST /reload`s build one after the other instead of racing
-//! to publish.
+//! `Arc`, or by the reload itself after it releases the write lock.
+//! Reloads themselves serialize on a separate mutex so two concurrent
+//! `POST /reload`s build one after the other instead of racing to publish.
 
 use std::fs::File;
 use std::io::{BufRead, BufReader};
@@ -104,12 +104,17 @@ impl ServeState {
         let generation = self.generation.load(Ordering::Relaxed) + 1;
         let next = Arc::new(load_snapshot(&self.path, generation)?);
         self.generation.store(generation, Ordering::Relaxed);
-        let mut current = self
-            .current
-            .write()
-            .unwrap_or_else(|poisoned| poisoned.into_inner());
-        *current = next.clone();
-        drop(current);
+        let retired = {
+            let mut current = self
+                .current
+                .write()
+                .unwrap_or_else(|poisoned| poisoned.into_inner());
+            std::mem::replace(&mut *current, next.clone())
+        };
+        // Freed here, after the write guard, if no request still holds it:
+        // freeing a whole database under the guard would stall every
+        // worker's `snapshot()` for as long.
+        drop(retired);
         rememberr_obs::count("serve.reloads", 1);
         Ok(next)
     }
